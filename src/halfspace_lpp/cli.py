@@ -2,10 +2,12 @@
 
 Configuration is a flat JSON object; any key can be overridden by a
 --set key=value flag or an HSLPP_<KEY> environment variable (flags beat env,
-env beats file).  Every run writes a manifest JSON recording the resolved
-config, its hash, the seed, wall-clock time, and per-check numbers.
-Identical (config, seed) pairs produce byte-identical archives: samplers
-derive replica streams from SeedSequence([seed, replica]).
+env beats file; both values are read as JSON, falling back to the raw
+string).  Every run writes a manifest JSON recording the resolved config,
+its hash, the seed, wall-clock time, and per-check numbers.  Identical
+(config, seed) pairs produce byte-identical archives: every sampling
+command draws all its replicas, in order, from the one stream
+replica_rng(seed, 0), and verify-all gives check i the stream [seed, i].
 """
 
 import argparse
@@ -41,8 +43,19 @@ DEFAULTS = {
 }
 
 
+def _parse_value(text):
+    """A config value from text: JSON if it parses, else the raw string."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return text
+
+
 def load_config(path, overrides, env=None):
-    """Resolve the run configuration: defaults < file < env < flags."""
+    """Resolve the run configuration: defaults < file < env < flags.
+
+    An empty HSLPP_<KEY> variable leaves the key as it is.
+    """
     cfg = dict(DEFAULTS)
     if path:
         with open(path) as fh:
@@ -53,16 +66,13 @@ def load_config(path, overrides, env=None):
     env = os.environ if env is None else env
     for key in list(cfg):
         ev = env.get(ENV_PREFIX + key.upper())
-        if ev is not None:
-            cfg[key] = json.loads(ev) if ev[:1] in "[{0123456789-." else ev
+        if ev:
+            cfg[key] = _parse_value(ev)
     for item in overrides or []:
         if "=" not in item:
             raise ValueError(f"--set expects key=value, got {item!r}")
         key, val = item.split("=", 1)
-        try:
-            cfg[key] = json.loads(val)
-        except json.JSONDecodeError:
-            cfg[key] = val
+        cfg[key] = _parse_value(val)
     return cfg
 
 
@@ -73,7 +83,8 @@ def config_hash(cfg):
 
 
 def replica_rng(seed, replica):
-    """Deterministic per-replica stream: serial and parallel runs agree."""
+    """Deterministic stream SeedSequence([seed, replica]); the sampling
+    commands all use replica 0."""
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(replica)]))
 
 
@@ -403,9 +414,6 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--out", default=None)
     ap.add_argument("--tol", type=float, default=None)
-    ap.add_argument("--jobs", type=int, default=1,
-                    help="replica parallelism hint (streams are deterministic "
-                         "regardless)")
     ap.add_argument("--set", action="append", default=[], dest="overrides",
                     metavar="KEY=VALUE")
     args = ap.parse_args(argv)
@@ -414,7 +422,6 @@ def main(argv=None):
         val = getattr(args, key)
         if val is not None:
             cfg[key] = val
-    cfg["jobs"] = args.jobs
     return COMMANDS[args.command](cfg)
 
 

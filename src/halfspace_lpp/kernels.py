@@ -4,9 +4,14 @@ prelimit bulk/edge kernels, and their limits, all via contour quadrature.
 Every kernel returns a KernelValue2x2 whose off-diagonal blocks satisfy
 K21(s,x;t,y) = -K12(t,y;s,x) by construction.  Exponentials are assembled as
 a single exp(total exponent) per node so that the individually huge factors
-(e^{N S}, lattice powers) never overflow.  All logarithms are principal
-branch; on lattice points the total log-coefficients are integers, which
-keeps the assembled integrands single-valued across the cut.
+(e^{N S}, lattice powers) never overflow.  In the prelimit double integrals
+the z and w factors are exponentiated apart, so the rounding of the large
+exponents acts as a perturbation of the quadrature weights instead of as
+independent noise on every node pair, which matters where a value sits
+near the roundoff floor of the integrand's mass (the edge threshold counts
+of expected_count_tail).  All logarithms are principal branch; on lattice
+points the total log-coefficients are integers, which keeps the assembled
+integrands single-valued across the cut.
 """
 
 import cmath
@@ -21,12 +26,14 @@ from .contours import (
     Contour,
     ContourPlacementError,
     Segment,
+    _level_doubling,
     full_circle,
     integrate_double,
     integrate_single,
     truncate_wedge,
     wedge_pieces,
 )
+from .pfaffian import correlation_fn
 
 DEFAULT_TOL = 1e-9
 EDGE_THETA = 5.0 * math.pi / 16.0  # default wedge angle, inside (pi/4, pi/2)
@@ -171,24 +178,18 @@ def kernel_geo(u, x, v, y, params, N, M_u, M_v, tol=DEFAULT_TOL, radii=None):
             * (1.0 - q * z) ** (-N) * (1.0 - q * w) ** (-N)
         )
 
-    def f12(z, w):
-        pre = (z * w - 1.0) / (z * (z - w) * (z * z - 1.0)) * (z - c) / (w - c)
-        return (
-            pre
-            * z ** (-x) * w ** y
-            * (1.0 - q / z) ** (M_u + N) * (1.0 - q / w) ** (-M_v - N)
-            * (1.0 - q * z) ** (-N) * (1.0 - q * w) ** N
-        )
+    def f12_from(xa, Ma, yb, Mb):
+        # K12 integrand from level xa at time offset Ma to level yb at Mb
+        def f12(z, w):
+            pre = (z * w - 1.0) / (z * (z - w) * (z * z - 1.0)) * (z - c) / (w - c)
+            return (
+                pre
+                * z ** (-xa) * w ** yb
+                * (1.0 - q / z) ** (Ma + N) * (1.0 - q / w) ** (-Mb - N)
+                * (1.0 - q * z) ** (-N) * (1.0 - q * w) ** N
+            )
 
-    def f21(z, w):
-        # f12 with roles (v,y) and (u,x) swapped
-        pre = (z * w - 1.0) / (z * (z - w) * (z * z - 1.0)) * (z - c) / (w - c)
-        return (
-            pre
-            * z ** (-y) * w ** x
-            * (1.0 - q / z) ** (M_v + N) * (1.0 - q / w) ** (-M_u - N)
-            * (1.0 - q * z) ** (-N) * (1.0 - q * w) ** N
-        )
+        return f12
 
     def f22(z, w):
         pre = (z - w) / (z * w - 1.0) / ((z - c) * (w - c))
@@ -204,14 +205,15 @@ def kernel_geo(u, x, v, y, params, N, M_u, M_v, tol=DEFAULT_TOL, radii=None):
     k11, e11 = integrate_double(f11, c1, c1b, tol)
     cz = Contour([full_circle(0.0, rz)])
     cw = Contour([full_circle(0.0, rw)])
-    k12, e12 = integrate_double(f12, cz, cw, tol)
+    k12, e12 = integrate_double(f12_from(x, M_u, y, M_v), cz, cw, tol)
     # swapped slice order flips the nesting requirement
     if radii is None:
         r1s, rzs, rws, _ = geo_default_radii(q, c, v >= u)
     else:
         rzs, rws = rz, rw
     k21m, e21 = integrate_double(
-        f21, Contour([full_circle(0.0, rzs)]), Contour([full_circle(0.0, rws)]), tol
+        f12_from(y, M_v, x, M_u),
+        Contour([full_circle(0.0, rzs)]), Contour([full_circle(0.0, rws)]), tol,
     )
     c2 = Contour([full_circle(0.0, r2)])
     c2b = Contour([full_circle(0.0, r2 * 1.0000003)])
@@ -232,28 +234,183 @@ def rho_k_geo(points, params, N, tol=DEFAULT_TOL):
 
     points: list of (slice_index, M_slice, x).
     """
-    from .pfaffian import pfaffian
-
-    n = len(points)
-    A = np.zeros((2 * n, 2 * n), dtype=complex)
-    err = 0.0
-    for i, (ui, Mi, xi) in enumerate(points):
-        for j, (vj, Mj, xj) in enumerate(points):
-            if j < i:
-                continue
-            kv = kernel_geo(ui, xi, vj, xj, params, N, Mi, Mj, tol)
-            blk = kv.as_matrix()
-            A[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = blk
-            if j > i:
-                A[2 * j : 2 * j + 2, 2 * i : 2 * i + 2] = -blk.T
-            err = max(err, kv.err)
-    A = 0.5 * (A - A.T)
-    return pfaffian(A).real, err
+    return correlation_fn(
+        points,
+        lambda a, b: kernel_geo(a[0], a[2], b[0], b[2], params, N, a[1], b[1], tol),
+    )
 
 
 # ---------------------------------------------------------------------------
-# prelimit bulk kernel
+# 2x2 assembly from K12 pieces and K11/K22 pieces
 # ---------------------------------------------------------------------------
+
+def _components(k12_pieces, k11_k22_pieces, s, x, t, y, *args):
+    """The raw pieces I11, I12, I22, R12, R22 at (s, x; t, y) and their error.
+
+    k12_pieces(s, x, t, y, *args) returns (I12, R12, err) and
+    k11_k22_pieces(s, x, t, y, *args) returns (I11, I22, R22, err).
+    """
+    i12, r12, e12 = k12_pieces(s, x, t, y, *args)
+    i11, i22, r22, e_rest = k11_k22_pieces(s, x, t, y, *args)
+    return {"I11": i11, "I12": i12, "I22": i22, "R12": r12, "R22": r22,
+            "err": max(e12, e_rest)}
+
+
+def _assemble_2x2(k12_pieces, k11_k22_pieces, s, x, t, y, *args):
+    """K11 = I11, K12 = I12 + R12 and K22 = I22 + R22 at (s, x; t, y), and
+    K21(s, x; t, y) = -K12(t, y; s, x) from a backward pass over the K12
+    pieces alone."""
+    fwd = _components(k12_pieces, k11_k22_pieces, s, x, t, y, *args)
+    i21, r21, e21 = k12_pieces(t, y, s, x, *args)
+    return KernelValue2x2(
+        k11=fwd["I11"],
+        k12=fwd["I12"] + fwd["R12"],
+        k21=-(i21 + r21),
+        k22=fwd["I22"] + fwd["R22"],
+        err=max(fwd["err"], e21),
+    )
+
+
+# ---------------------------------------------------------------------------
+# prelimit kernels: one scaling window per regime
+# ---------------------------------------------------------------------------
+
+class _Window:
+    """A scaling window of the prelimit kernel at size N.
+
+    A subclass defines the window once: its contours z_contour(v) and
+    w_contour(v) at slice v (shifted=True gives the copy moved off the
+    z = w diagonal), the exponent expo(z, v, a) of the z-factor at scaled
+    level a, its a-derivative phase(z), the lattice center(v), the heat
+    contour of the s < t part of R12, and the scalars scale (the K12 and
+    residue prefactor), k11_scale, k22_scale, has_residue (the pole at
+    w = c leaves a residue) and tail_offset.  The integrands below are
+    written once in these terms.
+    """
+
+    def __init__(self, params, N):
+        if not isinstance(params, ModelParams):
+            params = ModelParams(*params)
+        self.q, self.c, self.N = params.q, params.c, N
+
+    def k12_integrand(self, s, x, t, y):
+        """The integrand F12(z, w) of I12 at (s, x; t, y)."""
+        c = self.c
+
+        def f12(z, w):
+            pre = (
+                self.scale * (z * w - 1.0) * (z - c)
+                / (z * (z - w) * (z * z - 1.0) * (w - c))
+            )
+            return pre * np.exp(self.expo(z, s, x)) * np.exp(-self.expo(w, t, y))
+
+        return f12
+
+    def residue_integrand(self, s, x, t, y):
+        """F12(z, c) times the residue prefactor: the w = c part of R12."""
+        c = self.c
+        cc = np.asarray(c, dtype=complex)
+
+        def res(z):
+            return (
+                self.scale * (z * c - 1.0) / (z * (z * z - 1.0))
+                * np.exp(self.expo(z, s, x) - self.expo(cc, t, y))
+            )
+
+        return res
+
+    def k12_pieces(self, s, x, t, y, tol):
+        """I12 and R12 (heat-kernel part for s < t plus residue) at (s, x; t, y)."""
+        zs = self.z_contour(s)
+        i12, err = integrate_double(self.k12_integrand(s, x, t, y), zs,
+                                    self.w_contour(t), tol)
+        r12 = 0.0 + 0.0j
+        if s < t:
+
+            def heat(z):
+                return -self.scale * np.exp(self.expo(z, s, x) - self.expo(z, t, y)) / z
+
+            v, e = integrate_single(heat, self.heat_contour(), tol)
+            r12, err = r12 + v, max(err, e)
+        if self.has_residue:
+            v, e = integrate_single(self.residue_integrand(s, x, t, y), zs, tol)
+            r12, err = r12 + v, max(err, e)
+        return i12, r12, err
+
+    def k11_k22_pieces(self, s, x, t, y, tol):
+        """I11, I22 and the residue part of R22 at (s, x; t, y)."""
+        c = self.c
+
+        def f11(z, w):
+            pre = (
+                self.k11_scale * (z - w) * (1.0 - c / z) * (1.0 - c / w)
+                / ((z * z - 1.0) * (w * w - 1.0) * (z * w - 1.0))
+            )
+            return pre * np.exp(self.expo(z, s, x)) * np.exp(self.expo(w, t, y))
+
+        def f22(z, w):
+            pre = self.k22_scale * (z - w) / ((z * w - 1.0) * (z - c) * (w - c))
+            return pre * np.exp(-self.expo(z, s, x)) * np.exp(-self.expo(w, t, y))
+
+        i11, e11 = integrate_double(f11, self.z_contour(s),
+                                    self.z_contour(t, shifted=True), tol)
+        ws, wt = self.w_contour(s), self.w_contour(t)
+        i22, e22 = integrate_double(f22, ws, self.w_contour(t, shifted=True), tol)
+        r22, e_r22 = 0.0 + 0.0j, 0.0
+        if self.has_residue:
+            cc = np.asarray(c, dtype=complex)
+
+            def f_a(z):
+                return self.k22_scale * np.exp(
+                    -self.expo(z, s, x) - self.expo(cc, t, y)) / (c * z - 1.0)
+
+            def f_b(w):
+                return self.k22_scale * np.exp(
+                    -self.expo(cc, s, x) - self.expo(w, t, y)) / (c * w - 1.0)
+
+            va, ea = integrate_single(f_a, ws, tol)
+            vb, eb = integrate_single(f_b, wt, tol)
+            r22, e_r22 = va - vb, max(ea, eb)
+        return i11, i22, r22, max(e11, e22, e_r22)
+
+    def lattice_point(self, a, v):
+        """Nearest lattice level m to the scaled value a, as (scaled m, m)."""
+        center = self.center(v)
+        m = round(a * self.scale + center)
+        return (m - center) / self.scale, m
+
+    def k12_diag(self, v, xs, tol):
+        """K12(v, x; v, x) for an array of scaled levels x, with the
+        x-dependence e^{x phase} folded into the quadrature weights (the
+        heat-kernel part of R12 vanishes at coincident slices)."""
+        zc = self.z_contour(v)
+        i12, err = _diag_batch_eval(self.k12_integrand(v, 0.0, v, 0.0), self.phase,
+                                    lambda w: -self.phase(w), zc, self.w_contour(v),
+                                    xs, tol)
+        if not self.has_residue:
+            return i12, err
+        phase_c = self.phase(np.asarray(self.c, dtype=complex))
+        r12, e = _diag_batch_single(self.residue_integrand(v, 0.0, v, 0.0),
+                                    lambda z: self.phase(z) - phase_c, zc, xs, tol)
+        return i12 + r12, max(err, e)
+
+    def count_tail(self, a, v, tol):
+        """E[#points >= a] on slice v: the K12 integrands summed over the
+        lattice levels from a (snapped up to the lattice) as geometric series."""
+        center = self.center(v)
+        aN = (math.ceil(a * self.scale + center - 1e-9) - center) / self.scale
+        zc, c = self.z_contour(v), self.c
+        f12 = self.k12_integrand(v, aN, v, aN)
+        U, eU = integrate_double(
+            lambda z, w: f12(z, w) / (self.scale * (1.0 - w / z)), zc,
+            self.w_contour(v), tol)
+        V, eV = 0.0, 0.0
+        if self.has_residue:
+            res = self.residue_integrand(v, aN, v, aN)
+            V, eV = integrate_single(lambda z: res(z) / (self.scale * (1.0 - c / z)),
+                                     zc, tol)
+        return U.real + V.real + self.tail_offset, max(eU, eV)
+
 
 def bulk_contour(a, N, sign):
     """gamma^+/-_N(a): wedge of angle pi/3 (resp. 2pi/3) at 1 + a N^{-1/3},
@@ -291,129 +448,76 @@ def bulk_prelimit_feasible(q, c, N):
     return all(checks.values()), checks
 
 
+class _BulkWindow(_Window):
+    """The N^{1/3} window at times t (slice T = floor(t N^{2/3}))."""
+
+    def __init__(self, params, N):
+        super().__init__(params, N)
+        self.sc = ScalingConstantsBulk(self.q)
+        s1g = self.sc.sigma1
+        self.scale = s1g * N ** (1.0 / 3.0)
+        self.k11_scale = 4.0 * s1g * s1g * N ** (2.0 / 3.0)
+        self.k22_scale = 0.25
+        self.has_residue = self.c > 1.0
+        self.tail_offset = 1.0 if self.has_residue else 0.0
+
+    def slice_index(self, t):
+        return math.floor(t * self.N ** (2.0 / 3.0))
+
+    def z_contour(self, t, shifted=False):
+        return bulk_contour(1.0 + 1e-7 if shifted else 1.0, self.N, +1)
+
+    def w_contour(self, t, shifted=False):
+        return bulk_contour(-1.0 - 1e-7 if shifted else -1.0, self.N, -1)
+
+    def heat_contour(self):
+        return self.z_contour(0.0)
+
+    def phase(self, z):
+        return -self.scale * np.log(z)
+
+    def expo(self, z, t, a):
+        """N S1(z) + T G1(z) - sigma1 a N^{1/3} log z."""
+        return (self.N * s1_bulk(z, self.q) + self.slice_index(t) * g1_bulk(z, self.q)
+                + a * self.phase(z))
+
+    def center(self, t):
+        return self.sc.h1 * self.N + self.sc.p1 * self.slice_index(t)
+
+    def k11_k22_pieces(self, s, x, t, y, tol):
+        """The base pieces plus the reflection integral of R22."""
+        i11, i22, r22, err = super().k11_k22_pieces(s, x, t, y, tol)
+        q, c = self.q, self.c
+        Ts, Tt = self.slice_index(s), self.slice_index(t)
+
+        def f_r22c(w):
+            return (1.0 - w * w) / (4.0 * (1.0 - c * w) * (w - c)) * np.exp(
+                (self.scale * (y - x) - 1.0) * np.log(w)
+                - Ts * g1_bulk(1.0 / w, q)
+                - Tt * g1_bulk(w, q)
+            )
+
+        v, e = integrate_single(f_r22c, self.w_contour(s), tol)
+        return i11, i22, r22 + v, max(err, e)
+
+
 def bulk_prelimit_components(s, x, t, y, params, N, tol=DEFAULT_TOL):
     """The five raw pieces I11, I12, I22, R12, R22 of the prelimit bulk kernel."""
-    if not isinstance(params, ModelParams):
-        params = ModelParams(*params)
-    q, c = params.q, params.c
-    sc = ScalingConstantsBulk(q)
-    s1g, n13 = sc.sigma1, N ** (1.0 / 3.0)
-    Ts, Tt = math.floor(s * N ** (2.0 / 3.0)), math.floor(t * N ** (2.0 / 3.0))
-    gp = bulk_contour(1.0, N, +1)
-    gm = bulk_contour(-1.0, N, -1)
-
-    def expo_plus(z, T, a):
-        return N * s1_bulk(z, q) + T * g1_bulk(z, q) - s1g * a * n13 * np.log(z)
-
-    def f11(z, w):
-        pre = (
-            4.0 * s1g * s1g * N ** (2.0 / 3.0)
-            * (z - w) / ((z * z - 1.0) * (w * w - 1.0) * (z * w - 1.0))
-            * (1.0 - c / z) * (1.0 - c / w)
-        )
-        return pre * np.exp(expo_plus(z, Ts, x) + expo_plus(w, Tt, y))
-
-    def f12(z, w):
-        pre = (
-            s1g * n13 * (z * w - 1.0) / (z * (z - w) * (z * z - 1.0)) * (z - c) / (w - c)
-        )
-        return pre * np.exp(expo_plus(z, Ts, x) - expo_plus(w, Tt, y))
-
-    def f22(z, w):
-        pre = 0.25 * (z - w) / (z * w - 1.0) / ((z - c) * (w - c))
-        return pre * np.exp(-expo_plus(z, Ts, x) - expo_plus(w, Tt, y))
-
-    i11, e1 = integrate_double(f11, gp, bulk_contour(1.0 + 1e-7, N, +1), tol)
-    i12, e2 = integrate_double(f12, gp, gm, tol)
-    i22, e3 = integrate_double(f22, gm, bulk_contour(-1.0 - 1e-7, N, -1), tol)
-
-    # R12: heat-kernel part (s < t) plus the supercritical residue term
-    r12 = 0.0 + 0.0j
-    e4 = 0.0
-    if s < t:
-
-        def f_r12a(z):
-            return -s1g * n13 * np.exp(
-                (Ts - Tt) * g1_bulk(z, q)
-                + (s1g * y * n13 - s1g * x * n13 - 1.0) * np.log(z)
-            )
-
-        v, e = integrate_single(f_r12a, gp, tol)
-        r12 += v
-        e4 = max(e4, e)
-    if c > 1.0:
-
-        def f_r12b(z):
-            return (
-                s1g * n13 * (z * c - 1.0) / (z * (z * z - 1.0))
-                * np.exp(expo_plus(z, Ts, x) - expo_plus(np.asarray(c, dtype=complex), Tt, y))
-            )
-
-        v, e = integrate_single(f_r12b, gp, tol)
-        r12 += v
-        e4 = max(e4, e)
-
-    # R22: two supercritical residue pieces plus the reflection integral
-    r22 = 0.0 + 0.0j
-    e5 = 0.0
-    if c > 1.0:
-        cc = np.asarray(c, dtype=complex)
-
-        def f_r22a(z):
-            return np.exp(-expo_plus(z, Ts, x) - expo_plus(cc, Tt, y)) / (
-                4.0 * (c * z - 1.0)
-            )
-
-        def f_r22b(w):
-            return np.exp(-expo_plus(cc, Ts, x) - expo_plus(w, Tt, y)) / (
-                4.0 * (c * w - 1.0)
-            )
-
-        va, ea = integrate_single(f_r22a, gm, tol)
-        vb, eb = integrate_single(f_r22b, gm, tol)
-        r22 += va - vb
-        e5 = max(ea, eb)
-
-    def f_r22c(w):
-        return (1.0 - w * w) / (4.0 * (1.0 - c * w) * (w - c)) * np.exp(
-            (s1g * y * n13 - s1g * x * n13 - 1.0) * np.log(w)
-            - Ts * g1_bulk(1.0 / w, q)
-            - Tt * g1_bulk(w, q)
-        )
-
-    vc, ec = integrate_single(f_r22c, gm, tol)
-    r22 += vc
-    e5 = max(e5, ec)
-
-    err = max(e1, e2, e3, e4, e5)
-    return {"I11": i11, "I12": i12, "I22": i22, "R12": r12, "R22": r22, "err": err}
+    win = _BulkWindow(params, N)
+    return _components(win.k12_pieces, win.k11_k22_pieces, s, x, t, y, tol)
 
 
 def kernel_N_bulk(s, x, t, y, params, N, tol=DEFAULT_TOL):
     """Assembled prelimit bulk kernel K^N (2x2 block)."""
-    fwd = bulk_prelimit_components(s, x, t, y, params, N, tol)
-    bwd = bulk_prelimit_components(t, y, s, x, params, N, tol)
-    k12 = fwd["I12"] + fwd["R12"]
-    k21 = -(bwd["I12"] + bwd["R12"])
-    return KernelValue2x2(
-        k11=fwd["I11"], k12=k12, k21=k21, k22=fwd["I22"] + fwd["R22"],
-        err=max(fwd["err"], bwd["err"]),
-    )
+    win = _BulkWindow(params, N)
+    return _assemble_2x2(win.k12_pieces, win.k11_k22_pieces, s, x, t, y, tol)
 
 
 def bulk_lattice_point(a, params, N, t):
     """Nearest point of the slice-t lattice Lambda_t(N) to the scaled value a,
     returned with its integer index (level m = lambda_i - i)."""
-    sc = ScalingConstantsBulk(params.q)
-    Tt = math.floor(t * N ** (2.0 / 3.0))
-    m = round(a * sc.sigma1 * N ** (1.0 / 3.0) + sc.h1 * N + sc.p1 * Tt)
-    xval = (m - sc.h1 * N - sc.p1 * Tt) / (sc.sigma1 * N ** (1.0 / 3.0))
-    return xval, m
+    return _BulkWindow(params, N).lattice_point(a, t)
 
-
-# ---------------------------------------------------------------------------
-# prelimit edge kernel
-# ---------------------------------------------------------------------------
 
 def edge_gamma_contour(c, theta, R, r, grade_scale=None):
     """The wedge-plus-arc contour C(x, theta, R, r) around center x = c."""
@@ -442,72 +546,43 @@ def edge_prelimit_feasible(q, c, N, theta=EDGE_THETA):
     return all(checks.values()), checks
 
 
-def edge_prelimit_components(
-    s, x, t, y, params, N, theta=EDGE_THETA, R=None, tol=DEFAULT_TOL
-):
-    """Raw pieces I11, I12, I22, R12, R22 of the prelimit edge kernel.
+class _EdgeWindow(_Window):
+    """The N^{1/2} window at slices kappa in [0, kappa_bar), c in (1, 1/q)."""
 
-    Valid for c in (1, 1/q) with s, t in [0, kappa_bar).
-    """
-    if not isinstance(params, ModelParams):
-        params = ModelParams(*params)
-    q, c = params.q, params.c
-    cst = ScalingConstantsEdge(q, c)
-    if not (0.0 <= s < cst.kappa_bar and 0.0 <= t < cst.kappa_bar):
-        raise ParameterError(f"s,t must lie in [0, kappa_bar={cst.kappa_bar:.4g})")
-    if R is None:
-        R = 2.0 / q
-    s2g = cst.sigma2
-    rn = math.sqrt(N)
-    fs = math.floor(s * N) - s * N
-    ft = math.floor(t * N) - t * N
-    lq_c = cmath.log(1.0 - q / c)
+    def __init__(self, params, N, theta=EDGE_THETA, R=None):
+        super().__init__(params, N)
+        self.theta = theta
+        self.R = 2.0 / self.q if R is None else R
+        self.cst = ScalingConstantsEdge(self.q, self.c)
+        self.scale = self.k11_scale = self.k22_scale = self.cst.sigma2 * math.sqrt(N)
+        self.has_residue = True
+        self.tail_offset = 0.0
+        self._lq_c = cmath.log(1.0 - self.q / self.c)
 
-    gam_s = edge_gamma_contour(c, theta, R, N ** -0.5 / math.cos(theta),
-                               grade_scale=min(0.2, N ** -0.5))
-    gam_t = edge_gamma_contour(c, theta, R, N ** -0.5 / math.cos(theta) * 1.0000003,
-                               grade_scale=min(0.2, N ** -0.5))
-    circ_s = Contour([full_circle(0.0, cst.z_crit(s) + N ** -0.5)])
-    circ_t = Contour([full_circle(0.0, cst.z_crit(t) + N ** -0.5 * 1.0000003)])
+    def check_slices(self, *kappas):
+        kbar = self.cst.kappa_bar
+        if not all(0.0 <= k < kbar for k in kappas):
+            raise ParameterError(f"s,t must lie in [0, kappa_bar={kbar:.4g})")
+        return self
 
-    def expo(z, kap, a, frac):
-        # N*S2bar + frac*log(1-q/z) - frac*log(1-q/c) - sigma2 a sqrt(N) log(z/c)
-        return (
-            N * s2_edge_centered(z, kap, q, c)
-            + frac * (np.log(1.0 - q / z) - lq_c)
-            - s2g * a * rn * (np.log(z) - math.log(c))
-        )
+    def z_contour(self, kappa, shifted=False):
+        r = self.N ** -0.5 / math.cos(self.theta) * (1.0000003 if shifted else 1.0)
+        return edge_gamma_contour(self.c, self.theta, self.R, r,
+                                  grade_scale=min(0.2, self.N ** -0.5))
 
-    def f11(z, w):
-        pre = (
-            s2g * rn * (z - w) * (1.0 - c / z) * (1.0 - c / w)
-            / ((z * z - 1.0) * (w * w - 1.0) * (z * w - 1.0))
-        )
-        return pre * np.exp(expo(z, s, x, fs) + expo(w, t, y, ft))
+    def w_contour(self, kappa, shifted=False):
+        r = self.N ** -0.5 * (1.0000003 if shifted else 1.0)
+        return Contour([full_circle(0.0, self.cst.z_crit(kappa) + r)])
 
-    def f12(z, w):
-        pre = (
-            s2g * rn * (z * w - 1.0) * (z - c)
-            / (z * (z - w) * (z * z - 1.0) * (w - c))
-        )
-        return pre * np.exp(expo(z, s, x, fs) - expo(w, t, y, ft))
-
-    def f22(z, w):
-        pre = s2g * rn * (z - w) / ((z * w - 1.0) * (z - c) * (w - c))
-        return pre * np.exp(-expo(z, s, x, fs) - expo(w, t, y, ft))
-
-    i11, e1 = integrate_double(f11, gam_s, gam_t, tol)
-    i12, e2 = integrate_double(f12, gam_s, circ_t, tol)
-    i22, e3 = integrate_double(f22, circ_s, circ_t, tol)
-
-    r12 = 0.0 + 0.0j
-    e4 = 0.0
-    if s < t:
+    def heat_contour(self):
+        """Wedge of half-angle pi/2 at c, closed by the circle of radius
+        sqrt(c^2 + N^{-1/6})."""
+        c, N = self.c, self.N
         Rt = math.sqrt(c * c + N ** (-1.0 / 6.0))
         ytop = math.sqrt(Rt * Rt - c * c)
         gs = min(0.25, N ** -0.5 / ytop)
         thc = cmath.phase(c + 1j * ytop)
-        tilde = Contour(
+        return Contour(
             [
                 Segment(c - 1j * ytop, c + 0j, grade="end", grade_scale=gs),
                 Segment(c + 0j, c + 1j * ytop, grade="start", grade_scale=gs),
@@ -515,63 +590,43 @@ def edge_prelimit_components(
             ]
         )
 
-        def f_r12a(z):
-            return -s2g * rn * np.exp(
-                (s - t) * N * g2_edge_centered(z, q, c)
-                + s2g * (y - x) * rn * (np.log(z) - math.log(c))
-                + (fs - ft) * (np.log(1.0 - q / z) - lq_c)
-            ) / z
+    def phase(self, z):
+        return -self.scale * (np.log(z) - math.log(self.c))
 
-        v, e = integrate_single(f_r12a, tilde, tol)
-        r12 += v
-        e4 = max(e4, e)
-
-    def f_r12b(z):
-        # F12(z, c) collapses to exp(expo(z, s, x, fs)): S2bar(c; t) = 0 and
-        # the (1-q/z)^{fs} factors of F12 and of the residue prefactor merge
+    def expo(self, z, kappa, a):
+        """N S2bar(z; kappa) + frac log((1-q/z)/(1-q/c)) - sigma2 a sqrt(N) log(z/c),
+        frac = floor(kappa N) - kappa N."""
+        frac = math.floor(kappa * self.N) - kappa * self.N
         return (
-            s2g * rn * (z * c - 1.0) / (z * (z * z - 1.0))
-            * np.exp(expo(z, s, x, fs))
+            self.N * s2_edge_centered(z, kappa, self.q, self.c)
+            + frac * (np.log(1.0 - self.q / z) - self._lq_c)
+            + a * self.phase(z)
         )
 
-    v, e = integrate_single(f_r12b, gam_s, tol)
-    r12 += v
-    e4 = max(e4, e)
+    def center(self, kappa):
+        return self.cst.h2_kappa(kappa) * self.N
 
-    def f_r22a(z):
-        return s2g * rn * np.exp(-expo(z, s, x, fs)) / (c * z - 1.0)
 
-    def f_r22b(w):
-        return s2g * rn * np.exp(-expo(w, t, y, ft)) / (c * w - 1.0)
+def edge_prelimit_components(
+    s, x, t, y, params, N, theta=EDGE_THETA, R=None, tol=DEFAULT_TOL
+):
+    """Raw pieces I11, I12, I22, R12, R22 of the prelimit edge kernel.
 
-    va, ea = integrate_single(f_r22a, circ_s, tol)
-    vb, eb = integrate_single(f_r22b, circ_t, tol)
-    r22 = va - vb
-    e5 = max(ea, eb)
-
-    err = max(e1, e2, e3, e4, e5)
-    return {"I11": i11, "I12": i12, "I22": i22, "R12": r12, "R22": r22, "err": err}
+    Valid for c in (1, 1/q) with s, t in [0, kappa_bar).
+    """
+    win = _EdgeWindow(params, N, theta, R).check_slices(s, t)
+    return _components(win.k12_pieces, win.k11_k22_pieces, s, x, t, y, tol)
 
 
 def kernel_N_edge(s, x, t, y, params, N, theta=EDGE_THETA, R=None, tol=DEFAULT_TOL):
     """Assembled prelimit edge kernel K^N; converges to the Brownian kernel."""
-    fwd = edge_prelimit_components(s, x, t, y, params, N, theta, R, tol)
-    bwd = edge_prelimit_components(t, y, s, x, params, N, theta, R, tol)
-    return KernelValue2x2(
-        k11=fwd["I11"],
-        k12=fwd["I12"] + fwd["R12"],
-        k21=-(bwd["I12"] + bwd["R12"]),
-        k22=fwd["I22"] + fwd["R22"],
-        err=max(fwd["err"], bwd["err"]),
-    )
+    win = _EdgeWindow(params, N, theta, R).check_slices(s, t)
+    return _assemble_2x2(win.k12_pieces, win.k11_k22_pieces, s, x, t, y, tol)
 
 
 def edge_lattice_point(a, params, N, kappa):
     """Nearest point of the edge lattice Lambda_kappa(N) to scaled value a."""
-    cst = ScalingConstantsEdge(params.q, params.c)
-    m = round(a * cst.sigma2 * math.sqrt(N) + cst.h2_kappa(kappa) * N)
-    xval = (m - cst.h2_kappa(kappa) * N) / (cst.sigma2 * math.sqrt(N))
-    return xval, m
+    return _EdgeWindow(params, N).lattice_point(a, kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -602,32 +657,25 @@ def _airy_wedge(apex, phi, cubic_sign, quad_mag, lin_mag, tol):
     return Contour(wedge_pieces(apex, phi, L))
 
 
-def hs_limit_components(s, x, t, y, tol=DEFAULT_TOL):
-    """I and R blocks of the half-space limit kernel at (s,x), (t,y), s,t > 0."""
+def _hs_wedges(s, x, t, y, tol):
     if s <= 0.0 or t <= 0.0:
         raise ParameterError("half-space limit kernel needs s, t > 0")
     phi = math.pi / 3.0
-    cz = _airy_wedge(1.0 + s, phi, +1.0, 0.0, abs(x) + 1.0, tol)
-    cw = _airy_wedge(1.0 + t, phi, +1.0, 0.0, abs(y) + 1.0, tol)
+    return (_airy_wedge(1.0 + s, phi, +1.0, 0.0, abs(x) + 1.0, tol),
+            _airy_wedge(1.0 + t, phi, +1.0, 0.0, abs(y) + 1.0, tol))
 
-    def H(z, w):
-        return np.exp(z ** 3 / 3.0 + w ** 3 / 3.0 - x * z - y * w)
 
-    def f11(z, w):
-        return (z + s - w - t) * H(z, w) / (
-            4.0 * (z + s + w + t) * (z + s) * (w + t)
-        )
+def _hs_h(z, w, x, y):
+    return np.exp(z ** 3 / 3.0 + w ** 3 / 3.0 - x * z - y * w)
+
+
+def _hs_k12(s, x, t, y, tol):
+    cz, cw = _hs_wedges(s, x, t, y, tol)
 
     def f12(z, w):
-        return (z + s - w + t) * H(z, w) / (2.0 * (z + s) * (z + s + w - t))
+        return (z + s - w + t) * _hs_h(z, w, x, y) / (2.0 * (z + s) * (z + s + w - t))
 
-    def f22(z, w):
-        return (z - s - w + t) * H(z, w) / (z - s + w - t)
-
-    i11, e1 = integrate_double(f11, cz, cw, tol)
-    i12, e2 = integrate_double(f12, cz, cw, tol)
-    i22, e3 = integrate_double(f22, cz, cw, tol)
-
+    i12, err = integrate_double(f12, cz, cw, tol)
     if s < t:
         r12 = -1.0 / math.sqrt(4.0 * math.pi * (t - s)) * math.exp(
             (-((s - t) ** 4) + 6.0 * (x + y) * (s - t) ** 2 + 3.0 * (x - y) ** 2)
@@ -635,65 +683,86 @@ def hs_limit_components(s, x, t, y, tol=DEFAULT_TOL):
         )
     else:
         r12 = 0.0
+    return i12, r12, err
+
+
+def _hs_k11_k22(s, x, t, y, tol):
+    cz, cw = _hs_wedges(s, x, t, y, tol)
+
+    def f11(z, w):
+        return (z + s - w - t) * _hs_h(z, w, x, y) / (
+            4.0 * (z + s + w + t) * (z + s) * (w + t)
+        )
+
+    def f22(z, w):
+        return (z - s - w + t) * _hs_h(z, w, x, y) / (z - s + w - t)
+
+    i11, e1 = integrate_double(f11, cz, cw, tol)
+    i22, e3 = integrate_double(f22, cz, cw, tol)
     h_st = cmath.exp(s ** 3 / 3.0 + t ** 3 / 3.0 - x * s - y * t).real
     pref = y - t * t - x + s * s
     r22 = (
         h_st * pref / (2.0 * math.sqrt(math.pi) * (t + s) ** 1.5)
         * math.exp(-(pref ** 2) / (4.0 * (t + s)))
     )
-    return {
-        "I11": i11, "I12": i12, "I22": i22, "R12": r12, "R22": r22,
-        "err": max(e1, e2, e3),
-    }
+    return i11, i22, r22, max(e1, e3)
+
+
+def hs_limit_components(s, x, t, y, tol=DEFAULT_TOL):
+    """I and R blocks of the half-space limit kernel at (s,x), (t,y), s,t > 0."""
+    return _components(_hs_k12, _hs_k11_k22, s, x, t, y, tol)
 
 
 def kernel_hs_inf(s, x, t, y, tol=DEFAULT_TOL):
     """The half-space limit kernel K^{hs,inf} as a 2x2 block."""
-    fwd = hs_limit_components(s, x, t, y, tol)
-    bwd = hs_limit_components(t, y, s, x, tol)
-    return KernelValue2x2(
-        k11=fwd["I11"],
-        k12=fwd["I12"] + fwd["R12"],
-        k21=-(bwd["I12"] + bwd["R12"]),
-        k22=fwd["I22"] + fwd["R22"],
-        err=max(fwd["err"], bwd["err"]),
-    )
+    return _assemble_2x2(_hs_k12, _hs_k11_k22, s, x, t, y, tol)
 
 
-def bulk_limit_components(s, x, t, y, consts, tol=DEFAULT_TOL):
-    """I and R blocks of the bulk limit kernel (the K-infinity of the
-    near-diagonal window); consts supplies f1 and sigma1."""
-    f1, s1g = consts.f1, consts.sigma1
-    phi3, phi23 = math.pi / 3.0, 2.0 * math.pi / 3.0
-    cplus = _airy_wedge(s1g, phi3, +1.0, f1 * max(s, t), abs(x) + abs(y) + 1.0, tol)
-    cminus = _airy_wedge(-s1g, phi23, -1.0, f1 * max(s, t), abs(x) + abs(y) + 1.0, tol)
-    cplus_b = _airy_wedge(s1g * 1.0000003, phi3, +1.0, f1 * max(s, t),
-                          abs(x) + abs(y) + 1.0, tol)
-    cminus_b = _airy_wedge(-s1g * 1.0000003, phi23, -1.0, f1 * max(s, t),
-                           abs(x) + abs(y) + 1.0, tol)
+def _limit_wedge(sign, s, x, t, y, consts, tol, shift=1.0):
+    """The pi/3 wedge at sigma1 (sign +1) or the 2pi/3 wedge at -sigma1
+    (sign -1) of the bulk limit kernel; shift moves the apex off the z = w
+    diagonal."""
+    phi = math.pi / 3.0 if sign > 0 else 2.0 * math.pi / 3.0
+    return _airy_wedge(sign * consts.sigma1 * shift, phi, sign,
+                       consts.f1 * max(s, t), abs(x) + abs(y) + 1.0, tol)
 
-    def f11(z, w):
-        e = z ** 3 / 3.0 + w ** 3 / 3.0 - f1 * s * z * z - f1 * t * w * w - x * z - y * w
-        return np.exp(e) * (z - w) / (z * w * (z + w))
+
+def _limit_k12(s, x, t, y, consts, tol):
+    f1 = consts.f1
 
     def f12(z, w):
         e = z ** 3 / 3.0 - w ** 3 / 3.0 - f1 * s * z * z + f1 * t * w * w - x * z + y * w
         return np.exp(e) * (z + w) / (2.0 * z * (z - w))
 
-    def f22(z, w):
-        e = -(z ** 3) / 3.0 - w ** 3 / 3.0 + f1 * s * z * z + f1 * t * w * w + x * z + y * w
-        return np.exp(e) * (z - w) / (4.0 * (z + w))
-
-    i11, e1 = integrate_double(f11, cplus, cplus_b, tol)
-    i12, e2 = integrate_double(f12, cplus, cminus, tol)
-    i22, e3 = integrate_double(f22, cminus, cminus_b, tol)
-
+    i12, err = integrate_double(f12, _limit_wedge(+1.0, s, x, t, y, consts, tol),
+                                _limit_wedge(-1.0, s, x, t, y, consts, tol), tol)
     if s < t:
         r12 = -1.0 / math.sqrt(4.0 * math.pi * f1 * (t - s)) * math.exp(
             -((y - x) ** 2) / (4.0 * f1 * (t - s))
         )
     else:
         r12 = 0.0
+    return i12, r12, err
+
+
+def _limit_k11_k22(s, x, t, y, consts, tol):
+    f1, s1g = consts.f1, consts.sigma1
+    phi23 = 2.0 * math.pi / 3.0
+
+    def f11(z, w):
+        e = z ** 3 / 3.0 + w ** 3 / 3.0 - f1 * s * z * z - f1 * t * w * w - x * z - y * w
+        return np.exp(e) * (z - w) / (z * w * (z + w))
+
+    def f22(z, w):
+        e = -(z ** 3) / 3.0 - w ** 3 / 3.0 + f1 * s * z * z + f1 * t * w * w + x * z + y * w
+        return np.exp(e) * (z - w) / (4.0 * (z + w))
+
+    i11, e1 = integrate_double(
+        f11, _limit_wedge(+1.0, s, x, t, y, consts, tol),
+        _limit_wedge(+1.0, s, x, t, y, consts, tol, shift=1.0000003), tol)
+    i22, e3 = integrate_double(
+        f22, _limit_wedge(-1.0, s, x, t, y, consts, tol),
+        _limit_wedge(-1.0, s, x, t, y, consts, tol, shift=1.0000003), tol)
 
     def f_r22(w):
         return w * np.exp(f1 * (s + t) * w * w + w * (y - x))
@@ -712,11 +781,13 @@ def bulk_limit_components(s, x, t, y, consts, tol=DEFAULT_TOL):
         )
     )
     vr22, e4 = integrate_single(f_r22, r22_wedge, tol)
-    r22 = -0.5 * vr22
-    return {
-        "I11": i11, "I12": i12, "I22": i22, "R12": r12, "R22": r22,
-        "err": max(e1, e2, e3, e4),
-    }
+    return i11, i22, -0.5 * vr22, max(e1, e3, e4)
+
+
+def bulk_limit_components(s, x, t, y, consts, tol=DEFAULT_TOL):
+    """I and R blocks of the bulk limit kernel (the K-infinity of the
+    near-diagonal window); consts supplies f1 and sigma1."""
+    return _components(_limit_k12, _limit_k11_k22, s, x, t, y, consts, tol)
 
 
 def r22_limit_closed_form(s, x, t, y, f1):
@@ -729,15 +800,7 @@ def r22_limit_closed_form(s, x, t, y, f1):
 
 def kernel_limit_bulk(s, x, t, y, consts, tol=DEFAULT_TOL):
     """Assembled bulk limit kernel K-infinity."""
-    fwd = bulk_limit_components(s, x, t, y, consts, tol)
-    bwd = bulk_limit_components(t, y, s, x, consts, tol)
-    return KernelValue2x2(
-        k11=fwd["I11"],
-        k12=fwd["I12"] + fwd["R12"],
-        k21=-(bwd["I12"] + bwd["R12"]),
-        k22=fwd["I22"] + fwd["R22"],
-        err=max(fwd["err"], bwd["err"]),
-    )
+    return _assemble_2x2(_limit_k12, _limit_k11_k22, s, x, t, y, consts, tol)
 
 
 def conjugation_factor(s, x, f1):
@@ -887,107 +950,23 @@ def phase_diagnostics(q, c, kappas, h=1e-4, fd_tol=1e-6):
 # batched coincident-point K12 (direct-sum oracle support)
 # ---------------------------------------------------------------------------
 
-def _diag_batch_eval(base_fn, zphase_fn, wphase_fn, cz, cw, xs, tol,
-                     max_level=4):
-    """Values sum_ij wz_i ww_j base(z, w) e^{zphase(z) x} e^{wphase(w) x} for
-    each x, via one weighted-matrix build and two GEMMs per level."""
-    prev = None
-    level = 0
-    pref = -1.0 / (4.0 * math.pi * math.pi)
-    xs = np.asarray(xs, dtype=float)
-    while level <= max_level:
-        z, wz = cz.nodes(level)
-        w, ww = cw.nodes(level)
-        B = base_fn(z[:, None], w[None, :]) * wz[:, None] * ww[None, :]
-        U = np.exp(np.multiply.outer(zphase_fn(z), xs))  # (nz, P)
-        V = np.exp(np.multiply.outer(wphase_fn(w), xs))  # (nw, P)
-        vals = pref * np.einsum("ip,ip->p", U, B @ V)
-        mass = abs(pref) * float(
-            np.max(np.einsum("ip,ip->p", np.abs(U), np.abs(B) @ np.abs(V)).real)
-        )
-        if prev is not None:
-            err = float(np.max(np.abs(vals - prev)))
-            scale = float(np.max(np.abs(vals)))
-            if err <= max(tol * scale, tol * tol, 1e-13 * mass):
-                return vals, max(err, 1e-15 * mass)
-        prev = vals
-        level += 1
-    from .contours import QuadratureError
-
-    raise QuadratureError("batched diagonal kernel did not converge", partial=prev)
+def _diag_batch_eval(base_fn, zphase_fn, wphase_fn, cz, cw, xs, tol):
+    """(1/(2 pi i))^2 iint base(z, w) e^{zphase(z) x} e^{wphase(w) x} for each
+    x, the exponentials folded into the quadrature weights."""
+    return _level_doubling(base_fn, (cz, cw), tol, 4, (zphase_fn, wphase_fn),
+                           np.asarray(xs, dtype=float))
 
 
-def _diag_batch_single(base_fn, zphase_fn, contour, xs, tol, max_level=8):
+def _diag_batch_single(base_fn, zphase_fn, contour, xs, tol):
     """(1/2 pi i) * integral of base(z) e^{zphase(z) x} per x, level-doubled."""
-    xs = np.asarray(xs, dtype=float)
-    prev = None
-    level = 0
-    while level <= max_level:
-        z, wz = contour.nodes(level)
-        B = base_fn(z) * wz
-        U = np.exp(np.multiply.outer(zphase_fn(z), xs))
-        vals = (B @ U) / (2j * math.pi)
-        mass = float(np.max((np.abs(B) @ np.abs(U)).real)) / (2.0 * math.pi)
-        if prev is not None:
-            err = float(np.max(np.abs(vals - prev)))
-            scale = float(np.max(np.abs(vals)))
-            if err <= max(tol * scale, tol * tol, 1e-13 * mass):
-                return vals, max(err, 1e-15 * mass)
-        prev = vals
-        level += 1
-    from .contours import QuadratureError
-
-    raise QuadratureError("batched single-contour kernel did not converge",
-                          partial=prev)
+    return _level_doubling(base_fn, (contour,), tol, 8, (zphase_fn,),
+                           np.asarray(xs, dtype=float))
 
 
 def edge_k12_diag_batch(xs, params, N, kappa, theta=EDGE_THETA, R=None,
                         tol=1e-8):
     """K12(kappa, x; kappa, x) for an array of scaled lattice levels x."""
-    if not isinstance(params, ModelParams):
-        params = ModelParams(*params)
-    q, c = params.q, params.c
-    cst = ScalingConstantsEdge(q, c)
-    if R is None:
-        R = 2.0 / q
-    s2g, rn = cst.sigma2, math.sqrt(N)
-    fs = math.floor(kappa * N) - kappa * N
-    lq_c = cmath.log(1.0 - q / c)
-    gam = edge_gamma_contour(c, theta, R, N ** -0.5 / math.cos(theta),
-                             grade_scale=min(0.2, N ** -0.5))
-    circ = Contour([full_circle(0.0, cst.z_crit(kappa) + N ** -0.5)])
-    xs = np.asarray(xs, dtype=float)
-
-    def base(z, w):
-        pre = (
-            s2g * rn * (z * w - 1.0) * (z - c)
-            / (z * (z - w) * (z * z - 1.0) * (w - c))
-        )
-        stat = (
-            N * (s2_edge_centered(z, kappa, q, c) - s2_edge_centered(w, kappa, q, c))
-            + fs * (np.log(1.0 - q / z) - np.log(1.0 - q / w))
-        )
-        return pre * np.exp(stat)
-
-    i12, e1 = _diag_batch_eval(
-        base,
-        lambda z: -s2g * rn * (np.log(z) - math.log(c)),
-        lambda w: s2g * rn * (np.log(w) - math.log(c)),
-        gam, circ, xs, tol,
-    )
-
-    # R12 second term (the s<t heat-kernel part vanishes at coincident slices)
-    def rbase(z):
-        return (
-            s2g * rn * (z * c - 1.0) / (z * (z * z - 1.0))
-            * np.exp(N * s2_edge_centered(z, kappa, q, c)
-                     + fs * (np.log(1.0 - q / z) - lq_c))
-        )
-
-    r12, e2 = _diag_batch_single(
-        rbase, lambda z: -s2g * rn * (np.log(z) - math.log(c)), gam, xs, tol
-    )
-    return i12 + r12, max(e1, e2)
+    return _EdgeWindow(params, N, theta, R).k12_diag(kappa, xs, tol)
 
 
 def bulk_k12_diag_batch(xs, params, N, t, tol=1e-8):
@@ -996,43 +975,7 @@ def bulk_k12_diag_batch(xs, params, N, t, tol=1e-8):
     At coincident slices the heat-kernel part of R12 vanishes; the c > 1
     residue term remains.
     """
-    if not isinstance(params, ModelParams):
-        params = ModelParams(*params)
-    q, c = params.q, params.c
-    sc = ScalingConstantsBulk(q)
-    s1g, n13 = sc.sigma1, N ** (1.0 / 3.0)
-    Tt = math.floor(t * N ** (2.0 / 3.0))
-    gp = bulk_contour(1.0, N, +1)
-    gm = bulk_contour(-1.0, N, -1)
-    xs = np.asarray(xs, dtype=float)
-
-    def base(z, w):
-        pre = s1g * n13 * (z * w - 1.0) / (z * (z - w) * (z * z - 1.0)) * (z - c) / (w - c)
-        stat = N * (s1_bulk(z, q) - s1_bulk(w, q)) + Tt * (g1_bulk(z, q) - g1_bulk(w, q))
-        return pre * np.exp(stat)
-
-    i12, e1 = _diag_batch_eval(
-        base,
-        lambda z: -s1g * n13 * np.log(z),
-        lambda w: s1g * n13 * np.log(w),
-        gp, gm, xs, tol,
-    )
-    if c <= 1.0:
-        return i12, e1
-
-    s1_c = s1_bulk(np.asarray(c, dtype=complex), q)
-    g1_c = g1_bulk(np.asarray(c, dtype=complex), q)
-
-    def rbase(z):
-        return (
-            s1g * n13 * (z * c - 1.0) / (z * (z * z - 1.0))
-            * np.exp(N * (s1_bulk(z, q) - s1_c) + Tt * (g1_bulk(z, q) - g1_c))
-        )
-
-    r12, e2 = _diag_batch_single(
-        rbase, lambda z: -s1g * n13 * (np.log(z) - math.log(c)), gp, xs, tol
-    )
-    return i12 + r12, max(e1, e2)
+    return _BulkWindow(params, N).k12_diag(t, xs, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -1047,77 +990,10 @@ def expected_count_tail(a, params, N, regime, slice_value, theta=EDGE_THETA,
     regime 'bulk': the N^{1/3} window at time t = slice_value.  The level a
     is snapped up to the slice lattice.
     """
-    if not isinstance(params, ModelParams):
-        params = ModelParams(*params)
-    q, c = params.q, params.c
     if regime == "edge":
-        cst = ScalingConstantsEdge(q, c)
-        if R is None:
-            R = 2.0 / q
-        s2g = cst.sigma2
-        rn = math.sqrt(N)
-        kap = slice_value
-        m = math.ceil(a * s2g * rn + cst.h2_kappa(kap) * N - 1e-9)
-        aN = (m - cst.h2_kappa(kap) * N) / (s2g * rn)
-        fs = math.floor(kap * N) - kap * N
-        lq_c = cmath.log(1.0 - q / c)
-        gam = edge_gamma_contour(c, theta, R, N ** -0.5 / math.cos(theta),
-                                 grade_scale=min(0.2, N ** -0.5))
-        circ = Contour([full_circle(0.0, cst.z_crit(kap) + N ** -0.5)])
-
-        def expo(z, aa):
-            return (
-                N * s2_edge_centered(z, kap, q, c)
-                + fs * (np.log(1.0 - q / z) - lq_c)
-                - s2g * aa * rn * (np.log(z) - math.log(c))
-            )
-
-        def fU(z, w):
-            pre = (
-                s2g * rn * (z * w - 1.0) * (z - c)
-                / (z * (z - w) * (z * z - 1.0) * (w - c))
-            )
-            return pre * np.exp(expo(z, aN) - expo(w, aN)) / (1.0 - w / z) / (s2g * rn)
-
-        def fV(z):
-            return (
-                (z * c - 1.0) / (z * (z * z - 1.0)) / (1.0 - c / z)
-                * np.exp(expo(z, aN))
-            )
-
-        U, eU = integrate_double(fU, gam, circ, tol)
-        V, eV = integrate_single(fV, gam, tol)
-        return (U + V).real, max(eU, eV)
-
-    if regime == "bulk":
-        sc = ScalingConstantsBulk(q)
-        s1g, n13 = sc.sigma1, N ** (1.0 / 3.0)
-        t = slice_value
-        Tt = math.floor(t * N ** (2.0 / 3.0))
-        m = math.ceil(a * s1g * n13 + sc.h1 * N + sc.p1 * Tt - 1e-9)
-        aN = (m - sc.h1 * N - sc.p1 * Tt) / (s1g * n13)
-        gp = bulk_contour(1.0, N, +1)
-        gm = bulk_contour(-1.0, N, -1)
-
-        def expo(z, aa):
-            return N * s1_bulk(z, q) + Tt * g1_bulk(z, q) - s1g * aa * n13 * np.log(z)
-
-        def fU(z, w):
-            pre = (z * w - 1.0) / ((z - w) ** 2 * (z * z - 1.0)) * (z - c) / (w - c)
-            return pre * np.exp(expo(z, aN) - expo(w, aN))
-
-        U, eU = integrate_double(fU, gp, gm, tol)
-        V, eV = 0.0, 0.0
-        if c > 1.0:
-
-            def fV(z):
-                return (
-                    (z * c - 1.0) / ((z - c) * (z * z - 1.0))
-                    * np.exp(expo(z, aN) - expo(np.asarray(c, dtype=complex), aN))
-                )
-
-            V, eV = integrate_single(fV, gp, tol)
-        total = U.real + (V.real if c > 1.0 else 0.0) + (1.0 if c > 1.0 else 0.0)
-        return total, max(eU, eV)
-
-    raise ParameterError(f"unknown regime {regime!r}")
+        win = _EdgeWindow(params, N, theta, R)
+    elif regime == "bulk":
+        win = _BulkWindow(params, N)
+    else:
+        raise ParameterError(f"unknown regime {regime!r}")
+    return win.count_tail(a, slice_value, tol)

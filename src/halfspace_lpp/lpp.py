@@ -34,12 +34,13 @@ BRUTE_FORCE_CELL_CAP = 16
 def geometric_icdf(u, alpha):
     """Inverse CDF of Geom(alpha): mass alpha^k (1-alpha) on k >= 0.
 
-    alpha = 0 degenerates to the zero distribution.
+    alpha = 0 degenerates to the zero distribution.  u = 0, which
+    rng.random() can return, is read as 2^-53, its smallest positive value.
     """
     u = np.asarray(u)
     if alpha == 0.0:
         return np.zeros(u.shape, dtype=np.int64)
-    return np.floor(np.log(u) / np.log(alpha)).astype(np.int64)
+    return np.floor(np.log(np.maximum(u, 2.0 ** -53)) / np.log(alpha)).astype(np.int64)
 
 
 def sample_weights_batch(m, n, params, rng, size):
@@ -300,22 +301,6 @@ class DiscreteLineEnsemble:
         if c.shape[0] > 1 and np.any(c[:-1, :-1] < c[1:, 1:]):
             raise AssertionError("interlacing lambda_i(t-1) >= lambda_{i+1}(t) violated")
         return True
-
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("index,time,value\n")
-            for i in range(self.n_curves):
-                for t in range(self.horizon + 1):
-                    fh.write(f"{i + 1},{t},{self.curves[i, t]}\n")
-
-    @classmethod
-    def from_csv(cls, path, N=0, q=0.0, c=0.0):
-        data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2)
-        k = int(data[:, 0].max())
-        T = int(data[:, 1].max())
-        curves = np.zeros((k, T + 1), dtype=np.int64)
-        curves[data[:, 0] - 1, data[:, 1]] = data[:, 2]
-        return cls(curves=curves, N=N, q=q, c=c)
 
 
 def lambda_process_batch(W_batch, N, M, max_curves=None):

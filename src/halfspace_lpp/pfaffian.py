@@ -82,7 +82,7 @@ def pfaffian_expansion(A):
     return total
 
 
-def correlation_fn(points, kernel_eval, symmetrize_tol=1e-6):
+def correlation_fn(points, kernel_eval):
     """rho_k(points) = Pf of the 2k x 2k matrix of kernel blocks.
 
     kernel_eval(p, q) must return an object with .as_matrix() and .err for a

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .contours import integrate_circle
 from .model import ModelParams, ParameterError
 from .lpp import sample_weights_batch, lambda_process_batch
 
@@ -346,25 +347,6 @@ def partition_fn_series(T1, y, params, tol=1e-12, max_terms=100000):
 # interacting-pair partition function: contour form
 # ---------------------------------------------------------------------------
 
-def _circle_trapezoid(f, radius, tol=1e-10, n0=64, nmax=1 << 17):
-    """(1/2pi i) * closed circle integral of f, by doubling trapezoid rule.
-
-    f must accept a complex ndarray.  Periodic integrand, so accuracy is
-    spectral; stop when doubling moves the value by < tol relative.
-    """
-    n = n0
-    prev = None
-    while n <= nmax:
-        theta = 2.0 * np.pi * np.arange(n) / n
-        u = radius * np.exp(1j * theta)
-        val = np.mean(f(u) * u)
-        if prev is not None and abs(val - prev) <= tol * max(abs(val), 1e-300):
-            return val
-        prev = val
-        n *= 2
-    raise AccuracyError(f"circle quadrature did not converge at {nmax} points")
-
-
 def _contour_Z_scaled(T1, y, qhat, chat, r1, r2, tol):
     """Z via the two-circle formula, returned as (log_scale, scaled_value)."""
     delta = y[0] - y[1]
@@ -396,8 +378,8 @@ def _contour_Z_scaled(T1, y, qhat, chat, r1, r2, tol):
 
     f1 = make_f(delta + 1, lambda u: 1.0 - u * chat / qhat, scale)
     f2 = make_f(delta + 3, lambda u: 1.0 - qhat * chat / u, scale)
-    i1 = _circle_trapezoid(f1, r1, tol)
-    i2 = _circle_trapezoid(f2, r2, tol)
+    i1, _ = integrate_circle(f1, r1, tol=tol)
+    i2, _ = integrate_circle(f2, r2, tol=tol)
     val = qhat ** delta * i1 - qhat ** (delta + 2) * i2
     return scale, val
 

@@ -137,3 +137,21 @@ def test_brownian_limit_small_run(tmp_path):
     # t = 9.5 >= kappa_bar = 8 must be flagged out of window
     assert man["checks"]["skipped_out_of_window"] == [9.5]
     assert "var_ratio_t0" in man["checks"]
+
+
+def test_manifest_config_has_no_jobs(tmp_path):
+    rc = run(["partition-fn", "--out", str(tmp_path), "--set", "T1=3"])
+    assert rc == 0
+    man = json.loads((tmp_path / "partition_fn_manifest.json").read_text())
+    assert "jobs" not in man["config"]
+    with pytest.raises(SystemExit):
+        run(["partition-fn", "--out", str(tmp_path), "--jobs", "2"])
+
+
+def test_env_values_parse_like_set_flags():
+    env = {"HSLPP_N": "", "HSLPP_Q": "true", "HSLPP_C": "null", "HSLPP_OUT": "runs2"}
+    cfg = cli.load_config(None, [], env=env)
+    assert cfg["N"] == cli.DEFAULTS["N"]
+    assert cfg["q"] is True
+    assert cfg["c"] is None
+    assert cfg["out"] == "runs2"

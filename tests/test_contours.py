@@ -100,3 +100,27 @@ def test_quadrature_failure_carries_partial():
         ct.integrate_contour(lambda z: 1.0 / (z - 1.0), circ, tol=1e-13,
                              max_depth=8)
     assert ei.value.partial is not None
+
+
+def _record_levels(monkeypatch):
+    levels = []
+    nodes = ct.Contour.nodes
+
+    def recording(self, level):
+        levels.append(level)
+        return nodes(self, level)
+
+    monkeypatch.setattr(ct.Contour, "nodes", recording)
+    return levels
+
+
+def test_nan_integrand_fails_at_first_level(monkeypatch):
+    levels = _record_levels(monkeypatch)
+    circ = ct.Contour([ct.full_circle(0.0, 1.0)])
+    with pytest.raises(ct.QuadratureError):
+        ct.integrate_double(lambda z, w: z * w * np.nan, circ, circ)
+    assert levels and max(levels) <= 1
+    levels.clear()
+    with pytest.raises(ct.QuadratureError):
+        ct.integrate_single(lambda z: z * np.nan, circ)
+    assert levels and max(levels) <= 1

@@ -5,6 +5,7 @@ import pytest
 
 from halfspace_lpp.model import ModelParams, ParameterError, ScalingConstantsBulk, ScalingConstantsEdge
 from halfspace_lpp import kernels
+from halfspace_lpp.contours import QuadratureError
 
 
 @pytest.fixture
@@ -187,3 +188,56 @@ def test_expected_count_tail_large_a():
     assert abs(v2) < 0.01
     with pytest.raises(ParameterError):
         kernels.expected_count_tail(0.0, P, 50, "nosuch", 0.5)
+
+
+def test_nan_diag_batch_fails_at_first_level(monkeypatch):
+    levels = []
+    nodes = kernels.Contour.nodes
+
+    def recording(self, level):
+        levels.append(level)
+        return nodes(self, level)
+
+    monkeypatch.setattr(kernels.Contour, "nodes", recording)
+    with pytest.raises(QuadratureError):
+        kernels.edge_k12_diag_batch(np.array([0.0, np.nan]), ModelParams(0.5, 1.4), 64, 0.5)
+    assert levels and max(levels) <= 1
+
+
+@pytest.mark.parametrize("regime", ["edge", "bulk"])
+def test_diag_batch_matches_components(regime):
+    # the batched diagonal K12 equals I12 + R12 of the pointwise components
+    if regime == "edge":
+        P, N, v = ModelParams(0.5, 1.4), 64, 0.5
+        xs = [kernels.edge_lattice_point(a, P, N, v)[0] for a in (-1.0, 0.0, 1.0)]
+        vals, err = kernels.edge_k12_diag_batch(xs, P, N, v)
+        comps = [kernels.edge_prelimit_components(v, x, v, x, P, N, tol=1e-8) for x in xs]
+    else:
+        P, N, v = ModelParams(0.5, 1.3), 200, 1.0
+        xs = [kernels.bulk_lattice_point(a, P, N, v)[0] for a in (-1.0, 0.0, 1.0)]
+        vals, err = kernels.bulk_k12_diag_batch(xs, P, N, v)
+        comps = [kernels.bulk_prelimit_components(v, x, v, x, P, N, tol=1e-8) for x in xs]
+    for val, comp in zip(vals, comps):
+        assert abs(val - (comp["I12"] + comp["R12"])) <= err + comp["err"]
+
+
+def test_assembled_k21_is_minus_swapped_k12(monkeypatch):
+    sc = ScalingConstantsBulk(0.5)
+    cases = [
+        (kernels.kernel_hs_inf, (0.5, 0.3, 1.0, 0.6), ()),
+        (kernels.kernel_limit_bulk, (0.7, 0.2, 1.1, -0.4), (sc,)),
+        (kernels.kernel_N_bulk, (1.0, 0.1, 1.5, 0.3), (ModelParams(0.5, 1.3), 50)),
+        (kernels.kernel_N_edge, (0.5, 0.1, 1.0, -0.2), (ModelParams(0.5, 1.4), 64)),
+    ]
+    for fn, (s, x, t, y), args in cases:
+        a = fn(s, x, t, y, *args, tol=1e-7)
+        b = fn(t, y, s, x, *args, tol=1e-7)
+        assert a.k21 == -b.k12 and b.k21 == -a.k12, fn.__name__
+
+    # the backward pass evaluates the K12 double integral only
+    calls = []
+    double = kernels.integrate_double
+    monkeypatch.setattr(kernels, "integrate_double",
+                        lambda *a, **k: calls.append(1) or double(*a, **k))
+    kernels.kernel_hs_inf(0.5, 0.3, 1.0, 0.6)
+    assert len(calls) == 4

@@ -181,10 +181,10 @@ def test_rescale_top_exact_line():
         lpp.rescale_top(ens, N, cst, [cst.kappa_bar])
 
 
-def test_ensemble_csv_roundtrip(tmp_path, rng):
-    P = ModelParams(0.5, 0.8)
-    ens = lpp.lambda_process(lpp.sample_weights(8, 3, P, rng), 3, 5, P)
-    path = tmp_path / "curves.csv"
-    ens.to_csv(path)
-    back = lpp.DiscreteLineEnsemble.from_csv(path, N=3, q=P.q, c=P.c)
-    assert np.array_equal(back.curves[: ens.n_curves], ens.curves)
+def test_geometric_icdf_at_zero():
+    # rng.random() can return 0.0; it is read as the smallest positive draw
+    for alpha in (0.25, 0.64):
+        with np.errstate(all="raise"):
+            w0 = lpp.geometric_icdf(0.0, alpha)
+            assert w0 == lpp.geometric_icdf(2.0 ** -53, alpha)
+        assert 0 <= w0 < 200
