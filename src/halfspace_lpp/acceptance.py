@@ -31,9 +31,9 @@ class CheckResult:
 
 def _timed(fn):
     def wrapper(rng):
-        t0 = time.time()
+        t0 = time.perf_counter()
         res = fn(rng)
-        res.seconds = time.time() - t0
+        res.seconds = time.perf_counter() - t0
         return res
 
     wrapper.__name__ = fn.__name__

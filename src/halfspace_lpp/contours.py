@@ -3,16 +3,30 @@
 Pieces are segments and circular arcs with a [0, 1] parametrization.  Single
 and double contour integrals share one level-doubling engine: per-piece
 Gauss-Legendre panels (tensor products for double integrals) whose panel
-count doubles from level to level.  A level is accepted when its change from
-the previous level is below max(tol * |value|, tol^2, 1e-13 * mass), where
-mass is the integrand's L1 mass, so a value below the roundoff floor of the
-mass counts as zero; the reported error is that change, floored at
-1e-15 * mass.  A non-finite level raises QuadratureError at once.  Pieces
-carry an optional geometric panel grading toward one endpoint for integrands
-with a short internal scale (steepest-descent wedges near a critical point).
-Circles alone use the doubling trapezoid rule (integrate_circle).  The
-adaptive Gauss-Kronrod integrate_contour is kept as an independent reference
-for tests; it is the one routine that rejects a pole on the contour.
+count doubles from level to level.  The acceptance threshold is
+max(tol * |value|, tol^2, 1e-13 * mass), where mass is the integrand's L1
+mass, so a value below the roundoff floor of the mass counts as zero.
+
+A single integral accepts level l when its change from level l - 1 is below
+the threshold; the error is that change.  A double integral walks over level
+pairs (lz, lw), one level per contour: at the current pair it evaluates the
+two one-axis doublings (lz + 1, lw) and (lz, lw + 1), accepts when both
+change the value by at most the threshold, and otherwise advances every
+contour whose doubling moved the value by more, so a contour resolved at a
+coarse level stays there while the other one refines.  The accepted value
+is V(lz + 1, lw) + V(lz, lw + 1) - V(lz, lw), which cancels the leading
+error of each axis, and the error is the sum of the two one-axis changes.
+Errors are floored at 1e-15 * mass.  No contour passes the engine's maximum
+level; a non-finite level raises QuadratureError at once, and
+non-convergence raises it with the partial value, the levels reached, the
+last changes and the threshold.
+
+Pieces carry an optional geometric panel grading toward one endpoint for
+integrands with a short internal scale (steepest-descent wedges near a
+critical point).  Circles alone use the doubling trapezoid rule
+(integrate_circle).  The adaptive Gauss-Kronrod integrate_contour is kept as
+an independent reference for tests; it is the one routine that rejects a
+pole on the contour.
 """
 
 import math
@@ -46,12 +60,24 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
 class QuadratureError(RuntimeError):
-    """Non-convergence; carries the partial value in .partial."""
+    """Non-convergence or a non-finite integrand; carries the partial value in
+    .partial.  From the level-doubling engine it also carries .levels (the
+    level of each contour reached), .changes (the last change per contour)
+    and .threshold (the acceptance threshold), which the message repeats."""
 
-    def __init__(self, msg, partial=None, estimate=None):
+    def __init__(self, msg, partial=None, estimate=None, levels=None, changes=None,
+                 threshold=None):
+        if levels is not None:
+            msg += f" at levels {tuple(levels)}"
+        if changes is not None:
+            msg += (" (changes " + ", ".join(f"{c:.3e}" for c in changes)
+                    + f" against threshold {threshold:.3e})")
         super().__init__(msg)
         self.partial = partial
         self.estimate = estimate
+        self.levels = levels
+        self.changes = changes
+        self.threshold = threshold
 
 
 class ContourPlacementError(ValueError):
@@ -329,52 +355,99 @@ def _block_sums(F, z, U, w, V):
     return total, mass
 
 
-def _level_doubling(F, contours, tol, max_level, phases=(None, None), xs=None):
-    """(1/(2 pi i))^k times the integral of F over k = 1 or 2 contours.
+def _finite(kind, levels, raw, mass, pref, xs, partial):
+    """The prefactor times the raw sums (one value per x, or a scalar without
+    xs) and the mass, the largest over x; raises on a non-finite result."""
+    val = pref * raw if xs is not None else pref * raw[0]
+    mass = abs(pref) * float(np.max(mass))
+    if not (np.all(np.isfinite(val)) and math.isfinite(mass)):
+        raise QuadratureError(f"{kind}-contour integrand not finite", partial=partial,
+                              levels=levels)
+    return val, mass
 
-    With xs given, one value per x in xs, with e^{phases[0](z) x} (and
-    e^{phases[1](w) x}) folded into the quadrature weights; the acceptance
-    rule and the error of the module docstring are taken over all x.
-    Returns (value or values, error).
+
+def _threshold(val, mass, tol):
+    return max(tol * float(np.max(np.abs(val))), tol * tol, 1e-13 * mass)
+
+
+def _change(a, b):
+    return float(np.max(np.abs(a - b)))
+
+
+def _single_walk(F, contour, tol, max_level, phase=None, xs=None):
+    """(1/(2 pi i)) times the integral of F over one contour: accept level l
+    when its change from level l - 1 is below the threshold.
+
+    With xs given, one value per x in xs, with e^{phase(z) x} folded into the
+    quadrature weights; the acceptance rule and the error are taken over
+    all x.  Returns (value or values, error).
     """
-    kind = ("single", "double")[len(contours) - 1]
-    pref = -1.0 / (4.0 * math.pi * math.pi) if len(contours) == 2 else 1.0 / (2j * math.pi)
-    prev = None
+    pref = 1.0 / (2j * math.pi)
+    prev = change = thr = None
     for level in range(max_level + 1):
-        z, U = _weights(contours[0], level, phases[0], xs)
-        if len(contours) == 2:
-            w, V = _weights(contours[1], level, phases[1], xs)
-            raw, mass = _block_sums(F, z, U, w, V)
-        else:
-            vals = F(z)
-            raw, mass = U.T @ vals, np.abs(U.T) @ np.abs(vals)
-        val = pref * raw if xs is not None else pref * raw[0]
-        mass = abs(pref) * float(np.max(mass))
-        if not (np.all(np.isfinite(val)) and math.isfinite(mass)):
-            raise QuadratureError(f"{kind}-contour integrand not finite at level {level}",
-                                  partial=prev)
+        z, U = _weights(contour, level, phase, xs)
+        vals = F(z)
+        val, mass = _finite("single", (level,), U.T @ vals, np.abs(U.T) @ np.abs(vals),
+                            pref, xs, prev)
         if prev is not None:
-            err = float(np.max(np.abs(val - prev)))
-            scale = float(np.max(np.abs(val)))
-            if err <= max(tol * scale, tol * tol, 1e-13 * mass):
-                return val, max(err, 1e-15 * mass)
+            change, thr = _change(val, prev), _threshold(val, mass, tol)
+            if change <= thr:
+                return val, max(change, 1e-15 * mass)
         prev = val
-    raise QuadratureError(
-        f"{kind}-contour quadrature not converged at level {max_level}",
-        partial=prev,
-    )
+    raise QuadratureError("single-contour quadrature not converged", partial=prev,
+                          levels=(max_level,), changes=(change,), threshold=thr)
+
+
+def _pair_walk(F, contours, tol, max_level, phases=(None, None), xs=None):
+    """(1/(2 pi i))^2 times the integral of F over two contours, by the
+    per-axis walk over level pairs (lz, lw) of the module docstring; only
+    the weights of the levels in use are kept.  xs and phases batch as in
+    _single_walk, with e^{phases[0](z) x} e^{phases[1](w) x}."""
+    pref = -1.0 / (4.0 * math.pi * math.pi)
+    weights = ({}, {})  # per contour: level -> (nodes, weights), levels in use only
+    values = {}  # level pair -> (value, mass)
+    partial = None
+
+    def at(pair):
+        if pair not in values:
+            for axis, level in enumerate(pair):
+                if level not in weights[axis]:
+                    weights[axis][level] = _weights(contours[axis], level, phases[axis], xs)
+            (z, U), (w, V) = weights[0][pair[0]], weights[1][pair[1]]
+            values[pair] = _finite("double", pair, *_block_sums(F, z, U, w, V),
+                                   pref, xs, partial)
+        return values[pair]
+
+    pair = (0, 0)
+    while True:
+        partial, mass = at(pair)
+        thr = _threshold(partial, mass, tol)
+        vz, vw = at((pair[0] + 1, pair[1]))[0], at((pair[0], pair[1] + 1))[0]
+        changes = (_change(vz, partial), _change(vw, partial))
+        if max(changes) <= thr:
+            return vz + vw - partial, max(sum(changes), 1e-15 * mass)
+        nxt = tuple(level + (change > thr) for level, change in zip(pair, changes))
+        if max(nxt) >= max_level:
+            raise QuadratureError("double-contour quadrature not converged",
+                                  partial=partial, levels=pair, changes=changes,
+                                  threshold=thr)
+        pair = nxt
+        for axis in (0, 1):
+            weights[axis].pop(pair[axis] - 1, None)
 
 
 def integrate_double(F, contour_z, contour_w, tol=1e-9):
     """Tensor-product double contour integral (1/(2 pi i)^2) * iint F(z, w).
 
     F must broadcast over (z[:, None], w[None, :]) grids; it is evaluated in
-    bounded-size blocks.  Levels double the panel count on both contours;
-    acceptance, error and failure are as in the module docstring.
+    bounded-size blocks.  Each contour's level is doubled on its own, only
+    while its doubling moves the value by more than the threshold (up to
+    level 6); the error is the sum of the two one-axis changes at the
+    accepted level pair, floored at 1e-15 * mass (module docstring).
     """
-    return _level_doubling(F, (contour_z, contour_w), tol, _DOUBLE_MAX_LEVEL)
+    return _pair_walk(F, (contour_z, contour_w), tol, _DOUBLE_MAX_LEVEL)
 
 
 def integrate_single(F, contour, tol=1e-10):
     """(1/2 pi i) * contour integral by the same level-doubling panel scheme."""
-    return _level_doubling(F, (contour,), tol, _SINGLE_MAX_LEVEL)
+    return _single_walk(F, contour, tol, _SINGLE_MAX_LEVEL)

@@ -12,6 +12,14 @@ near the roundoff floor of the integrand's mass (the edge threshold counts
 of expected_count_tail).  All logarithms are principal branch; on lattice
 points the total log-coefficients are integers, which keeps the assembled
 integrands single-valued across the cut.
+
+The tail counts expected_count_tail sum the K12 integrands over the levels
+above a as geometric series.  In the edge window the summed double integral
+takes its own z contour: near the threshold level its z exponent is N S1,
+whose saddle is z_crit(kappa), not c, so the wedge moves to the apex
+z_crit(kappa) + 3 N^{-1/2}, between the w circle and 1/q (the summed
+integrand has no z pole at c).  The residue part stays on the kernel's
+wedge at c, which must enclose the pole there.
 """
 
 import cmath
@@ -26,7 +34,8 @@ from .contours import (
     Contour,
     ContourPlacementError,
     Segment,
-    _level_doubling,
+    _pair_walk,
+    _single_walk,
     full_circle,
     integrate_double,
     integrate_single,
@@ -282,9 +291,10 @@ class _Window:
     w_contour(v) at slice v (shifted=True gives the copy moved off the
     z = w diagonal), the exponent expo(z, v, a) of the z-factor at scaled
     level a, its a-derivative phase(z), the lattice center(v), the heat
-    contour of the s < t part of R12, and the scalars scale (the K12 and
-    residue prefactor), k11_scale, k22_scale, has_residue (the pole at
-    w = c leaves a residue) and tail_offset.  The integrands below are
+    contour of the s < t part of R12, the z contour count_contour(v) of the
+    summed double integral in count_tail (z_contour unless overridden), and
+    the scalars scale (the K12 and residue prefactor), k11_scale, k22_scale,
+    has_residue (the pole at w = c leaves a residue) and tail_offset.  The integrands below are
     written once in these terms.
     """
 
@@ -292,6 +302,9 @@ class _Window:
         if not isinstance(params, ModelParams):
             params = ModelParams(*params)
         self.q, self.c, self.N = params.q, params.c, N
+
+    def count_contour(self, v):
+        return self.z_contour(v)
 
     def k12_integrand(self, s, x, t, y):
         """The integrand F12(z, w) of I12 at (s, x; t, y)."""
@@ -402,8 +415,8 @@ class _Window:
         zc, c = self.z_contour(v), self.c
         f12 = self.k12_integrand(v, aN, v, aN)
         U, eU = integrate_double(
-            lambda z, w: f12(z, w) / (self.scale * (1.0 - w / z)), zc,
-            self.w_contour(v), tol)
+            lambda z, w: f12(z, w) / (self.scale * (1.0 - w / z)),
+            self.count_contour(v), self.w_contour(v), tol)
         V, eV = 0.0, 0.0
         if self.has_residue:
             res = self.residue_integrand(v, aN, v, aN)
@@ -573,6 +586,18 @@ class _EdgeWindow(_Window):
     def w_contour(self, kappa, shifted=False):
         r = self.N ** -0.5 * (1.0000003 if shifted else 1.0)
         return Contour([full_circle(0.0, self.cst.z_crit(kappa) + r)])
+
+    def count_contour(self, kappa):
+        """The wedge at z_crit(kappa) + 3 N^{-1/2}, between the w circle and
+        1/q (module docstring): on the kernel's wedge at c the threshold
+        counts sat at the roundoff floor of a mass far above the count."""
+        r = self.N ** -0.5 / math.cos(self.theta)
+        apex = self.cst.z_crit(kappa) + 3.0 * self.N ** -0.5
+        if 1.0 / self.q - apex < r:
+            raise ContourPlacementError(
+                f"count contour apex {apex:.4g} leaves less than {r:.3g} below 1/q")
+        return edge_gamma_contour(apex, self.theta, self.R, r,
+                                  grade_scale=min(0.2, self.N ** -0.5))
 
     def heat_contour(self):
         """Wedge of half-angle pi/2 at c, closed by the circle of radius
@@ -953,14 +978,13 @@ def phase_diagnostics(q, c, kappas, h=1e-4, fd_tol=1e-6):
 def _diag_batch_eval(base_fn, zphase_fn, wphase_fn, cz, cw, xs, tol):
     """(1/(2 pi i))^2 iint base(z, w) e^{zphase(z) x} e^{wphase(w) x} for each
     x, the exponentials folded into the quadrature weights."""
-    return _level_doubling(base_fn, (cz, cw), tol, 4, (zphase_fn, wphase_fn),
-                           np.asarray(xs, dtype=float))
+    return _pair_walk(base_fn, (cz, cw), tol, 4, (zphase_fn, wphase_fn),
+                      np.asarray(xs, dtype=float))
 
 
 def _diag_batch_single(base_fn, zphase_fn, contour, xs, tol):
     """(1/2 pi i) * integral of base(z) e^{zphase(z) x} per x, level-doubled."""
-    return _level_doubling(base_fn, (contour,), tol, 8, (zphase_fn,),
-                           np.asarray(xs, dtype=float))
+    return _single_walk(base_fn, contour, tol, 8, zphase_fn, np.asarray(xs, dtype=float))
 
 
 def edge_k12_diag_batch(xs, params, N, kappa, theta=EDGE_THETA, R=None,

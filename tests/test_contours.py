@@ -1,4 +1,5 @@
 import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -124,3 +125,68 @@ def test_nan_integrand_fails_at_first_level(monkeypatch):
     with pytest.raises(ct.QuadratureError):
         ct.integrate_single(lambda z: z * np.nan, circ)
     assert levels and max(levels) <= 1
+
+
+def _levels_by_contour(monkeypatch):
+    """Levels requested from Contour.nodes, listed per contour object."""
+    levels = defaultdict(list)
+    nodes = ct.Contour.nodes
+
+    def recording(self, level):
+        levels[id(self)].append(level)
+        return nodes(self, level)
+
+    monkeypatch.setattr(ct.Contour, "nodes", recording)
+    return levels
+
+
+def _smooth(z):
+    return np.exp(z) / z  # resolved by the level-0 panels of the unit circle
+
+
+def _peaked(w):
+    return 1.0 / (w * (w - 1.02))  # a pole 0.02 outside the unit circle
+
+
+@pytest.mark.parametrize("smooth_first", [True, False])
+def test_double_refines_only_the_axis_that_moves(monkeypatch, smooth_first):
+    smooth = ct.Contour([ct.full_circle(0.0, 1.0)])
+    peaked = ct.Contour([ct.full_circle(0.0, 1.0)])
+    levels = _levels_by_contour(monkeypatch)
+    if smooth_first:
+        val, err = ct.integrate_double(lambda z, w: _smooth(z) * _peaked(w), smooth, peaked)
+    else:
+        val, err = ct.integrate_double(lambda z, w: _peaked(z) * _smooth(w), peaked, smooth)
+    # the smooth axis stays at level 0: only its one-axis doubling is asked for
+    assert max(levels[id(smooth)]) == 1
+    assert max(levels[id(peaked)]) >= 3
+    a, _ = ct.integrate_single(_smooth, smooth)
+    b, _ = ct.integrate_single(_peaked, peaked)
+    assert abs(val - a * b) <= err
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+def test_double_error_bounds_true_error(tol):
+    # the w integral of 1/((z - w) w) is 1/z while |w| < |z|, so the value is
+    # 1; the close z = w diagonal makes both contours refine
+    cz = ct.Contour([ct.full_circle(0.0, 1.0)])
+    cw = ct.Contour([ct.full_circle(0.0, 0.98)])
+    val, err = ct.integrate_double(lambda z, w: 1.0 / ((z - w) * w), cz, cw, tol)
+    assert abs(val - 1.0) <= err < 1e3 * max(tol, 1e-14)
+
+
+def test_non_convergence_reports_levels_changes_and_threshold():
+    circ = ct.Contour([ct.full_circle(0.0, 1.0)])
+    # a pole 1e-6 off the circle needs more levels than the engine allows
+    with pytest.raises(ct.QuadratureError) as ei:
+        ct.integrate_double(lambda z, w: 1.0 / (z * (w - 1.000001)), circ, circ)
+    e = ei.value
+    assert e.levels == (0, 5)
+    assert e.changes[0] <= e.threshold < e.changes[1]
+    assert e.partial is not None and np.isfinite(e.partial)
+    assert "(0, 5)" in str(e) and f"{e.threshold:.3e}" in str(e)
+    with pytest.raises(ct.QuadratureError) as ei:
+        ct.integrate_single(lambda z: 1.0 / (z - 1.000001), circ)
+    e = ei.value
+    assert e.levels == (9,) and e.changes[0] > e.threshold
+    assert e.partial is not None and "(9,)" in str(e)

@@ -5,7 +5,7 @@ import pytest
 
 from halfspace_lpp.model import ModelParams, ParameterError, ScalingConstantsBulk, ScalingConstantsEdge
 from halfspace_lpp import kernels
-from halfspace_lpp.contours import QuadratureError
+from halfspace_lpp.contours import ContourPlacementError, QuadratureError
 
 
 @pytest.fixture
@@ -241,3 +241,55 @@ def test_assembled_k21_is_minus_swapped_k12(monkeypatch):
                         lambda *a, **k: calls.append(1) or double(*a, **k))
     kernels.kernel_hs_inf(0.5, 0.3, 1.0, 0.6)
     assert len(calls) == 4
+
+
+def _threshold_count(N, kappa):
+    """E[#points >= threshold level] on the edge slice kappa, as in
+    check_tail_moments (q = 0.5, c = 1.4)."""
+    cst = ScalingConstantsEdge(0.5, 1.4)
+    thr = (cst.h1_kappa(kappa) - cst.h2_kappa(kappa)) * math.sqrt(N) / cst.sigma2 + 1.0
+    return kernels.expected_count_tail(thr, ModelParams(0.5, 1.4), N, "edge", kappa)
+
+
+def test_edge_threshold_count_is_resolved(monkeypatch):
+    # at the threshold level the z saddle of the summed K12 is z_crit(kappa):
+    # on the kernel's wedge at c this count sat at the roundoff floor (err 4.9)
+    v1, e1 = _threshold_count(400, 0.5)
+    assert e1 < 1e-6
+
+    def other_apex(self, kappa):
+        r = self.N ** -0.5 / math.cos(self.theta)
+        return kernels.edge_gamma_contour(self.cst.z_crit(kappa) + 6.0 * self.N ** -0.5,
+                                          self.theta, self.R, r)
+
+    monkeypatch.setattr(kernels._EdgeWindow, "count_contour", other_apex)
+    v2, e2 = _threshold_count(400, 0.5)
+    assert abs(v1 - v2) <= e1 + e2
+
+
+def test_edge_count_contour_needs_room_below_inverse_q():
+    # z_crit(7.5) + 3 N^{-1/2} at N = 16 lies beyond 1/q = 2
+    with pytest.raises(ContourPlacementError):
+        kernels.expected_count_tail(0.0, ModelParams(0.5, 1.4), 16, "edge", 7.5)
+
+
+def test_edge_diag_batch_walk_refines_axes_apart(monkeypatch):
+    # the w circle needs more levels than the graded z wedge; the batch still
+    # equals I12 + R12 of the pointwise components
+    levels = []
+    nodes = kernels.Contour.nodes
+
+    def recording(self, level):
+        levels.append((len(self.pieces), level))
+        return nodes(self, level)
+
+    P, N, v = ModelParams(0.5, 1.4), 64, 0.5
+    x = kernels.edge_lattice_point(0.5, P, N, v)[0]
+    monkeypatch.setattr(kernels.Contour, "nodes", recording)
+    vals, err = kernels.edge_k12_diag_batch([x], P, N, v)
+    monkeypatch.undo()
+    z_level = max(lv for n, lv in levels if n > 1)
+    w_level = max(lv for n, lv in levels if n == 1)
+    assert z_level < w_level
+    comp = kernels.edge_prelimit_components(v, x, v, x, P, N, tol=1e-8)
+    assert abs(vals[0] - (comp["I12"] + comp["R12"])) <= err + comp["err"]
