@@ -21,6 +21,13 @@ level; a non-finite level raises QuadratureError at once, and
 non-convergence raises it with the partial value, the levels reached, the
 last changes and the threshold.
 
+A double integrand may come factored as a(z) F(z, w) b(w): the per-axis
+factors are evaluated once per node of a level and folded into the weights
+next to dz and dw, and only the coupling F runs on the node pairs.  The
+mass stays sum_ij |dz_i a_i| |F_ij| |b_j dw_j|, the L1 mass of the whole
+integrand, so the split moves no threshold.  A factor with one column per
+point batches integrals over the same nodes, accepted over all points.
+
 Pieces carry an optional geometric panel grading toward one endpoint for
 integrands with a short internal scale (steepest-descent wedges near a
 critical point).  Circles alone use the doubling trapezoid rule
@@ -331,34 +338,33 @@ _DOUBLE_MAX_LEVEL = 6
 _SINGLE_MAX_LEVEL = 9
 
 
-def _weights(contour, level, phase, xs):
-    """Nodes z of `contour` at `level` and the (n, P) weights
-    dz_i e^{phase(z_i) x_p}; without a phase, the (n, 1) weights dz_i."""
+def _weights(contour, level, factor):
+    """Nodes z of `contour` at `level` and the weights dz_i factor(z_i): one
+    per node, or (n, P) for a factor that returns one column per point p."""
     z, wz = contour.nodes(level)
-    if phase is None:
-        return z, wz[:, None]
-    return z, wz[:, None] * np.exp(np.multiply.outer(phase(z), xs))
+    f = 1.0 if factor is None else factor(z)
+    return z, (wz[:, None] if np.ndim(f) == 2 else wz) * f
 
 
 def _block_sums(F, z, U, w, V):
-    """Per point p: sum_ij U_ip F(z_i, w_j) V_jp and the same sum of absolute
-    values, with F evaluated in row blocks of bounded size."""
+    """sum_ij U_i F(z_i, w_j) V_j and its sum of absolute values (per point
+    for (n, P) weights), with F evaluated in row blocks of bounded size."""
     rows = max(1, _CHUNK_ELEMENTS // max(len(w), 1))
-    total = np.zeros(U.shape[1], dtype=complex)
-    mass = np.zeros(U.shape[1])
+    total = np.zeros(U.shape[1:], dtype=complex)
+    mass = np.zeros(U.shape[1:])
     absV = np.abs(V)
     for i0 in range(0, len(z), rows):
         sl = slice(i0, i0 + rows)
         vals = F(z[sl, None], w[None, :])
-        total += np.einsum("ip,ip->p", U[sl], vals @ V)
-        mass += np.einsum("ip,ip->p", np.abs(U[sl]), np.abs(vals) @ absV)
+        total += np.einsum("i...,i...->...", U[sl], vals @ V)
+        mass += np.einsum("i...,i...->...", np.abs(U[sl]), np.abs(vals) @ absV)
     return total, mass
 
 
-def _finite(kind, levels, raw, mass, pref, xs, partial):
-    """The prefactor times the raw sums (one value per x, or a scalar without
-    xs) and the mass, the largest over x; raises on a non-finite result."""
-    val = pref * raw if xs is not None else pref * raw[0]
+def _finite(kind, levels, raw, mass, pref, partial):
+    """The prefactor times the raw sums (a scalar or one value per point) and
+    the mass, the largest over the points; raises on a non-finite result."""
+    val = pref * raw
     mass = abs(pref) * float(np.max(mass))
     if not (np.all(np.isfinite(val)) and math.isfinite(mass)):
         raise QuadratureError(f"{kind}-contour integrand not finite", partial=partial,
@@ -374,35 +380,35 @@ def _change(a, b):
     return float(np.max(np.abs(a - b)))
 
 
-def _single_walk(F, contour, tol, max_level, phase=None, xs=None):
-    """(1/(2 pi i)) times the integral of F over one contour: accept level l
-    when its change from level l - 1 is below the threshold.
+def _single_walk(F, contour, tol, factor=None):
+    """(1/(2 pi i)) times the integral of factor(z) F(z) over one contour:
+    accept level l when its change from level l - 1 is below the threshold.
 
-    With xs given, one value per x in xs, with e^{phase(z) x} folded into the
-    quadrature weights; the acceptance rule and the error are taken over
-    all x.  Returns (value or values, error).
+    The factor is folded into the quadrature weights; an (n, P) factor gives
+    one value per column, with the acceptance rule and the error taken over
+    all of them.  Returns (value or values, error).
     """
     pref = 1.0 / (2j * math.pi)
     prev = change = thr = None
-    for level in range(max_level + 1):
-        z, U = _weights(contour, level, phase, xs)
+    for level in range(_SINGLE_MAX_LEVEL + 1):
+        z, U = _weights(contour, level, factor)
         vals = F(z)
-        val, mass = _finite("single", (level,), U.T @ vals, np.abs(U.T) @ np.abs(vals),
-                            pref, xs, prev)
+        val, mass = _finite("single", (level,), vals @ U, np.abs(vals) @ np.abs(U),
+                            pref, prev)
         if prev is not None:
             change, thr = _change(val, prev), _threshold(val, mass, tol)
             if change <= thr:
                 return val, max(change, 1e-15 * mass)
         prev = val
     raise QuadratureError("single-contour quadrature not converged", partial=prev,
-                          levels=(max_level,), changes=(change,), threshold=thr)
+                          levels=(_SINGLE_MAX_LEVEL,), changes=(change,), threshold=thr)
 
 
-def _pair_walk(F, contours, tol, max_level, phases=(None, None), xs=None):
-    """(1/(2 pi i))^2 times the integral of F over two contours, by the
-    per-axis walk over level pairs (lz, lw) of the module docstring; only
-    the weights of the levels in use are kept.  xs and phases batch as in
-    _single_walk, with e^{phases[0](z) x} e^{phases[1](w) x}."""
+def _pair_walk(F, contours, tol, factors=(None, None)):
+    """(1/(2 pi i))^2 times the integral of a(z) F(z, w) b(w) over two
+    contours, (a, b) = factors, by the per-axis walk over level pairs of the
+    module docstring; only the weights of the levels in use are kept.
+    (n, P) factors batch as in _single_walk."""
     pref = -1.0 / (4.0 * math.pi * math.pi)
     weights = ({}, {})  # per contour: level -> (nodes, weights), levels in use only
     values = {}  # level pair -> (value, mass)
@@ -412,10 +418,10 @@ def _pair_walk(F, contours, tol, max_level, phases=(None, None), xs=None):
         if pair not in values:
             for axis, level in enumerate(pair):
                 if level not in weights[axis]:
-                    weights[axis][level] = _weights(contours[axis], level, phases[axis], xs)
+                    weights[axis][level] = _weights(contours[axis], level, factors[axis])
             (z, U), (w, V) = weights[0][pair[0]], weights[1][pair[1]]
             values[pair] = _finite("double", pair, *_block_sums(F, z, U, w, V),
-                                   pref, xs, partial)
+                                   pref, partial)
         return values[pair]
 
     pair = (0, 0)
@@ -427,7 +433,7 @@ def _pair_walk(F, contours, tol, max_level, phases=(None, None), xs=None):
         if max(changes) <= thr:
             return vz + vw - partial, max(sum(changes), 1e-15 * mass)
         nxt = tuple(level + (change > thr) for level, change in zip(pair, changes))
-        if max(nxt) >= max_level:
+        if max(nxt) >= _DOUBLE_MAX_LEVEL:
             raise QuadratureError("double-contour quadrature not converged",
                                   partial=partial, levels=pair, changes=changes,
                                   threshold=thr)
@@ -436,18 +442,22 @@ def _pair_walk(F, contours, tol, max_level, phases=(None, None), xs=None):
             weights[axis].pop(pair[axis] - 1, None)
 
 
-def integrate_double(F, contour_z, contour_w, tol=1e-9):
-    """Tensor-product double contour integral (1/(2 pi i)^2) * iint F(z, w).
+def integrate_double(F, contour_z, contour_w, tol=1e-9, z_factor=None, w_factor=None):
+    """Tensor-product double contour integral (1/(2 pi i)^2) *
+    iint z_factor(z) F(z, w) w_factor(w), a missing factor being 1.
 
-    F must broadcast over (z[:, None], w[None, :]) grids; it is evaluated in
-    bounded-size blocks.  Each contour's level is doubled on its own, only
-    while its doubling moves the value by more than the threshold (up to
-    level 6); the error is the sum of the two one-axis changes at the
-    accepted level pair, floored at 1e-15 * mass (module docstring).
+    Each factor takes the 1-D node array of a level, once, and is folded into
+    its quadrature weights; only the coupling F, which must broadcast over
+    (z[:, None], w[None, :]), runs on the node pairs, in bounded-size blocks.
+    The mass is sum_ij |dz_i a_i| |F_ij| |b_j dw_j|, that of the whole
+    integrand.  Each contour's level is doubled on its own, only while its
+    doubling moves the value by more than the threshold (up to level 6); the
+    error is the sum of the two one-axis changes at the accepted level pair,
+    floored at 1e-15 * mass (module docstring).
     """
-    return _pair_walk(F, (contour_z, contour_w), tol, _DOUBLE_MAX_LEVEL)
+    return _pair_walk(F, (contour_z, contour_w), tol, (z_factor, w_factor))
 
 
 def integrate_single(F, contour, tol=1e-10):
     """(1/2 pi i) * contour integral by the same level-doubling panel scheme."""
-    return _single_walk(F, contour, tol, _SINGLE_MAX_LEVEL)
+    return _single_walk(F, contour, tol)

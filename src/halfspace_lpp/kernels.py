@@ -2,16 +2,20 @@
 prelimit bulk/edge kernels, and their limits, all via contour quadrature.
 
 Every kernel returns a KernelValue2x2 whose off-diagonal blocks satisfy
-K21(s,x;t,y) = -K12(t,y;s,x) by construction.  Exponentials are assembled as
-a single exp(total exponent) per node so that the individually huge factors
-(e^{N S}, lattice powers) never overflow.  In the prelimit double integrals
-the z and w factors are exponentiated apart, so the rounding of the large
-exponents acts as a perturbation of the quadrature weights instead of as
-independent noise on every node pair, which matters where a value sits
-near the roundoff floor of the integrand's mass (the edge threshold counts
-of expected_count_tail).  All logarithms are principal branch; on lattice
-points the total log-coefficients are integers, which keeps the assembled
-integrands single-valued across the cut.
+K21(s,x;t,y) = -K12(t,y;s,x) by construction.  Every double integrand is
+handed to integrate_double as a(z) F(z, w) b(w): the per-axis factors a and b
+carry all exponentials and powers, one exp(exponent) per node and axis, and
+only the rational coupling F runs on the node pairs: (zw - 1)/(z - w) for
+K12, (z - w)/(zw - 1) for K11 and K22, (zw - 1)/(z - w)^2 for the summed K12
+of the tail counts, (z + w)/(z - w) for the bulk limit K12, and the Moebius
+form ((z + dz) - (w + dw))/((z + dz) + (w + dw)) for the other limit and
+half-space blocks.  So the individually huge e^{N S} never overflow, and
+the rounding of the large exponents acts as a perturbation of the
+quadrature weights instead of as independent noise on every node pair,
+which matters where a value sits near the roundoff floor of the integrand's
+mass (the edge threshold counts of expected_count_tail).  All logarithms
+are principal branch; on lattice points the total log-coefficients are
+integers, which keeps the assembled integrands single-valued across the cut.
 
 The tail counts expected_count_tail sum the K12 integrands over the levels
 above a as geometric series.  In the edge window the summed double integral
@@ -100,10 +104,6 @@ def g2_edge(z, q, c):
     return np.log(1.0 - q / z) - p2 * np.log(z)
 
 
-def g2_edge_centered(z, q, c):
-    return g2_edge(z, q, c) - g2_edge(complex(c), q, c)
-
-
 def s_hat(z, kappa_hat, q, c, which):
     """Auxiliary phases; S_i(z; kappa) = (1+kappa) s_hat(z; 1/(1+kappa))."""
     z = np.asarray(z, dtype=complex)
@@ -130,14 +130,31 @@ def s2_edge_d2(z, kappa, q, c):
     return t1 + t2 + h2k / (z * z)
 
 
-def g2_edge_d1(z, q, c):
-    p2 = q / (c - q)
-    return (q / (z * z)) / (1.0 - q / z) - p2 / z
-
-
 def g2_edge_d2(z, q, c):
     p2 = q / (c - q)
     return (-q * (2.0 * z - q)) / ((z * z - q * z) ** 2) + p2 / (z * z)
+
+
+# ---------------------------------------------------------------------------
+# couplings: the part of a double integrand evaluated on the node pairs
+# ---------------------------------------------------------------------------
+
+def _k12_coupling(z, w):
+    return (z * w - 1.0) / (z - w)
+
+
+def _k11_coupling(z, w):  # also the K22 coupling
+    return (z - w) / (z * w - 1.0)
+
+
+def _tail_coupling(z, w):
+    d = z - w
+    return (z * w - 1.0) / (d * d)
+
+
+def _mobius(dz, dw):
+    """The coupling ((z + dz) - (w + dw)) / ((z + dz) + (w + dw))."""
+    return lambda z, w: ((z + dz) - (w + dw)) / ((z + dz) + (w + dw))
 
 
 # ---------------------------------------------------------------------------
@@ -177,56 +194,35 @@ def kernel_geo(u, x, v, y, params, N, M_u, M_v, tol=DEFAULT_TOL, radii=None):
     else:
         r1, rz, rw, r2 = radii
 
-    def f11(z, w):
-        pre = (z - w) / ((z * z - 1.0) * (w * w - 1.0) * (z * w - 1.0))
-        pre = pre * (1.0 - c / z) * (1.0 - c / w)
-        return (
-            pre
-            * z ** (-x) * w ** (-y)
-            * (1.0 - q / z) ** (M_u + N) * (1.0 - q / w) ** (M_v + N)
-            * (1.0 - q * z) ** (-N) * (1.0 - q * w) ** (-N)
-        )
+    def lam(z, level, M):
+        return z ** (-level) * (1.0 - q / z) ** (M + N) * (1.0 - q * z) ** (-N)
 
-    def f12_from(xa, Ma, yb, Mb):
-        # K12 integrand from level xa at time offset Ma to level yb at Mb
-        def f12(z, w):
-            pre = (z * w - 1.0) / (z * (z - w) * (z * z - 1.0)) * (z - c) / (w - c)
-            return (
-                pre
-                * z ** (-xa) * w ** yb
-                * (1.0 - q / z) ** (Ma + N) * (1.0 - q / w) ** (-Mb - N)
-                * (1.0 - q * z) ** (-N) * (1.0 - q * w) ** N
-            )
+    def a(level, M):
+        return lambda z: (z - c) / (z * (z * z - 1.0)) * lam(z, level, M)
 
-        return f12
-
-    def f22(z, w):
-        pre = (z - w) / (z * w - 1.0) / ((z - c) * (w - c))
-        return (
-            pre
-            * z ** x * w ** y
-            * (1.0 - q / z) ** (-M_u - N) * (1.0 - q / w) ** (-M_v - N)
-            * (1.0 - q * z) ** N * (1.0 - q * w) ** N
-        )
+    def b(level, M):
+        return lambda w: 1.0 / ((w - c) * lam(w, level, M))
 
     c1 = Contour([full_circle(0.0, r1)])
     c1b = Contour([full_circle(0.0, r1 * 1.0000003)])  # avoid the z=w diagonal exactly
-    k11, e11 = integrate_double(f11, c1, c1b, tol)
+    k11, e11 = integrate_double(_k11_coupling, c1, c1b, tol,
+                                a(x, M_u), a(y, M_v))
     cz = Contour([full_circle(0.0, rz)])
     cw = Contour([full_circle(0.0, rw)])
-    k12, e12 = integrate_double(f12_from(x, M_u, y, M_v), cz, cw, tol)
+    k12, e12 = integrate_double(_k12_coupling, cz, cw, tol, a(x, M_u), b(y, M_v))
     # swapped slice order flips the nesting requirement
     if radii is None:
         r1s, rzs, rws, _ = geo_default_radii(q, c, v >= u)
     else:
         rzs, rws = rz, rw
     k21m, e21 = integrate_double(
-        f12_from(y, M_v, x, M_u),
+        _k12_coupling,
         Contour([full_circle(0.0, rzs)]), Contour([full_circle(0.0, rws)]), tol,
+        a(y, M_v), b(x, M_u),
     )
     c2 = Contour([full_circle(0.0, r2)])
     c2b = Contour([full_circle(0.0, r2 * 1.0000003)])
-    k22, e22 = integrate_double(f22, c2, c2b, tol)
+    k22, e22 = integrate_double(_k11_coupling, c2, c2b, tol, b(x, M_u), b(y, M_v))
     return KernelValue2x2(
         k11=k11, k12=k12, k21=-k21m, k22=k22, err=max(e11, e12, e21, e22)
     )
@@ -294,8 +290,9 @@ class _Window:
     contour of the s < t part of R12, the z contour count_contour(v) of the
     summed double integral in count_tail (z_contour unless overridden), and
     the scalars scale (the K12 and residue prefactor), k11_scale, k22_scale,
-    has_residue (the pole at w = c leaves a residue) and tail_offset.  The integrands below are
-    written once in these terms.
+    has_residue (the pole at w = c leaves a residue) and tail_offset.  The
+    integrands below are written once in these terms, the double ones as
+    the per-axis factors z_factor and w_factor times a coupling.
     """
 
     def __init__(self, params, N):
@@ -306,18 +303,21 @@ class _Window:
     def count_contour(self, v):
         return self.z_contour(v)
 
-    def k12_integrand(self, s, x, t, y):
-        """The integrand F12(z, w) of I12 at (s, x; t, y)."""
-        c = self.c
+    def z_factor(self, z, v, a):
+        """(z - c) e^{expo(z, v, a)} / (z (z^2 - 1)): the z factor of K12 and
+        the z and w factor of K11."""
+        return (z - self.c) / (z * (z * z - 1.0)) * np.exp(self.expo(z, v, a))
 
-        def f12(z, w):
-            pre = (
-                self.scale * (z * w - 1.0) * (z - c)
-                / (z * (z - w) * (z * z - 1.0) * (w - c))
-            )
-            return pre * np.exp(self.expo(z, s, x)) * np.exp(-self.expo(w, t, y))
+    def w_factor(self, w, v, a):
+        """e^{-expo(w, v, a)} / (w - c): the w factor of K12 and the z and w
+        factor of K22."""
+        return np.exp(-self.expo(w, v, a)) / (w - self.c)
 
-        return f12
+    def k12_factors(self, s, x, t, y):
+        """The z and w factors of the K12 integrand at (s, x; t, y), whose
+        coupling is _k12_coupling."""
+        return (lambda z: self.scale * self.z_factor(z, s, x),
+                lambda w: self.w_factor(w, t, y))
 
     def residue_integrand(self, s, x, t, y):
         """F12(z, c) times the residue prefactor: the w = c part of R12."""
@@ -335,8 +335,8 @@ class _Window:
     def k12_pieces(self, s, x, t, y, tol):
         """I12 and R12 (heat-kernel part for s < t plus residue) at (s, x; t, y)."""
         zs = self.z_contour(s)
-        i12, err = integrate_double(self.k12_integrand(s, x, t, y), zs,
-                                    self.w_contour(t), tol)
+        i12, err = integrate_double(_k12_coupling, zs, self.w_contour(t), tol,
+                                    *self.k12_factors(s, x, t, y))
         r12 = 0.0 + 0.0j
         if s < t:
 
@@ -353,22 +353,15 @@ class _Window:
     def k11_k22_pieces(self, s, x, t, y, tol):
         """I11, I22 and the residue part of R22 at (s, x; t, y)."""
         c = self.c
-
-        def f11(z, w):
-            pre = (
-                self.k11_scale * (z - w) * (1.0 - c / z) * (1.0 - c / w)
-                / ((z * z - 1.0) * (w * w - 1.0) * (z * w - 1.0))
-            )
-            return pre * np.exp(self.expo(z, s, x)) * np.exp(self.expo(w, t, y))
-
-        def f22(z, w):
-            pre = self.k22_scale * (z - w) / ((z * w - 1.0) * (z - c) * (w - c))
-            return pre * np.exp(-self.expo(z, s, x)) * np.exp(-self.expo(w, t, y))
-
-        i11, e11 = integrate_double(f11, self.z_contour(s),
-                                    self.z_contour(t, shifted=True), tol)
+        i11, e11 = integrate_double(
+            _k11_coupling, self.z_contour(s), self.z_contour(t, shifted=True), tol,
+            lambda z: self.k11_scale * self.z_factor(z, s, x),
+            lambda w: self.z_factor(w, t, y))
         ws, wt = self.w_contour(s), self.w_contour(t)
-        i22, e22 = integrate_double(f22, ws, self.w_contour(t, shifted=True), tol)
+        i22, e22 = integrate_double(
+            _k11_coupling, ws, self.w_contour(t, shifted=True), tol,
+            lambda z: self.k22_scale * self.w_factor(z, s, x),
+            lambda w: self.w_factor(w, t, y))
         r22, e_r22 = 0.0 + 0.0j, 0.0
         if self.has_residue:
             cc = np.asarray(c, dtype=complex)
@@ -394,12 +387,12 @@ class _Window:
 
     def k12_diag(self, v, xs, tol):
         """K12(v, x; v, x) for an array of scaled levels x, with the
-        x-dependence e^{x phase} folded into the quadrature weights (the
+        x-dependence e^{x phase} folded into the per-axis factors (the
         heat-kernel part of R12 vanishes at coincident slices)."""
         zc = self.z_contour(v)
-        i12, err = _diag_batch_eval(self.k12_integrand(v, 0.0, v, 0.0), self.phase,
-                                    lambda w: -self.phase(w), zc, self.w_contour(v),
-                                    xs, tol)
+        i12, err = _diag_batch_eval(_k12_coupling, self.k12_factors(v, 0.0, v, 0.0),
+                                    (self.phase, lambda w: -self.phase(w)),
+                                    zc, self.w_contour(v), xs, tol)
         if not self.has_residue:
             return i12, err
         phase_c = self.phase(np.asarray(self.c, dtype=complex))
@@ -413,10 +406,9 @@ class _Window:
         center = self.center(v)
         aN = (math.ceil(a * self.scale + center - 1e-9) - center) / self.scale
         zc, c = self.z_contour(v), self.c
-        f12 = self.k12_integrand(v, aN, v, aN)
         U, eU = integrate_double(
-            lambda z, w: f12(z, w) / (self.scale * (1.0 - w / z)),
-            self.count_contour(v), self.w_contour(v), tol)
+            _tail_coupling, self.count_contour(v), self.w_contour(v), tol,
+            lambda z: z * self.z_factor(z, v, aN), lambda w: self.w_factor(w, v, aN))
         V, eV = 0.0, 0.0
         if self.has_residue:
             res = self.residue_integrand(v, aN, v, aN)
@@ -690,17 +682,15 @@ def _hs_wedges(s, x, t, y, tol):
             _airy_wedge(1.0 + t, phi, +1.0, 0.0, abs(y) + 1.0, tol))
 
 
-def _hs_h(z, w, x, y):
-    return np.exp(z ** 3 / 3.0 + w ** 3 / 3.0 - x * z - y * w)
+def _hs_e(z, x):
+    """The per-axis factor e^{z^3/3 - x z} of the half-space integrands."""
+    return np.exp(z ** 3 / 3.0 - x * z)
 
 
 def _hs_k12(s, x, t, y, tol):
     cz, cw = _hs_wedges(s, x, t, y, tol)
-
-    def f12(z, w):
-        return (z + s - w + t) * _hs_h(z, w, x, y) / (2.0 * (z + s) * (z + s + w - t))
-
-    i12, err = integrate_double(f12, cz, cw, tol)
+    i12, err = integrate_double(_mobius(s, -t), cz, cw, tol,
+                                lambda z: _hs_e(z, x) / (2.0 * (z + s)), lambda w: _hs_e(w, y))
     if s < t:
         r12 = -1.0 / math.sqrt(4.0 * math.pi * (t - s)) * math.exp(
             (-((s - t) ** 4) + 6.0 * (x + y) * (s - t) ** 2 + 3.0 * (x - y) ** 2)
@@ -713,17 +703,11 @@ def _hs_k12(s, x, t, y, tol):
 
 def _hs_k11_k22(s, x, t, y, tol):
     cz, cw = _hs_wedges(s, x, t, y, tol)
-
-    def f11(z, w):
-        return (z + s - w - t) * _hs_h(z, w, x, y) / (
-            4.0 * (z + s + w + t) * (z + s) * (w + t)
-        )
-
-    def f22(z, w):
-        return (z - s - w + t) * _hs_h(z, w, x, y) / (z - s + w - t)
-
-    i11, e1 = integrate_double(f11, cz, cw, tol)
-    i22, e3 = integrate_double(f22, cz, cw, tol)
+    i11, e1 = integrate_double(_mobius(s, t), cz, cw, tol,
+                               lambda z: _hs_e(z, x) / (4.0 * (z + s)),
+                               lambda w: _hs_e(w, y) / (w + t))
+    i22, e3 = integrate_double(_mobius(-s, -t), cz, cw, tol,
+                               lambda z: _hs_e(z, x), lambda w: _hs_e(w, y))
     h_st = cmath.exp(s ** 3 / 3.0 + t ** 3 / 3.0 - x * s - y * t).real
     pref = y - t * t - x + s * s
     r22 = (
@@ -752,15 +736,19 @@ def _limit_wedge(sign, s, x, t, y, consts, tol, shift=1.0):
                        consts.f1 * max(s, t), abs(x) + abs(y) + 1.0, tol)
 
 
+def _limit_expo(z, f1, s, x):
+    """z^3/3 - f1 s z^2 - x z, the per-axis exponent of the bulk limit kernel."""
+    return z ** 3 / 3.0 - f1 * s * z * z - x * z
+
+
 def _limit_k12(s, x, t, y, consts, tol):
     f1 = consts.f1
-
-    def f12(z, w):
-        e = z ** 3 / 3.0 - w ** 3 / 3.0 - f1 * s * z * z + f1 * t * w * w - x * z + y * w
-        return np.exp(e) * (z + w) / (2.0 * z * (z - w))
-
-    i12, err = integrate_double(f12, _limit_wedge(+1.0, s, x, t, y, consts, tol),
-                                _limit_wedge(-1.0, s, x, t, y, consts, tol), tol)
+    i12, err = integrate_double(
+        lambda z, w: (z + w) / (z - w),
+        _limit_wedge(+1.0, s, x, t, y, consts, tol),
+        _limit_wedge(-1.0, s, x, t, y, consts, tol), tol,
+        lambda z: np.exp(_limit_expo(z, f1, s, x)) / (2.0 * z),
+        lambda w: np.exp(-_limit_expo(w, f1, t, y)))
     if s < t:
         r12 = -1.0 / math.sqrt(4.0 * math.pi * f1 * (t - s)) * math.exp(
             -((y - x) ** 2) / (4.0 * f1 * (t - s))
@@ -773,21 +761,16 @@ def _limit_k12(s, x, t, y, consts, tol):
 def _limit_k11_k22(s, x, t, y, consts, tol):
     f1, s1g = consts.f1, consts.sigma1
     phi23 = 2.0 * math.pi / 3.0
-
-    def f11(z, w):
-        e = z ** 3 / 3.0 + w ** 3 / 3.0 - f1 * s * z * z - f1 * t * w * w - x * z - y * w
-        return np.exp(e) * (z - w) / (z * w * (z + w))
-
-    def f22(z, w):
-        e = -(z ** 3) / 3.0 - w ** 3 / 3.0 + f1 * s * z * z + f1 * t * w * w + x * z + y * w
-        return np.exp(e) * (z - w) / (4.0 * (z + w))
-
     i11, e1 = integrate_double(
-        f11, _limit_wedge(+1.0, s, x, t, y, consts, tol),
-        _limit_wedge(+1.0, s, x, t, y, consts, tol, shift=1.0000003), tol)
+        _mobius(0.0, 0.0), _limit_wedge(+1.0, s, x, t, y, consts, tol),
+        _limit_wedge(+1.0, s, x, t, y, consts, tol, shift=1.0000003), tol,
+        lambda z: np.exp(_limit_expo(z, f1, s, x)) / z,
+        lambda w: np.exp(_limit_expo(w, f1, t, y)) / w)
     i22, e3 = integrate_double(
-        f22, _limit_wedge(-1.0, s, x, t, y, consts, tol),
-        _limit_wedge(-1.0, s, x, t, y, consts, tol, shift=1.0000003), tol)
+        _mobius(0.0, 0.0), _limit_wedge(-1.0, s, x, t, y, consts, tol),
+        _limit_wedge(-1.0, s, x, t, y, consts, tol, shift=1.0000003), tol,
+        lambda z: np.exp(-_limit_expo(z, f1, s, x)) / 4.0,
+        lambda w: np.exp(-_limit_expo(w, f1, t, y)))
 
     def f_r22(w):
         return w * np.exp(f1 * (s + t) * w * w + w * (y - x))
@@ -975,16 +958,20 @@ def phase_diagnostics(q, c, kappas, h=1e-4, fd_tol=1e-6):
 # batched coincident-point K12 (direct-sum oracle support)
 # ---------------------------------------------------------------------------
 
-def _diag_batch_eval(base_fn, zphase_fn, wphase_fn, cz, cw, xs, tol):
-    """(1/(2 pi i))^2 iint base(z, w) e^{zphase(z) x} e^{wphase(w) x} for each
-    x, the exponentials folded into the quadrature weights."""
-    return _pair_walk(base_fn, (cz, cw), tol, 4, (zphase_fn, wphase_fn),
-                      np.asarray(xs, dtype=float))
+def _diag_batch_eval(F, factors, phases, cz, cw, xs, tol):
+    """(1/(2 pi i))^2 iint a(z) F(z, w) b(w) e^{zphase(z) x} e^{wphase(w) x}
+    for each x, (a, b) = factors and (zphase, wphase) = phases: each axis
+    factor times its exponential is one (nodes, len(xs)) engine factor."""
+    xs = np.asarray(xs, dtype=float)
+    return _pair_walk(F, (cz, cw), tol, tuple(
+        lambda z, f=f, p=p: f(z)[:, None] * np.exp(np.multiply.outer(p(z), xs))
+        for f, p in zip(factors, phases)))
 
 
-def _diag_batch_single(base_fn, zphase_fn, contour, xs, tol):
-    """(1/2 pi i) * integral of base(z) e^{zphase(z) x} per x, level-doubled."""
-    return _single_walk(base_fn, contour, tol, 8, zphase_fn, np.asarray(xs, dtype=float))
+def _diag_batch_single(F, phase, contour, xs, tol):
+    """(1/2 pi i) * integral of F(z) e^{phase(z) x} per x, level-doubled."""
+    xs = np.asarray(xs, dtype=float)
+    return _single_walk(F, contour, tol, lambda z: np.exp(np.multiply.outer(phase(z), xs)))
 
 
 def edge_k12_diag_batch(xs, params, N, kappa, theta=EDGE_THETA, R=None,

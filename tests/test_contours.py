@@ -190,3 +190,51 @@ def test_non_convergence_reports_levels_changes_and_threshold():
     e = ei.value
     assert e.levels == (9,) and e.changes[0] > e.threshold
     assert e.partial is not None and "(9,)" in str(e)
+
+
+def _k12_coupling(z, w):
+    return (z * w - 1.0) / (z - w)
+
+
+def test_factored_double_equals_whole_integrand():
+    # e^z/z * (zw - 1)/(z - w) * 1/w: the w integral over |w| = 0.5 is -1/z,
+    # so the value is -(1/2 pi i) iint e^z / z^2 = -1
+    cz = ct.Contour([ct.full_circle(0.0, 1.0)])
+    cw = ct.Contour([ct.full_circle(0.0, 0.5)])
+    a = lambda z: np.exp(z) / z
+    b = lambda w: 1.0 / w
+    fac, efac = ct.integrate_double(_k12_coupling, cz, cw, z_factor=a, w_factor=b)
+    whole, ewhole = ct.integrate_double(lambda z, w: a(z) * _k12_coupling(z, w) * b(w), cz, cw)
+    assert abs(fac - whole) <= efac + ewhole
+    assert abs(fac + 1.0) <= efac
+
+
+def test_factors_run_once_per_level_on_node_arrays(monkeypatch):
+    cz = ct.Contour([ct.full_circle(0.0, 1.0)])
+    cw = ct.Contour([ct.full_circle(0.0, 0.98)])
+    levels = _levels_by_contour(monkeypatch)
+    shapes = {"z": [], "w": []}
+
+    def recorded(axis, f):
+        def factor(z):
+            shapes[axis].append(np.shape(z))
+            return f(z)
+        return factor
+
+    # the close z = w diagonal makes both contours refine past level 1
+    ct.integrate_double(lambda z, w: 1.0 / (z - w), cz, cw,
+                        z_factor=recorded("z", lambda z: 1.0 + 0.0 * z),
+                        w_factor=recorded("w", lambda w: 1.0 / w))
+    for axis, contour in (("z", cz), ("w", cw)):
+        assert all(len(shape) == 1 for shape in shapes[axis])
+        # one call per level requested, never twice for one level
+        assert len(shapes[axis]) == len(set(shapes[axis])) == len(set(levels[id(contour)]))
+        assert len(shapes[axis]) >= 3
+
+
+def test_nan_factor_fails_at_first_level(monkeypatch):
+    levels = _record_levels(monkeypatch)
+    circ = ct.Contour([ct.full_circle(0.0, 1.0)])
+    with pytest.raises(ct.QuadratureError):
+        ct.integrate_double(lambda z, w: z * w, circ, circ, z_factor=lambda z: z * np.nan)
+    assert levels and max(levels) <= 1

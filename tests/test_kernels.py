@@ -293,3 +293,61 @@ def test_edge_diag_batch_walk_refines_axes_apart(monkeypatch):
     assert z_level < w_level
     comp = kernels.edge_prelimit_components(v, x, v, x, P, N, tol=1e-8)
     assert abs(vals[0] - (comp["I12"] + comp["R12"])) <= err + comp["err"]
+
+
+def test_edge_k12_factors_match_whole_integrand():
+    # the prelimit I12 integrand written whole, with one exp per node pair
+    P, N = ModelParams(0.5, 1.4), 64
+    s, x, t, y = 0.5, 0.1, 1.0, -0.2
+    win = kernels._EdgeWindow(P, N)
+    c, scale = win.c, win.scale
+
+    def f12(z, w):
+        return (scale * (z * w - 1.0) * (z - c) / (z * (z - w) * (z * z - 1.0) * (w - c))
+                * np.exp(win.expo(z, s, x) - win.expo(w, t, y)))
+
+    whole, e = kernels.integrate_double(f12, win.z_contour(s), win.w_contour(t))
+    i12, _, err = win.k12_pieces(s, x, t, y, kernels.DEFAULT_TOL)
+    assert abs(whole - i12) <= e + err
+
+
+def test_geo_k12_factors_match_whole_integrand():
+    # the exact kernel's K12 integrand written whole, six powers per node pair
+    q, c, N, M_u, M_v = 0.4, 0.7, 3, 1, 2
+    u, x, v, y = 1, 2, 2, -1
+    _, rz, rw, _ = kernels.geo_default_radii(q, c, u >= v)
+
+    def f12(z, w):
+        return ((z * w - 1.0) / (z * (z - w) * (z * z - 1.0)) * (z - c) / (w - c)
+                * z ** (-x) * w ** y
+                * (1.0 - q / z) ** (M_u + N) * (1.0 - q / w) ** (-M_v - N)
+                * (1.0 - q * z) ** (-N) * (1.0 - q * w) ** N)
+
+    whole, e = kernels.integrate_double(f12, kernels.Contour([kernels.full_circle(0.0, rz)]),
+                                        kernels.Contour([kernels.full_circle(0.0, rw)]))
+    kv = kernels.kernel_geo(u, x, v, y, ModelParams(q, c), N, M_u, M_v)
+    assert abs(whole - kv.k12) <= e + kv.err
+
+
+@pytest.mark.parametrize("point", [(0.7, 0.2, 1.1, -0.4), (1.3, -0.5, 0.4, 0.8)])
+def test_limit_bulk_antisymmetry_with_per_axis_exponentials(point):
+    sc = ScalingConstantsBulk(0.5)
+    s, x, t, y = point
+    a = kernels.kernel_limit_bulk(s, x, t, y, sc)
+    b = kernels.kernel_limit_bulk(t, y, s, x, sc)
+    assert a.k21 == -b.k12 and b.k21 == -a.k12
+    assert abs(a.k11 + b.k11) <= a.err + b.err
+    assert abs(a.k22 + b.k22) <= a.err + b.err
+
+
+@pytest.mark.parametrize("N", [200, 400])
+def test_edge_diag_batch_converges_at_large_N(N):
+    # the w circle needs level 4 here, as the pointwise I12 does; a batch
+    # capped below the engine's maximum level raised QuadratureError
+    P, v = ModelParams(0.5, 1.4), 0.5
+    xs = [kernels.edge_lattice_point(a, P, N, v)[0] for a in (-1.0, 0.0, 1.0)]
+    vals, err = kernels.edge_k12_diag_batch(xs, P, N, v)
+    win = kernels._EdgeWindow(P, N)
+    for x, val in zip(xs, vals):
+        i12, r12, e = win.k12_pieces(v, x, v, x, 1e-8)
+        assert abs(val - (i12 + r12)) <= err + e
