@@ -36,12 +36,14 @@ def sample_brownian_bridge(a, b, x, y, n_steps, rng, size=1):
     times = np.linspace(a, b, n_steps + 1)
     vals = np.empty((size, n_steps + 1))
     vals[:, 0] = x
+    # one draw per step in step order, the same stream as per-step calls
+    z = rng.standard_normal((n_steps, size))
     for i in range(n_steps):
         t0, t1 = times[i], times[i + 1]
         frac = (t1 - t0) / (b - t0)
         mean = vals[:, i] + frac * (y - vals[:, i])
         var = (t1 - t0) * (b - t1) / (b - t0)
-        vals[:, i + 1] = mean + math.sqrt(max(var, 0.0)) * rng.standard_normal(size)
+        vals[:, i + 1] = mean + math.sqrt(max(var, 0.0)) * z[i]
     vals[:, -1] = y
     return times, vals
 
@@ -101,8 +103,9 @@ def sample_pinned_ensemble(b, y, g, n_steps, rng, max_tries=1000, size=1):
     y is a strictly decreasing vector of even length 2k; g is a grid function
     (length n_steps + 1) or None.  k independent pinned pairs are drawn and
     accepted iff B_{2i} > B_{2i+1} on the interior grid (with B_{2k+1} = g).
-    Returns (times, samples, acceptance_rate) with samples of shape
-    (size, 2k, n_steps + 1).
+    Each pass draws as many candidates as samples are still missing, capped
+    by what is left of the budget of max_tries candidates.  Returns (times,
+    samples, acceptance_rate) with samples of shape (size, 2k, n_steps + 1).
     """
     y = np.asarray(y, dtype=float)
     k2 = len(y)
@@ -114,7 +117,6 @@ def sample_pinned_ensemble(b, y, g, n_steps, rng, max_tries=1000, size=1):
     out = np.empty((size, k2, n_steps + 1))
     tries = 0
     got = 0
-    times = None
     while got < size:
         if tries >= max_tries:
             rate = got / max(tries, 1)
@@ -122,25 +124,19 @@ def sample_pinned_ensemble(b, y, g, n_steps, rng, max_tries=1000, size=1):
                 f"pinned-ensemble rejection got {got}/{size} in {tries} tries",
                 acceptance_rate=rate,
             )
-        tries += 1
-        block = np.empty((k2, n_steps + 1))
-        for i in range(k):
-            times, Q = sample_pinned_pair(b, y[2 * i], y[2 * i + 1], n_steps, rng, 1)
-            block[2 * i : 2 * i + 2] = Q[0]
-        ok = True
-        for i in range(k):
-            # B_{2i} > B_{2i+1} on the open interior (B_{2k+1} = g)
-            lower = block[2 * i + 2] if 2 * i + 2 < k2 else (
-                np.asarray(g) if g is not None else None
-            )
-            if lower is not None and not np.all(block[2 * i + 1][1:-1] > lower[1:-1]):
-                ok = False
-                break
-        if ok:
-            out[got] = block
-            got += 1
-    rate = got / tries
-    return times, out, rate
+        nb = min(size - got, max_tries - tries)
+        tries += nb
+        pairs = [sample_pinned_pair(b, y[2 * i], y[2 * i + 1], n_steps, rng, nb)[1]
+                 for i in range(k)]
+        if g is not None:
+            pairs.append(np.broadcast_to(np.asarray(g, dtype=float), (nb, 1, n_steps + 1)))
+        curves = np.concatenate(pairs, axis=1)
+        # rows 1, 3, ... above rows 2, 4, ... (g last) on the open interior
+        ok = np.all(curves[:, 1:-1:2, 1:-1] > curves[:, 2::2, 1:-1], axis=(1, 2))
+        acc = curves[ok, :k2]
+        out[got : got + len(acc)] = acc
+        got += len(acc)
+    return np.linspace(0.0, b, n_steps + 1), out, got / max(tries, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,12 @@ class BoundsError(IndexError):
 
 
 class ResourceError(RuntimeError):
-    """Instance too large for the exhaustive oracle."""
+    """Instance too large: the exhaustive oracle's cell cap, or RSK prefix
+    sums that would overflow their int32 storage."""
 
 
 BRUTE_FORCE_CELL_CAP = 16
+_DRAW_SLAB = 1 << 16  # uniforms drawn per slab by sample_weights_batch
 
 
 # ---------------------------------------------------------------------------
@@ -36,11 +38,17 @@ def geometric_icdf(u, alpha):
 
     alpha = 0 degenerates to the zero distribution.  u = 0, which
     rng.random() can return, is read as 2^-53, its smallest positive value.
+    Returns int64 values shaped like u (a scalar for a scalar); u is left
+    untouched.
     """
     u = np.asarray(u)
     if alpha == 0.0:
         return np.zeros(u.shape, dtype=np.int64)
-    return np.floor(np.log(np.maximum(u, 2.0 ** -53)) / np.log(alpha)).astype(np.int64)
+    x = np.maximum(u, 2.0 ** -53, out=np.empty(u.shape))
+    np.log(x, out=x)
+    np.divide(x, np.log(alpha), out=x)
+    np.floor(x, out=x)
+    return x.astype(np.int64)[()]
 
 
 def sample_weights_batch(m, n, params, rng, size):
@@ -50,11 +58,16 @@ def sample_weights_batch(m, n, params, rng, size):
     if not isinstance(params, ModelParams):
         params = ModelParams(*params)
     q, c = params.q, params.c
-    w = geometric_icdf(rng.random((size, m, n)), q * q)
+    w = np.empty((size, m, n), dtype=np.int64)
     r = min(m, n)
-    # mirror the r x r block where both (i,j) and (j,i) are visible
-    iu = np.triu_indices(r, k=1)
-    w[:, iu[1], iu[0]] = w[:, iu[0], iu[1]]
+    below = np.tri(r, k=-1, dtype=bool)
+    # whole samples a slab at a time: the stream of one (size, m, n) draw
+    step = max(1, _DRAW_SLAB // (m * n))
+    for s in range(0, size, step):
+        blk = w[s : s + step]
+        blk[...] = geometric_icdf(rng.random(blk.shape), q * q)
+        # mirror the r x r block where both (i,j) and (j,i) are visible
+        np.copyto(blk[:, :r, :r], blk[:, :r, :r].transpose(0, 2, 1), where=below)
     d = np.arange(r)
     w[:, d, d] = geometric_icdf(rng.random((size, r)), c * q)
     return w
@@ -103,36 +116,30 @@ def lpp_g1(W, m, n):
 
 
 # ---------------------------------------------------------------------------
-# RSK row insertion on count vectors
+# RSK row insertion on prefix sums
 # ---------------------------------------------------------------------------
 #
-# Tableau rows are stored as count vectors over the alphabet 1..n, batched over
-# samples: each row is a (B, n) int64 array, entry [b, v] the multiplicity of
-# letter v+1.  Inserting a weakly increasing word with counts a into a row with
-# counts r bumps, for each letter value v in increasing order, the smallest
-# remaining entries larger than v.  Writing A[u] = sum_{v<u} a[v] and
-# R[u] = sum_{v<=u} r[v], the cumulative bumped count satisfies the scan
+# Tableau rows live over the alphabet 1..n, batched over samples: row k is a
+# (B, n) int32 array R, R[b, u] the number of letters <= u+1 in the row.
+# Inserting a weakly increasing word with inclusive prefix sums C bumps, for
+# each letter v in increasing order, the smallest entries larger than v.
+# With A[u] = C[u-1] (A[0] = 0) the bumped word's prefix sums solve
 #     B[u] = min(B[u-1] + r[u], A[u]),   B[-1] = 0,
-# whose solution is B[u] = R[u] + min(0, min_{v<=u}(A[v] - R[v])).
+# that is B = R + M with M[u] = min_{v<=u}(A[v] - R[v]) <= A[0] - R[0] <= 0,
+# and the row becomes R - B + C = C - M.  All of these are bounded by the
+# sample's number of inserted letters, which is checked once per word.
 
-
-def _insert_into_row(row, incoming):
-    """One multiset row insertion step; returns (new_row, bumped) counts."""
-    A = np.zeros_like(incoming)
-    A[:, 1:] = np.cumsum(incoming, axis=1)[:, :-1]
-    R = np.cumsum(row, axis=1)
-    runmin = np.minimum(np.minimum.accumulate(A - R, axis=1), 0)
-    B = R + runmin
-    bumped = np.diff(B, axis=1, prepend=0)
-    return row - bumped + incoming, bumped
+_INT32_MAX = int(np.iinfo(np.int32).max)
 
 
 class RSKTableau:
     """Batched semistandard tableau built by multiset row insertion.
 
-    Tracks at most max_rows tableau rows; bumping out of the last tracked row
-    is discarded, which leaves the tracked rows (hence the first max_rows
-    parts of the shape) exact.
+    Tracks at most max_rows rows, each as its (batch, n) int32 prefix sum;
+    bumping out of the last tracked row is discarded, which leaves the
+    tracked rows (hence the first max_rows parts of the shape) exact.
+    insert_counts raises ResourceError when a sample's inserted letters,
+    which bound every prefix sum, would pass 2^31 - 1.
     """
 
     def __init__(self, batch, n, max_rows):
@@ -140,23 +147,40 @@ class RSKTableau:
         self.n = n
         self.max_rows = max_rows
         self.rows = []
+        self._letters = np.zeros(batch, dtype=np.int64)
+        self._word = np.empty((batch, n), dtype=np.int64)
+        self._scratch = (np.empty((batch, n), dtype=np.int32),
+                         np.empty((batch, n), dtype=np.int32))
 
     def insert_counts(self, counts):
-        incoming = np.ascontiguousarray(counts, dtype=np.int64)
-        for k in range(len(self.rows)):
-            if not incoming.any():
-                return
-            self.rows[k], incoming = _insert_into_row(self.rows[k], incoming)
-        while incoming.any() and len(self.rows) < self.max_rows:
-            row = np.zeros((self.batch, self.n), dtype=np.int64)
-            self.rows.append(row)
-            self.rows[-1], incoming = _insert_into_row(row, incoming)
+        """Insert one weakly increasing word per sample, given as (batch, n)
+        letter counts."""
+        word = np.cumsum(counts, axis=1, out=self._word)
+        letters = self._letters + word[:, -1]
+        if letters.max(initial=0) > _INT32_MAX:
+            raise ResourceError(f"{letters.max()} RSK letters pass the int32 limit")
+        self._letters = letters
+        C, M = self._scratch
+        np.copyto(C, word, casting="same_kind")
+        for k, R in enumerate(self.rows):
+            if not C[:, -1].any():
+                break
+            np.subtract(0, R[:, 0], out=M[:, 0])  # numpy 2.4 np.negative drops this stride
+            np.subtract(C[:, :-1], R[:, 1:], out=M[:, 1:])
+            np.minimum.accumulate(M, axis=1, out=M)
+            C -= M  # the new row
+            R += M  # the bumped word
+            self.rows[k], C = C, R
+        if len(self.rows) < self.max_rows and C[:, -1].any():
+            self.rows.append(C)
+            C = np.empty_like(M)
+        self._scratch = C, M
 
     def shape(self):
-        """(batch, max_rows) array of row lengths (trailing rows zero)."""
+        """(batch, max_rows) int64 array of row lengths (trailing rows zero)."""
         out = np.zeros((self.batch, self.max_rows), dtype=np.int64)
-        for k, row in enumerate(self.rows):
-            out[:, k] = row.sum(axis=1)
+        for k, R in enumerate(self.rows):
+            out[:, k] = R[:, -1]
         return out
 
 

@@ -21,45 +21,46 @@ def skew_symmetrize(A, tol=1e-10):
     return 0.5 * (A - A.T)
 
 
-def pfaffian(A, overwrite=False):
-    """Pf(A) by skew-symmetric elimination with partial pivoting.
-
-    Works for real or complex A of even dimension; log-magnitude tracking
-    keeps the running product safe from overflow, and the final value is
-    reassembled from magnitude and phase.
-    """
+def slogpf(A, overwrite=False):
+    """(phase, logabs) with Pf(A) = phase * exp(logabs), as slogdet splits
+    det; Pf(A) = 0 gives (0, -inf).  Skew-symmetric elimination with partial
+    pivoting, for real or complex A of even dimension."""
     A = np.array(A, dtype=complex, copy=not overwrite)
     n = A.shape[0]
     if A.shape[0] != A.shape[1]:
         raise ShapeError("matrix must be square")
     if n % 2 != 0:
         raise ShapeError("Pfaffian needs even dimension")
-    if n == 0:
-        return 1.0 + 0.0j
-    log_mag = 0.0
+    logabs = 0.0
     phase = 1.0 + 0.0j
     for k in range(0, n - 1, 2):
         # pivot: largest |A[j, k]| for j > k
         col = np.abs(A[k + 1 :, k])
         j = int(np.argmax(col)) + k + 1
         if col[j - k - 1] == 0.0:
-            return 0.0 + 0.0j
+            return 0.0 + 0.0j, -math.inf
         if j != k + 1:
             A[[k + 1, j], :] = A[[j, k + 1], :]
             A[:, [k + 1, j]] = A[:, [j, k + 1]]
             phase = -phase
         piv = A[k + 1, k]
-        log_mag += math.log(abs(piv))
+        logabs += math.log(abs(piv))
         phase *= -piv / abs(piv)  # Pf contribution is A[k, k+1] = -A[k+1, k]
         if k + 2 < n:
             tail = slice(k + 2, n)
             u = A[tail, k] / piv
             v = A[tail, k + 1]  # column k+1, i.e. -A[k+1, tail]
             A[tail, tail] += np.outer(u, v) - np.outer(v, u)
-    if log_mag > 700.0:
-        raise OverflowError(f"|Pf| = e^{log_mag:.1f} overflows float range")
-    val = phase * math.exp(log_mag)
-    return val
+    return phase, logabs
+
+
+def pfaffian(A, overwrite=False):
+    """Pf(A) = phase * exp(logabs) from slogpf: raises OverflowError past
+    e^700 and underflows to 0 below about e^-745."""
+    phase, logabs = slogpf(A, overwrite)
+    if logabs > 700.0:
+        raise OverflowError(f"|Pf| = e^{logabs:.1f} overflows float range")
+    return phase * math.exp(logabs)
 
 
 def pfaffian_expansion(A):

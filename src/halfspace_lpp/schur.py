@@ -37,11 +37,6 @@ def trim(lam):
     return lam
 
 
-def is_partition(lam):
-    lam = tuple(lam)
-    return all(a >= b for a, b in zip(lam, lam[1:])) and all(a >= 0 for a in lam)
-
-
 def interlaces(mu, lam):
     """True iff mu precedes lam: lam_1 >= mu_1 >= lam_2 >= mu_2 >= ..."""
     mu, lam = trim(mu), trim(lam)
@@ -149,12 +144,6 @@ def sample_schur_process_batch(N, M, params, rng, size, max_rows=None):
     return lambda_process_batch(W, N, M, max_curves=max_rows)
 
 
-def sample_schur_process(N, M, params, rng):
-    """One draw: list of partitions (lambda^0, ..., lambda^M)."""
-    arr = sample_schur_process_batch(N, M, params, rng, 1)[0]
-    return [trim(arr[:, j]) for j in range(M + 1)]
-
-
 def conditional_ratio_check(seq_a, seq_b, q, c):
     """Weight ratio of two sequences sharing the final partition, against the
     closed form c^(delta alt) * q^(-delta sum) of the time-M conditional law.
@@ -249,29 +238,51 @@ def enumerate_schur_support(N, M, q, c, weight_cutoff):
 # interacting-pair partition function: series form
 # ---------------------------------------------------------------------------
 
-def _log_h(r, T1):
-    """log of the complete homogeneous sum h_r in T1 unit variables,
-    i.e. log C(T1 + r - 1, r); -inf for r < 0."""
-    if r < 0:
-        return -math.inf
-    if r == 0 or T1 == 0:
-        return 0.0 if r == 0 else -math.inf
-    return math.lgamma(T1 + r) - math.lgamma(r + 1) - math.lgamma(T1)
+def _log_h(r, T1, lg):
+    """log h_r = log C(T1 + r - 1, r), the complete homogeneous sum in T1
+    unit variables, for an int array r (-inf where r < 0), read from the
+    table lg[k] = lgamma(k)."""
+    r = np.asarray(r)
+    rr = np.maximum(r, 0)
+    with np.errstate(invalid="ignore"):
+        out = lg[T1 + rr] - lg[rr + 1] - lg[T1]
+    return np.where(r > 0, out, np.where(r == 0, 0.0, -np.inf))
 
 
-def _log_jacobi_trudi(T1, a, b, ap, bp):
-    """log(h_a h_b - h_ap h_bp), the interlacing-pair path count, with the
-    guarantee h_a h_b >= h_ap h_bp.  Returns -inf when the count is zero."""
-    la = _log_h(a, T1) + _log_h(b, T1)
-    lb = _log_h(ap, T1) + _log_h(bp, T1)
-    if la == -math.inf:
-        return -math.inf
-    if lb == -math.inf:
-        return la
-    if lb >= la:
-        return -math.inf
-    diff = -math.expm1(lb - la)
-    return la + math.log(diff) if diff > 0.0 else -math.inf
+def _lgamma_upto(lg, top):
+    """The table lg[k] = lgamma(k) (lg[0] = inf), grown to reach index top."""
+    if len(lg) > top:
+        return lg
+    return np.append(lg, [math.lgamma(k) for k in range(max(len(lg), 1), 2 * top + 1)])
+
+
+def _pair_block(T1, delta, n, q, c, lg):
+    """Block n of the interacting-pair sum and the envelope of the rest.
+
+    Returns (d, log w, log p1, log p2, rho).  The terms have x2 = y2 - n,
+    x1 = x2 + d for d = 0..delta+n (d = 0 only when c = 0) with a nonzero
+    path count, and log w = (delta+2n-d) log q + d log c + log(h_a h_b -
+    h_ap h_bp), a = delta+n-d, b = n, ap = delta+n+1, bp = n-d-1.  The
+    blocks past n sum to at most (p1 + p2) / (1 - rho) when rho < 1.  The
+    table lg must reach T1 + delta + n + 2.
+    """
+    lq, lc = math.log(q), (math.log(c) if c > 0 else -math.inf)
+    d = np.arange(delta + n + 1 if c > 0 else 1)
+    h_n, h_ap = _log_h([n, delta + n + 1], T1, lg)
+    la = _log_h(delta + n - d, T1, lg) + h_n
+    lb = h_ap + _log_h(n - d - 1, T1, lg)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diff = -np.expm1(lb - la)
+        lw = (delta + 2 * n - d) * lq + (d * lc if c > 0 else 0.0) + (la + np.log(diff))
+    keep = diff > 0.0
+    # envelope (delta+n+2) h_{delta+n+1}^2 (q^{delta+2n+2} + (cq)^{n+1} c^delta)
+    lpre = math.log(delta + n + 2)
+    p1 = lpre + 2.0 * h_ap + (delta + 2 * (n + 1)) * lq
+    p2 = lpre + 2.0 * h_ap + (n + 1) * (lq + lc) + delta * lc if c > 0 else -math.inf
+    x = ((T1 + delta + n + 1) / (delta + n + 2)) ** 2
+    rho = max(q * q * x * (delta + n + 3) / (delta + n + 2),
+              c * q * x * (delta + n + 3) / (delta + n + 2) if c > 0 else 0.0)
+    return d[keep], lw[keep], p1, p2, rho
 
 
 def pair_path_count(T1, y, x):
@@ -301,37 +312,16 @@ def partition_fn_series(T1, y, params, tol=1e-12, max_terms=100000):
     if y1 < y2:
         raise ParameterError("need y1 >= y2")
     delta = y1 - y2
-    lq, lc = math.log(q), (math.log(c) if c > 0 else -math.inf)
-
+    lg = np.array([math.inf])
     total = 0.0
     n = 0
     while True:
+        lg = _lgamma_upto(lg, T1 + delta + n + 2)
+        _, lw, p1, p2, rho = _pair_block(T1, delta, n, q, c, lg)
         block = 0.0
-        d_hi = delta + n if c > 0 else 0
-        for d in range(0, d_hi + 1):
-            lw = (delta + 2 * n - d) * lq + (d * lc if d else 0.0)
-            lcount = _log_jacobi_trudi(T1, delta + n - d, n, delta + n + 1, n - d - 1)
-            if lcount > -math.inf:
-                block += math.exp(lw + lcount)
+        for v in lw.tolist():
+            block += math.exp(v)
         total += block
-        # envelope pieces: (delta+n+1) h_{delta+n}^2 (q^{delta+2n} + (cq)^n c^delta)
-        lh2 = 2.0 * _log_h(delta + n + 1, T1)
-        lpre = math.log(delta + n + 2)
-        p1 = lpre + lh2 + (delta + 2 * (n + 1)) * lq
-        p2 = (
-            lpre + lh2 + (n + 1) * (lq + lc) + delta * lc
-            if c > 0
-            else -math.inf
-        )
-        rho1 = q * q * ((T1 + delta + n + 1) / (delta + n + 2)) ** 2 * (delta + n + 3) / (
-            delta + n + 2
-        )
-        rho2 = (
-            c * q * ((T1 + delta + n + 1) / (delta + n + 2)) ** 2 * (delta + n + 3) / (delta + n + 2)
-            if c > 0
-            else 0.0
-        )
-        rho = max(rho1, rho2)
         if rho < 1.0:
             tail = (math.exp(p1) + (math.exp(p2) if p2 > -math.inf else 0.0)) / (1.0 - rho)
             if tail <= tol * max(total, 1e-300):
@@ -459,40 +449,27 @@ def origin_law(T1, y, params, tail_tol=1e-10, max_n=200000):
     Marginalizing the uniform conditional paths leaves the mixture weights
     w(x1, x2) = c^{x1-x2} q^{y1+y2-x1-x2} * #paths(x -> y), with the count
     given by the 2x2 Jacobi-Trudi determinant.  Returns (x1, x2, p) arrays
-    with sum(p) >= 1 - tail_tol of the true mass.
+    with sum(p) >= 1 - tail_tol of the true mass, ordered by n = y2 - x2,
+    then by d = x1 - x2.  Each n contributes its whole d-row at once, with
+    the log-gamma terms read from a table of math.lgamma values.
     """
     if not isinstance(params, ModelParams):
         params = ModelParams(*params)
     q, c = params.q, params.c
     y1, y2 = y
     delta = y1 - y2
-    lq, lc = math.log(q), (math.log(c) if c > 0 else -math.inf)
-
-    rows = []  # (n, d, logweight)
+    lg = np.array([math.inf])
+    ns, ds, lws = [], [], []
     log_total = -math.inf
     n = 0
     while True:
-        d_hi = delta + n if c > 0 else 0
-        block = []
-        for d in range(0, d_hi + 1):
-            lcount = _log_jacobi_trudi(T1, delta + n - d, n, delta + n + 1, n - d - 1)
-            if lcount == -math.inf:
-                continue
-            lw = (delta + 2 * n - d) * lq + (d * lc if d else 0.0) + lcount
-            block.append((n, d, lw))
-        for item in block:
-            log_total = np.logaddexp(log_total, item[2])
-        rows.extend(block)
-        lh2 = 2.0 * _log_h(delta + n + 1, T1)
-        lpre = math.log(delta + n + 2)
-        p1 = lpre + lh2 + (delta + 2 * (n + 1)) * lq
-        p2 = lpre + lh2 + (n + 1) * (lq + lc) + delta * lc if c > 0 else -math.inf
-        rho = max(
-            q * q * ((T1 + delta + n + 1) / (delta + n + 2)) ** 2 * (delta + n + 3) / (delta + n + 2),
-            (c * q * ((T1 + delta + n + 1) / (delta + n + 2)) ** 2 * (delta + n + 3) / (delta + n + 2))
-            if c > 0
-            else 0.0,
-        )
+        lg = _lgamma_upto(lg, T1 + delta + n + 2)
+        d, lw, p1, p2, rho = _pair_block(T1, delta, n, q, c, lg)
+        if lw.size:
+            log_total = np.logaddexp(log_total, np.logaddexp.reduce(lw))
+        ns.append(np.full(lw.size, n))
+        ds.append(d)
+        lws.append(lw)
         if rho < 1.0 and n > 0:
             ltail = np.logaddexp(p1, p2) - math.log1p(-rho)
             if ltail < log_total + math.log(tail_tol):
@@ -501,12 +478,9 @@ def origin_law(T1, y, params, tail_tol=1e-10, max_n=200000):
         if n > max_n:
             raise AccuracyError("origin law truncation did not converge")
 
-    ns = np.array([r[0] for r in rows])
-    ds = np.array([r[1] for r in rows])
-    lws = np.array([r[2] for r in rows])
-    p = np.exp(lws - log_total)
-    x2 = y2 - ns
-    x1 = x2 + ds
+    p = np.exp(np.concatenate(lws) - log_total)
+    x2 = y2 - np.concatenate(ns)
+    x1 = x2 + np.concatenate(ds)
     return x1, x2, p
 
 

@@ -113,3 +113,27 @@ def test_discrete_to_pinned_sweep(rng):
         for rep_d in (rep.gap_tv, rep.sum_ks, rep.top_ks)
     )
     assert decreasing >= 2
+
+
+def test_pinned_ensemble_blocks_fill_exactly(rng):
+    y = [1.5, 0.75, -0.75, -1.5]
+    g = np.full(33, -2.2)
+    times, samp, rate = bridges.sample_pinned_ensemble(1.0, y, g, 32, rng,
+                                                       max_tries=5000, size=120)
+    assert samp.shape == (120, 4, 33) and len(times) == 33
+    assert np.all(np.isfinite(samp))
+    assert np.all(samp[:, 0, 0] == samp[:, 1, 0])
+    assert np.all(samp[:, 1, 1:-1] > samp[:, 2, 1:-1])
+    assert np.all(samp[:, 3, 1:-1] > g[1:-1])
+    assert 0.0 < rate < 1.0
+    _, none, _ = bridges.sample_pinned_ensemble(1.0, y, g, 32, rng, size=0)
+    assert none.shape == (0, 4, 33)
+
+
+def test_pinned_ensemble_budget_counts_candidates(rng):
+    with pytest.raises(bridges.RejectionError) as info:
+        bridges.sample_pinned_ensemble(1.0, [0.02, 0.01, -0.01, -0.02], None, 64,
+                                       rng, size=50, max_tries=40)
+    # the budget counts candidates: 40 were drawn, and at these gaps almost none pass
+    assert info.value.acceptance_rate <= 1.0 / 40
+    assert "in 40 tries" in str(info.value)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -155,3 +156,31 @@ def test_env_values_parse_like_set_flags():
     assert cfg["q"] is True
     assert cfg["c"] is None
     assert cfg["out"] == "runs2"
+
+
+# SHA-256 of the archives these runs wrote before the sampler layer moved to
+# prefix-sum RSK rows and in-place geometric draws; a fixed (config, seed)
+# must keep writing the same bytes.
+PINNED_ARCHIVES = {
+    ("simulate-lpp", "lpp_curves.csv"):
+        "0c83da26e204a2fcc03d82b7ae650bf58e967719bd33e9175a1aeb581800424f",
+    ("simulate-lpp", "lpp_scaled.csv"):
+        "8e47ba2cef724aff7309ed3153a2974be433f9aaecc952fca93d70b9735ffe5c",
+    ("simulate-schur", "schur_curves.csv"):
+        "41cc210f78bd091427706287eb9f6d49f9793e1f80f1ec9efc41db1044c2f399",
+}
+
+
+def test_fixed_seed_archives_keep_their_digests(tmp_path):
+    sets = {
+        "simulate-lpp": ["N=20", "M=30", "samples=50", "n_curves=2", "q=0.5", "c=1.2"],
+        "simulate-schur": ["N=3", "M=2", "samples=2000", "q=0.5", "c=0.8"],
+    }
+    for command, kv in sets.items():
+        argv = [command, "--out", str(tmp_path / command), "--seed", "4242"]
+        for item in kv:
+            argv += ["--set", item]
+        assert run(argv) == 0
+    for (command, name), digest in PINNED_ARCHIVES.items():
+        data = (tmp_path / command / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name

@@ -97,17 +97,16 @@ def test_bruteforce_examples():
 
 
 def test_rsk_matches_bruteforce(rng):
-    for _ in range(25):
-        m = int(rng.integers(1, 5))
-        n = int(rng.integers(1, 5))
-        if m * n > 12:
-            continue
-        W = rng.integers(0, 6, size=(m, n))
-        lam = lpp.rsk_shape(W, m, n)
-        lam = lam + (0,) * (min(m, n) - len(lam))
-        pre = np.cumsum(lam)
-        for k in range(1, min(m, n) + 1):
-            assert lpp.lpp_gk_bruteforce(W, m, n, k) == pre[k - 1]
+    # every grid with m*n <= 12, sparse and dense weights
+    for m in range(1, 13):
+        for n in range(1, 12 // m + 1):
+            for hi in (2, 6):
+                W = rng.integers(0, hi, size=(m, n))
+                lam = lpp.rsk_shape(W, m, n)
+                lam = lam + (0,) * (min(m, n) - len(lam))
+                pre = np.cumsum(lam)
+                for k in range(1, min(m, n) + 1):
+                    assert lpp.lpp_gk_bruteforce(W, m, n, k) == pre[k - 1]
 
 
 def test_lambda_process_invariants(rng):
@@ -188,3 +187,66 @@ def test_geometric_icdf_at_zero():
             w0 = lpp.geometric_icdf(0.0, alpha)
             assert w0 == lpp.geometric_icdf(2.0 ** -53, alpha)
         assert 0 <= w0 < 200
+
+
+def _insert_into_row_counts(row, incoming):
+    """Count-vector row insertion, kept here as the reference for the
+    prefix-sum tableau."""
+    A = np.zeros_like(incoming)
+    A[:, 1:] = np.cumsum(incoming, axis=1)[:, :-1]
+    R = np.cumsum(row, axis=1)
+    B = R + np.minimum(np.minimum.accumulate(A - R, axis=1), 0)
+    bumped = np.diff(B, axis=1, prepend=0)
+    return row - bumped + incoming, bumped
+
+
+def test_rsk_prefix_sums_match_count_insertion():
+    rng = np.random.default_rng(2024)
+    for _ in range(40):
+        B, m, n = (int(v) for v in rng.integers(1, 9, size=3))
+        max_rows = int(rng.integers(1, n + 2))
+        words = rng.geometric(rng.uniform(0.2, 0.9), size=(m, B, n)) - 1
+        tab = lpp.RSKTableau(B, n, max_rows)
+        rows = []
+        for word in words:
+            tab.insert_counts(word)
+            incoming = word.astype(np.int64)
+            for k in range(len(rows)):
+                rows[k], incoming = _insert_into_row_counts(rows[k], incoming)
+            if incoming.any() and len(rows) < max_rows:
+                rows.append(incoming)
+            assert len(tab.rows) == len(rows)
+            for R, row in zip(tab.rows, rows):
+                assert R.dtype == np.int32
+                assert np.array_equal(R, np.cumsum(row, axis=1))
+        shape = tab.shape()
+        assert shape.dtype == np.int64
+        ref = np.zeros((B, max_rows), dtype=np.int64)
+        for k, row in enumerate(rows):
+            ref[:, k] = row.sum(axis=1)
+        assert np.array_equal(shape, ref)
+
+
+def test_rsk_int32_guard():
+    tab = lpp.RSKTableau(2, 2, 1)
+    tab.insert_counts(np.array([[2 ** 30, 2 ** 30 - 1], [0, 1]]))
+    assert tab.shape().tolist() == [[2 ** 31 - 1], [1]]
+    with pytest.raises(lpp.ResourceError):
+        tab.insert_counts(np.array([[1, 0], [0, 0]]))
+    # the refused word leaves the tableau as it was
+    assert tab.shape().tolist() == [[2 ** 31 - 1], [1]]
+    with pytest.raises(lpp.ResourceError):
+        lpp.RSKTableau(1, 1, 1).insert_counts(np.array([[2 ** 40]]))
+
+
+def test_geometric_icdf_input_untouched_and_scalar():
+    u = np.random.default_rng(8).random((4, 5))
+    u[0, 0] = 0.0
+    before = u.copy()
+    w = lpp.geometric_icdf(u, 0.36)
+    assert np.array_equal(u, before)
+    assert w.dtype == np.int64 and w.shape == u.shape
+    for (i, j), v in np.ndenumerate(u):
+        s = lpp.geometric_icdf(v, 0.36)
+        assert np.ndim(s) == 0 and s == w[i, j]
+    assert lpp.geometric_icdf(0.5, 0.0) == 0

@@ -7,6 +7,7 @@ from halfspace_lpp.pfaffian import (
     pfaffian,
     pfaffian_expansion,
     skew_symmetrize,
+    slogpf,
 )
 
 
@@ -92,3 +93,23 @@ def test_correlation_fn_duplicated_point_vanishes():
 
     rho, _ = correlation_fn([(0, 0), (0, 0)], ev)
     assert abs(rho) < 1e-12
+
+
+def test_slogpf_scaling_past_underflow(rng):
+    for n in (2, 8, 16, 32, 64):
+        M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        M = M - M.T
+        phase, logabs = slogpf(M)
+        assert abs(abs(phase) - 1.0) < 1e-12
+        assert abs(phase * np.exp(logabs) - pfaffian(M)) < 1e-12 * np.exp(logabs)
+        for s in (1e-3, 1e-40, 1e3):
+            ph_s, la_s = slogpf(s * M)
+            # Pf(sA) = s^{n/2} Pf(A)
+            assert abs(la_s - (logabs + 0.5 * n * np.log(s))) < 1e-9 * max(1.0, abs(la_s))
+            assert abs(ph_s - phase) < 1e-9
+            if la_s < -746.0:
+                assert pfaffian(s * M) == 0.0  # the value form underflows
+            elif abs(la_s) < 700.0:
+                assert abs(pfaffian(s * M) - s ** (n // 2) * pfaffian(M)) < 1e-9 * np.exp(la_s)
+    assert slogpf(np.zeros((4, 4))) == (0.0, -np.inf)
+    assert slogpf(np.zeros((0, 0))) == (1.0, 0.0)

@@ -197,3 +197,78 @@ def test_origin_exact_sampler(rng):
     target = (0.8 / 0.6) / (13.0 / 6.0)
     emp = np.mean(X1 == 1)
     assert abs(emp - target) < 4 * math.sqrt(target * (1 - target) / 50000)
+
+
+def _log_h(r, T1):
+    if r < 0:
+        return -math.inf
+    if r == 0 or T1 == 0:
+        return 0.0 if r == 0 else -math.inf
+    return math.lgamma(T1 + r) - math.lgamma(r + 1) - math.lgamma(T1)
+
+
+def _log_jacobi_trudi(T1, a, b, ap, bp):
+    """Scalar log(h_a h_b - h_ap h_bp); -inf when the count is zero."""
+    la = _log_h(a, T1) + _log_h(b, T1)
+    lb = _log_h(ap, T1) + _log_h(bp, T1)
+    if la == -math.inf:
+        return -math.inf
+    if lb == -math.inf:
+        return la
+    if lb >= la:
+        return -math.inf
+    diff = -math.expm1(lb - la)
+    return la + math.log(diff) if diff > 0.0 else -math.inf
+
+
+def _origin_law_scalar(T1, y, params, tail_tol=1e-10):
+    """The per-(n, d) loop that origin_law replaced, kept as its reference.
+
+    It normalizes with math.fsum: a running logaddexp over a million terms
+    drifts by about 4e-11 relative, more than the rows differ."""
+    q, c = params.q, params.c
+    delta = y[0] - y[1]
+    lq, lc = math.log(q), (math.log(c) if c > 0 else -math.inf)
+    rows = []
+    log_total = -math.inf
+    n = 0
+    while True:
+        block = []
+        for d in range(0, (delta + n if c > 0 else 0) + 1):
+            lcount = _log_jacobi_trudi(T1, delta + n - d, n, delta + n + 1, n - d - 1)
+            if lcount > -math.inf:
+                block.append((n, d, (delta + 2 * n - d) * lq + (d * lc if d else 0.0) + lcount))
+        if block:
+            top = max(b[2] for b in block)
+            lb = top + math.log(math.fsum(math.exp(b[2] - top) for b in block))
+            log_total = max(log_total, lb) + math.log1p(math.exp(-abs(log_total - lb)))
+        rows.extend(block)
+        lh2 = 2.0 * _log_h(delta + n + 1, T1)
+        lpre = math.log(delta + n + 2)
+        p1 = lpre + lh2 + (delta + 2 * (n + 1)) * lq
+        p2 = lpre + lh2 + (n + 1) * (lq + lc) + delta * lc if c > 0 else -math.inf
+        g = ((T1 + delta + n + 1) / (delta + n + 2)) ** 2 * (delta + n + 3) / (delta + n + 2)
+        rho = max(q * q * g, c * q * g if c > 0 else 0.0)
+        if rho < 1.0 and n > 0:
+            ltail = np.logaddexp(p1, p2) - math.log1p(-rho)
+            if ltail < log_total + math.log(tail_tol):
+                break
+        n += 1
+    lw = np.array([r[2] for r in rows])
+    top = lw.max()
+    p = np.exp(lw - top)
+    p /= math.fsum(p)
+    x2 = y[1] - np.array([r[0] for r in rows])
+    return x2 + np.array([r[1] for r in rows]), x2, p
+
+
+@pytest.mark.parametrize("T1, y, c", [(3, (2, 0), 0.8), (100, (114, 86), 0.3),
+                                      (400, (428, 372), 0.3)])
+def test_origin_law_matches_scalar_loop(T1, y, c):
+    P = ModelParams(0.5, c)
+    x1, x2, p = schur.origin_law(T1, y, P)
+    r1, r2, rp = _origin_law_scalar(T1, y, P)
+    assert np.array_equal(x1, r1) and np.array_equal(x2, r2)
+    # subnormal probabilities carry fewer digits than 1e-12
+    np.testing.assert_allclose(p, rp, rtol=1e-12, atol=1e-300)
+    assert abs(math.fsum(p) - 1.0) < 1e-12
