@@ -28,6 +28,18 @@ mass stays sum_ij |dz_i a_i| |F_ij| |b_j dw_j|, the L1 mass of the whole
 integrand, so the split moves no threshold.  A factor with one column per
 point batches integrals over the same nodes, accepted over all points.
 
+The pair sums run in tiles of whole rows: at most 2^15 node pairs for
+scalar weights, whose two complex and one real tile buffers (about 1.25
+MB) stay in a core's L2 cache, and 2^19 for batched weights, whose matrix
+product packs the w weights once per tile.  The buffers are allocated once
+per sum and reused from tile to tile.  A coupling that calls
+pair_buffers(z, w) writes into them: the first such call in a tile gets
+that tile's buffers, any other call (outside the engine, or a second
+coupling in the same tile) gets fresh arrays, so no result aliases
+another.  The engine consumes a coupling's result before the next tile, so
+F must not keep it.  Each tile leaves its row sums; the rows are summed
+against the z weights once, in row order, so reruns are byte-identical.
+
 Pieces carry an optional geometric panel grading toward one endpoint for
 integrands with a short internal scale (steepest-descent wedges near a
 critical point).  Circles alone use the doubling trapezoid rule
@@ -37,6 +49,7 @@ pole on the contour.
 """
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -333,9 +346,17 @@ def integrate_circle(f, radius, center=0.0, tol=1e-12, n0=64, nmax=1 << 17):
                           partial=prev)
 
 
-_CHUNK_ELEMENTS = 1 << 22  # bound on tensor block size, keeps memory flat
+_TILE_PAIRS = 1 << 15  # scalar weights: a tile's three buffers fit in L2
+_BATCH_TILE_PAIRS = 1 << 19  # (n, P) weights: GEMM-bound, larger tiles pack V less
+# numpy's ufunc buffer while a tile is evaluated: under the default 8192
+# elements, a (rows, 1) column broadcast against a (1, m) row is copied
+# through the buffer whenever m is below about 2048, which makes each
+# elementwise pass over a tile about 3x slower
+_UFUNC_BUFSIZE = 256
 _DOUBLE_MAX_LEVEL = 6
 _SINGLE_MAX_LEVEL = 9
+
+_tile = threading.local()  # .lent: the current tile's (out, tmp), or None
 
 
 def _weights(contour, level, factor):
@@ -346,19 +367,48 @@ def _weights(contour, level, factor):
     return z, (wz[:, None] if np.ndim(f) == 2 else wz) * f
 
 
+def pair_buffers(z, w):
+    """Two arrays (out, tmp) of the broadcast shape of z and w for a
+    coupling to write into, complex for the engine's nodes.  While _block_sums evaluates a tile, the first
+    call with the tile's shape gets the engine's buffers for that tile;
+    every other call gets two fresh arrays, so no result aliases another."""
+    shape = np.broadcast(z, w).shape
+    lent = getattr(_tile, "lent", None)
+    if lent is not None and lent[0].shape == shape:
+        _tile.lent = None
+        return lent
+    dtype = np.result_type(z, w, 1.0)
+    return np.empty(shape, dtype), np.empty(shape, dtype)
+
+
 def _block_sums(F, z, U, w, V):
     """sum_ij U_i F(z_i, w_j) V_j and its sum of absolute values (per point
-    for (n, P) weights), with F evaluated in row blocks of bounded size."""
-    rows = max(1, _CHUNK_ELEMENTS // max(len(w), 1))
-    total = np.zeros(U.shape[1:], dtype=complex)
-    mass = np.zeros(U.shape[1:])
+    for (n, P) weights).  F is evaluated tile by tile in buffers allocated
+    once per call and lent to the coupling through pair_buffers; each tile
+    leaves its row sums sum_j F_ij V_j and sum_j |F_ij| |V_j|, and the rows
+    are summed against U and |U| once, in row order."""
+    tile = _TILE_PAIRS if U.ndim == 1 else _BATCH_TILE_PAIRS
+    rows = max(1, min(tile // max(len(w), 1), len(z)))
+    out = np.empty((rows, len(w)), dtype=complex)
+    tmp = np.empty_like(out)
+    mag = np.empty(out.shape)
+    row_vals = np.empty(U.shape[:1] + V.shape[1:], dtype=complex)
+    row_mass = np.empty(row_vals.shape)
     absV = np.abs(V)
-    for i0 in range(0, len(z), rows):
-        sl = slice(i0, i0 + rows)
-        vals = F(z[sl, None], w[None, :])
-        total += np.einsum("i...,i...->...", U[sl], vals @ V)
-        mass += np.einsum("i...,i...->...", np.abs(U[sl]), np.abs(vals) @ absV)
-    return total, mass
+    zc, wr = z[:, None], w[None, :]
+    bufsize = np.setbufsize(_UFUNC_BUFSIZE)
+    try:
+        for i0 in range(0, len(z), rows):
+            i1 = min(i0 + rows, len(z))
+            _tile.lent = (out[:i1 - i0], tmp[:i1 - i0])
+            vals = F(zc[i0:i1], wr)
+            np.matmul(vals, V, out=row_vals[i0:i1])
+            np.matmul(np.abs(vals, out=mag[:i1 - i0]), absV, out=row_mass[i0:i1])
+    finally:
+        _tile.lent = None
+        np.setbufsize(bufsize)
+    return (np.einsum("i...,i...->...", U, row_vals),
+            np.einsum("i...,i...->...", np.abs(U), row_mass))
 
 
 def _finite(kind, levels, raw, mass, pref, partial):
@@ -448,7 +498,10 @@ def integrate_double(F, contour_z, contour_w, tol=1e-9, z_factor=None, w_factor=
 
     Each factor takes the 1-D node array of a level, once, and is folded into
     its quadrature weights; only the coupling F, which must broadcast over
-    (z[:, None], w[None, :]), runs on the node pairs, in bounded-size blocks.
+    (z[:, None], w[None, :]), runs on the node pairs, one cache-sized tile
+    of rows at a time.  F may write its result into the engine's tile
+    buffers through pair_buffers; its result is consumed before the next
+    tile, so it must not be kept (module docstring).
     The mass is sum_ij |dz_i a_i| |F_ij| |b_j dw_j|, that of the whole
     integrand.  Each contour's level is doubled on its own, only while its
     doubling moves the value by more than the threshold (up to level 6); the

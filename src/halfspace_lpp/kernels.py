@@ -17,6 +17,11 @@ mass (the edge threshold counts of expected_count_tail).  All logarithms
 are principal branch; on lattice points the total log-coefficients are
 integers, which keeps the assembled integrands single-valued across the cut.
 
+Each coupling writes into the engine's tile buffers (contours.pair_buffers)
+with out= ufuncs and in-place operators, in the operation order of its
+plain expression, so its values are bit-identical to that expression and
+a pair sum allocates nothing per tile.
+
 The tail counts expected_count_tail sum the K12 integrands over the levels
 above a as geometric series.  In the edge window the summed double integral
 takes its own z contour: near the threshold level its z exponent is N S1,
@@ -43,6 +48,7 @@ from .contours import (
     full_circle,
     integrate_double,
     integrate_single,
+    pair_buffers,
     truncate_wedge,
     wedge_pieces,
 )
@@ -140,21 +146,53 @@ def g2_edge_d2(z, q, c):
 # ---------------------------------------------------------------------------
 
 def _k12_coupling(z, w):
-    return (z * w - 1.0) / (z - w)
+    """(z w - 1) / (z - w)"""
+    out, tmp = pair_buffers(z, w)
+    np.multiply(z, w, out=out)
+    out -= 1.0
+    out /= np.subtract(z, w, out=tmp)
+    return out
 
 
-def _k11_coupling(z, w):  # also the K22 coupling
-    return (z - w) / (z * w - 1.0)
+def _k11_coupling(z, w):
+    """(z - w) / (z w - 1), also the K22 coupling"""
+    out, tmp = pair_buffers(z, w)
+    np.multiply(z, w, out=tmp)
+    tmp -= 1.0
+    np.subtract(z, w, out=out)
+    out /= tmp
+    return out
 
 
 def _tail_coupling(z, w):
-    d = z - w
-    return (z * w - 1.0) / (d * d)
+    """(z w - 1) / (z - w)^2"""
+    out, tmp = pair_buffers(z, w)
+    np.subtract(z, w, out=tmp)
+    tmp *= tmp
+    np.multiply(z, w, out=out)
+    out -= 1.0
+    out /= tmp
+    return out
+
+
+def _limit_k12_coupling(z, w):
+    """(z + w) / (z - w)"""
+    out, tmp = pair_buffers(z, w)
+    np.add(z, w, out=out)
+    out /= np.subtract(z, w, out=tmp)
+    return out
 
 
 def _mobius(dz, dw):
-    """The coupling ((z + dz) - (w + dw)) / ((z + dz) + (w + dw))."""
-    return lambda z, w: ((z + dz) - (w + dw)) / ((z + dz) + (w + dw))
+    """The coupling ((z + dz) - (w + dw)) / ((z + dz) + (w + dw)), with the
+    shifts taken on the node arrays before they meet."""
+    def coupling(z, w):
+        out, tmp = pair_buffers(z, w)
+        zs, ws = z + dz, w + dw
+        np.subtract(zs, ws, out=out)
+        out /= np.add(zs, ws, out=tmp)
+        return out
+    return coupling
 
 
 # ---------------------------------------------------------------------------
@@ -744,7 +782,7 @@ def _limit_expo(z, f1, s, x):
 def _limit_k12(s, x, t, y, consts, tol):
     f1 = consts.f1
     i12, err = integrate_double(
-        lambda z, w: (z + w) / (z - w),
+        _limit_k12_coupling,
         _limit_wedge(+1.0, s, x, t, y, consts, tol),
         _limit_wedge(-1.0, s, x, t, y, consts, tol), tol,
         lambda z: np.exp(_limit_expo(z, f1, s, x)) / (2.0 * z),

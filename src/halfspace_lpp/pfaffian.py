@@ -11,16 +11,6 @@ class ShapeError(ValueError):
     pass
 
 
-def skew_symmetrize(A, tol=1e-10):
-    """Project onto skew part; raises if the input strays too far."""
-    A = np.asarray(A)
-    scale = max(np.max(np.abs(A)), 1e-300)
-    dev = np.max(np.abs(A + A.T)) / scale
-    if dev > tol:
-        raise ShapeError(f"matrix deviates from skew symmetry by {dev:.2e} relative")
-    return 0.5 * (A - A.T)
-
-
 def slogpf(A, overwrite=False):
     """(phase, logabs) with Pf(A) = phase * exp(logabs), as slogdet splits
     det; Pf(A) = 0 gives (0, -inf).  Skew-symmetric elimination with partial

@@ -451,7 +451,9 @@ def origin_law(T1, y, params, tail_tol=1e-10, max_n=200000):
     given by the 2x2 Jacobi-Trudi determinant.  Returns (x1, x2, p) arrays
     with sum(p) >= 1 - tail_tol of the true mass, ordered by n = y2 - x2,
     then by d = x1 - x2.  Each n contributes its whole d-row at once, with
-    the log-gamma terms read from a table of math.lgamma values.
+    the log-gamma terms read from a table of math.lgamma values.  Raises
+    AccuracyError at the first row whose tail envelope is zero while the
+    total is still zero: then no configuration has mass.
     """
     if not isinstance(params, ModelParams):
         params = ModelParams(*params)
@@ -472,6 +474,8 @@ def origin_law(T1, y, params, tail_tol=1e-10, max_n=200000):
         lws.append(lw)
         if rho < 1.0 and n > 0:
             ltail = np.logaddexp(p1, p2) - math.log1p(-rho)
+            if ltail == log_total == -math.inf:
+                raise AccuracyError("origin law: no configuration has mass")
             if ltail < log_total + math.log(tail_tol):
                 break
         n += 1

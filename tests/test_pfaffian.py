@@ -6,7 +6,6 @@ from halfspace_lpp.pfaffian import (
     correlation_fn,
     pfaffian,
     pfaffian_expansion,
-    skew_symmetrize,
     slogpf,
 )
 
@@ -28,8 +27,6 @@ def test_basic_blocks():
 def test_shape_errors():
     with pytest.raises(ShapeError):
         pfaffian(np.zeros((3, 3)))
-    with pytest.raises(ShapeError):
-        skew_symmetrize(np.eye(4))
 
 
 def test_pf_squared_is_det(rng):

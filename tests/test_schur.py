@@ -272,3 +272,21 @@ def test_origin_law_matches_scalar_loop(T1, y, c):
     # subnormal probabilities carry fewer digits than 1e-12
     np.testing.assert_allclose(p, rp, rtol=1e-12, atol=1e-300)
     assert abs(math.fsum(p) - 1.0) < 1e-12
+
+
+def test_origin_law_without_mass_fails_fast(monkeypatch):
+    # T1 = 0 with y = (1, 0) leaves no path pair, and c = 0 no other term:
+    # the first row with a zero tail envelope must raise
+    rows = []
+    block = schur._pair_block
+
+    def counted(*args):
+        rows.append(args[2])
+        if len(rows) > 10:
+            raise RuntimeError("origin_law kept adding rows without mass")
+        return block(*args)
+
+    monkeypatch.setattr(schur, "_pair_block", counted)
+    with pytest.raises(schur.AccuracyError, match="no configuration has mass"):
+        schur.origin_law(0, (1, 0), ModelParams(0.5, 0.0))
+    assert rows == [0, 1]
