@@ -31,14 +31,17 @@ point batches integrals over the same nodes, accepted over all points.
 The pair sums run in tiles of whole rows: at most 2^15 node pairs for
 scalar weights, whose two complex and one real tile buffers (about 1.25
 MB) stay in a core's L2 cache, and 2^19 for batched weights, whose matrix
-product packs the w weights once per tile.  The buffers are allocated once
-per sum and reused from tile to tile.  A coupling that calls
-pair_buffers(z, w) writes into them: the first such call in a tile gets
-that tile's buffers, any other call (outside the engine, or a second
-coupling in the same tile) gets fresh arrays, so no result aliases
-another.  The engine consumes a coupling's result before the next tile, so
-F must not keep it.  Each tile leaves its row sums; the rows are summed
-against the z weights once, in row order, so reruns are byte-identical.
+product packs the w weights once per tile.  Each thread keeps its tile
+buffers from sum to sum, so a sum allocates and page-faults no tile
+memory; a sum started inside a coupling gets buffers of its own.  A
+coupling that calls pair_buffers(z, w) writes into them: the first such
+call in a tile gets that tile's buffers, any other call (outside the
+engine, or a second coupling in the same tile) gets fresh arrays, so no
+result aliases another.  The engine consumes a coupling's result before
+the next tile, so F must not keep it.  Each tile leaves its row sums; the
+rows are summed against the z weights once, in row order, so reruns are
+byte-identical.  While a tile is evaluated numpy's ufunc buffer is kept
+small (_UFUNC_BUFSIZE), which results do not depend on.
 
 Pieces carry an optional geometric panel grading toward one endpoint for
 integrands with a short internal scale (steepest-descent wedges near a
@@ -356,7 +359,9 @@ _UFUNC_BUFSIZE = 256
 _DOUBLE_MAX_LEVEL = 6
 _SINGLE_MAX_LEVEL = 9
 
-_tile = threading.local()  # .lent: the current tile's (out, tmp), or None
+# per thread: .held, the flat (out, tmp, mag) tile buffers kept between sums,
+# and .lent, the current tile's (out, tmp) until a coupling takes them
+_tile = threading.local()
 
 
 def _weights(contour, level, factor):
@@ -369,9 +374,10 @@ def _weights(contour, level, factor):
 
 def pair_buffers(z, w):
     """Two arrays (out, tmp) of the broadcast shape of z and w for a
-    coupling to write into, complex for the engine's nodes.  While _block_sums evaluates a tile, the first
-    call with the tile's shape gets the engine's buffers for that tile;
-    every other call gets two fresh arrays, so no result aliases another."""
+    coupling to write into, complex for the engine's nodes.  While
+    _block_sums evaluates a tile, the first call with the tile's shape gets
+    the engine's buffers for that tile; every other call gets two fresh
+    arrays, so no result aliases another."""
     shape = np.broadcast(z, w).shape
     lent = getattr(_tile, "lent", None)
     if lent is not None and lent[0].shape == shape:
@@ -383,15 +389,19 @@ def pair_buffers(z, w):
 
 def _block_sums(F, z, U, w, V):
     """sum_ij U_i F(z_i, w_j) V_j and its sum of absolute values (per point
-    for (n, P) weights).  F is evaluated tile by tile in buffers allocated
-    once per call and lent to the coupling through pair_buffers; each tile
+    for (n, P) weights).  F is evaluated tile by tile in the thread's tile
+    buffers, lent to the coupling through pair_buffers; each tile
     leaves its row sums sum_j F_ij V_j and sum_j |F_ij| |V_j|, and the rows
     are summed against U and |U| once, in row order."""
     tile = _TILE_PAIRS if U.ndim == 1 else _BATCH_TILE_PAIRS
     rows = max(1, min(tile // max(len(w), 1), len(z)))
-    out = np.empty((rows, len(w)), dtype=complex)
-    tmp = np.empty_like(out)
-    mag = np.empty(out.shape)
+    pairs = rows * len(w)
+    held = getattr(_tile, "held", None)  # None while a sum of this thread runs
+    _tile.held = None
+    if held is None or len(held[2]) < pairs:
+        held = (np.empty(pairs, dtype=complex), np.empty(pairs, dtype=complex),
+                np.empty(pairs))
+    out, tmp, mag = (b[:pairs].reshape(rows, len(w)) for b in held)
     row_vals = np.empty(U.shape[:1] + V.shape[1:], dtype=complex)
     row_mass = np.empty(row_vals.shape)
     absV = np.abs(V)
@@ -406,6 +416,7 @@ def _block_sums(F, z, U, w, V):
             np.matmul(np.abs(vals, out=mag[:i1 - i0]), absV, out=row_mass[i0:i1])
     finally:
         _tile.lent = None
+        _tile.held = held
         np.setbufsize(bufsize)
     return (np.einsum("i...,i...->...", U, row_vals),
             np.einsum("i...,i...->...", np.abs(U), row_mass))

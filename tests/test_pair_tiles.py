@@ -124,6 +124,18 @@ def test_raising_coupling_leaves_no_buffer_lent():
     assert kernels._k12_coupling(z, w).flags.owndata
 
 
+def test_sum_nested_in_a_coupling_gets_its_own_buffers():
+    z, U, w, V = _grid(500, 300, None, seed=5)
+
+    def nesting(zt, wt):
+        out = kernels._k12_coupling(zt, wt)  # the outer tile's buffer
+        ct._block_sums(kernels._k11_coupling, z[:60], U[:60], w[:40], V[:40])
+        return out
+
+    assert ct._block_sums(nesting, z, U, w, V) == ct._block_sums(
+        kernels._k12_coupling, z, U, w, V)
+
+
 def test_pair_sum_memory_stays_tile_sized():
     z, U = ct.Contour([ct.full_circle(0.0, 1.0)]).nodes(3)
     w, V = ct.Contour([ct.full_circle(0.0, 0.5)]).nodes(3)
