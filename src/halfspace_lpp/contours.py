@@ -353,7 +353,7 @@ _TILE_PAIRS = 1 << 15  # scalar weights: a tile's three buffers fit in L2
 _BATCH_TILE_PAIRS = 1 << 19  # (n, P) weights: GEMM-bound, larger tiles pack V less
 # numpy's ufunc buffer while a tile is evaluated: under the default 8192
 # elements, a (rows, 1) column broadcast against a (1, m) row is copied
-# through the buffer whenever m is below about 2048, which makes each
+# through the buffer whenever m is at most about 2048, which makes each
 # elementwise pass over a tile about 3x slower
 _UFUNC_BUFSIZE = 256
 _DOUBLE_MAX_LEVEL = 6
