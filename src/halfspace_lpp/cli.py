@@ -141,11 +141,9 @@ def cmd_simulate_lpp(cfg):
     rng = replica_rng(cfg["seed"], 0)
     tops = lpp.sample_top_curves(N, M, P, rng, B, n_curves=int(cfg["n_curves"]))
     stats.write_curve_archive(out / "lpp_curves.csv", tops)
-    sc = ScalingConstantsBulk(P.q)
     horizon = min(M, int(math.floor(N ** (2.0 / 3.0))))
     times = np.arange(0, horizon + 1)
-    center = 2.0 * P.q * N / (1.0 - P.q) + P.q * times / (1.0 - P.q)
-    scaled = (tops[:, :, : horizon + 1] - center) / (sc.sigma * N ** (1.0 / 3.0))
+    scaled = lpp.rescale_bulk(tops, N, ScalingConstantsBulk(P.q), times)
     with open(out / "lpp_scaled.csv", "w") as fh:
         fh.write("sample_id,index,t,value\n")
         for b in range(min(B, 50)):
@@ -263,52 +261,34 @@ def cmd_kernel_eval(cfg):
 
 
 def cmd_kernel_converge(cfg):
-    """Prelimit-vs-limit error tables over an N sweep."""
+    """Prelimit-vs-limit error tables over an N sweep.  The manifest lists,
+    per N, the contour-nesting conditions of the window's feasibility
+    predicate that fail (empty where the prelimit is a genuine kernel)."""
     t0 = time.time()
     P = ModelParams(cfg["q"], cfg["c"])
     regime = cfg.get("regime", "bulk")
     Ns = cfg.get("N_sweep", [50, 200, 800] if regime == "bulk" else [100, 400, 1600])
     points = cfg["points"] or [[1.0, 0.0, 1.5, 0.3]]
+    feasible = (kernels.bulk_prelimit_feasible if regime == "bulk"
+                else kernels.edge_prelimit_feasible)
+    failing = {str(N): [k for k, ok in feasible(P.q, P.c, N)[1].items() if not ok]
+               for N in Ns}
     rows = []
     for pt in points:
         s, x0, t, y0 = (float(v) for v in pt)
-        if regime == "bulk":
-            sc = ScalingConstantsBulk(P.q)
-            pref = (1.0 - P.c) ** 2 * sc.sigma1 ** 2
-            for N in Ns:
-                xN, _ = kernels.bulk_lattice_point(x0, P, N, s)
-                yN, _ = kernels.bulk_lattice_point(y0, P, N, t)
-                lim = kernels.bulk_limit_components(s, xN, t, yN, sc, tol=1e-10)
-                comp = kernels.bulk_prelimit_components(s, xN, t, yN, P, N,
-                                                        tol=cfg["tol"])
-                n23 = N ** (2.0 / 3.0)
-                rows.append({
-                    "point": pt, "N": N,
-                    "err_I11": abs(comp["I11"] / (pref * n23) - lim["I11"]),
-                    "err_I12": abs(comp["I12"] - lim["I12"]),
-                    "err_I22": abs(comp["I22"] * pref * n23 - lim["I22"]),
-                    "err_R12": abs(comp["R12"] - lim["R12"]),
-                    "err_R22": abs(comp["R22"] * pref * n23 - lim["R22"]),
-                })
-        else:
-            cst = ScalingConstantsEdge(P.q, P.c)
-            for N in Ns:
-                xN, _ = kernels.edge_lattice_point(x0, P, N, s)
-                yN, _ = kernels.edge_lattice_point(y0, P, N, t)
-                target = kernels.kernel_bm(cst.kappa_bar - s, xN,
-                                           cst.kappa_bar - t, yN)
-                comp = kernels.edge_prelimit_components(s, xN, t, yN, P, N,
-                                                        tol=cfg["tol"])
-                rows.append({
-                    "point": pt, "N": N,
-                    "err_K12": abs(comp["I12"] + comp["R12"] - target),
-                    "abs_K11": abs(comp["I11"]),
-                    "abs_K22": abs(comp["I22"] + comp["R22"]),
-                })
+        for N in Ns:
+            if regime == "bulk":
+                errs = acceptance.bulk_convergence_errors(s, x0, t, y0, P, N, cfg["tol"])
+                row = {f"err_{k}": v for k, v in errs.items()}
+            else:
+                errs = acceptance.edge_convergence_errors(s, x0, t, y0, P, N, cfg["tol"])
+                row = dict(zip(("err_K12", "abs_K11", "abs_K22"), errs))
+            rows.append({"point": pt, "N": N, **row})
     out = _outdir(cfg)
     with open(out / "kernel_converge.json", "w") as fh:
         json.dump(rows, fh, indent=2, default=float)
-    write_manifest(out, "kernel_converge", cfg, {"rows": len(rows)}, t0)
+    write_manifest(out, "kernel_converge", cfg,
+                   {"rows": len(rows), "failing_nesting_conditions": failing}, t0)
     for r in rows:
         print(r)
     return 0

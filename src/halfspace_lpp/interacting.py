@@ -75,18 +75,6 @@ def _config_valid(cfg, x, y, f, g):
     return True, ""
 
 
-def paper_maximal_config(T0, T1, x, y):
-    """Maximal state min(x_{i-s}, y_i) of the free (f,g absent) space."""
-    k = len(x)
-    T = T1 - T0
-    cfg = np.empty((k, T + 1), dtype=np.int64)
-    for i in range(k):
-        for s in range(T + 1):
-            xv = x[i - s] if i - s >= 0 else INF
-            cfg[i, s] = min(xv, y[i])
-    return cfg
-
-
 # ---------------------------------------------------------------------------
 # uniform interlacing-bridge chain
 # ---------------------------------------------------------------------------
@@ -204,7 +192,9 @@ def monotone_coupled_chains(
 ):
     """Run the three monotonically coupled chains from their maximal states.
 
-    Boundary data must satisfy x^b <= x^t <= x^b + M and likewise for y.
+    Boundary data must satisfy x^b <= x^t <= x^b + M and likewise for y,
+    and each bridge space must be non-empty (InfeasibilityError otherwise,
+    before any step).
     The chains share the site sequence (A_n, B_n) and uniforms U_n (per
     replica); the ordering and shift invariants are asserted along the way.
     Returns the final CoupledTriple holding (replicas, k, T+1) states.
@@ -218,11 +208,9 @@ def monotone_coupled_chains(
     if np.any(x_top - M > x_bot) or np.any(y_top - M > y_bot):
         raise InfeasibilityError("need x^t - M <= x^b and y^t - M <= y^b")
     R = replicas
-    top = np.repeat(paper_maximal_config(T0, T1, x_top, y_top)[None], R, axis=0)
-    bot = np.repeat(paper_maximal_config(T0, T1, x_bot, y_bot)[None], R, axis=0)
-    hat = np.repeat(
-        paper_maximal_config(T0, T1, x_top - M, y_top - M)[None], R, axis=0
-    )
+    top = np.repeat(maximal_config(T0, T1, x_top, y_top)[None], R, axis=0)
+    bot = np.repeat(maximal_config(T0, T1, x_bot, y_bot)[None], R, axis=0)
+    hat = np.repeat(maximal_config(T0, T1, x_top - M, y_top - M)[None], R, axis=0)
     k = len(x_top)
     T = T1 - T0
     triple = CoupledTriple(top=top, bot=bot, hat=hat, M=M)

@@ -136,11 +136,6 @@ def s2_edge_d2(z, kappa, q, c):
     return t1 + t2 + h2k / (z * z)
 
 
-def g2_edge_d2(z, q, c):
-    p2 = q / (c - q)
-    return (-q * (2.0 * z - q)) / ((z * z - q * z) ** 2) + p2 / (z * z)
-
-
 # ---------------------------------------------------------------------------
 # couplings: the part of a double integrand evaluated on the node pairs
 # ---------------------------------------------------------------------------

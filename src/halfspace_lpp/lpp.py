@@ -9,7 +9,6 @@ cells fall inside the rectangle.
 """
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,11 +70,6 @@ def sample_weights_batch(m, n, params, rng, size):
     d = np.arange(r)
     w[:, d, d] = geometric_icdf(rng.random((size, r)), c * q)
     return w
-
-
-def sample_weights(m, n, params, rng):
-    """A single symmetrized geometric environment as an (m, n) int64 array."""
-    return sample_weights_batch(m, n, params, rng, 1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -279,54 +273,6 @@ def lpp_gk_bruteforce(W, m, n, k):
 # line ensembles
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DiscreteLineEnsemble:
-    """Curves L_i(t) = lambda_i(t + N, N) on t in [[0, M]], i from 1.
-
-    curves has shape (n_curves, M+1); deeper curves are identically zero by
-    the covering convention and are reconstructible as zero rows.
-    """
-
-    curves: np.ndarray
-    N: int
-    q: float
-    c: float
-
-    @property
-    def n_curves(self):
-        return self.curves.shape[0]
-
-    @property
-    def horizon(self):
-        return self.curves.shape[1] - 1
-
-    def curve(self, i):
-        """1-based curve index; indices beyond storage are zero curves."""
-        if i <= self.n_curves:
-            return self.curves[i - 1]
-        return np.zeros(self.horizon + 1, dtype=np.int64)
-
-    def value(self, i, t):
-        """Linear interpolation of curve i at real time t in [0, horizon]."""
-        if not (0.0 <= t <= self.horizon):
-            raise BoundsError(f"time {t} outside [0, {self.horizon}]")
-        c = self.curve(i)
-        lo = int(np.floor(t))
-        if lo == self.horizon:
-            return float(c[lo])
-        frac = t - lo
-        return float(c[lo]) * (1.0 - frac) + float(c[lo + 1]) * frac
-
-    def validate(self):
-        """Exact monotonicity and interlacing checks; raises on violation."""
-        c = self.curves
-        if c.size and np.any(np.diff(c, axis=1) < 0):
-            raise AssertionError("curve not non-decreasing in t")
-        if c.shape[0] > 1 and np.any(c[:-1, :-1] < c[1:, 1:]):
-            raise AssertionError("interlacing lambda_i(t-1) >= lambda_{i+1}(t) violated")
-        return True
-
-
 def lambda_process_batch(W_batch, N, M, max_curves=None):
     """(B, K, M+1) array of curves L_i(t) = lambda_i(t+N, N) for a batch."""
     W_batch = np.asarray(W_batch)
@@ -343,15 +289,6 @@ def lambda_process_batch(W_batch, N, M, max_curves=None):
         if i >= N - 1:
             out[:, :, i - N + 1] = tab.shape()
     return out
-
-
-def lambda_process(W, N, M, params=None, max_curves=None):
-    """DiscreteLineEnsemble of the interlacing curves for one environment."""
-    q, c = (params.q, params.c) if params is not None else (0.0, 0.0)
-    curves = lambda_process_batch(np.asarray(W)[None], N, M, max_curves)[0]
-    ens = DiscreteLineEnsemble(curves=curves, N=N, q=q, c=c)
-    ens.validate()
-    return ens
 
 
 def sample_top_curves(N, M, params, rng, size, n_curves=2):
@@ -391,47 +328,18 @@ def sample_top_curves(N, M, params, rng, size, n_curves=2):
 # rescaled curves
 # ---------------------------------------------------------------------------
 
-def rescale_bulk(ens, N, consts, t_grid, curve_indices=None):
-    """Centered curves sigma^-1 N^-1/3 (L_i(t N^2/3) - 2qN/(1-q) - q t N^2/3/(1-q)).
-
-    Returns an array of shape (len(curve_indices), len(t_grid)).
-    """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if curve_indices is None:
-        curve_indices = range(1, ens.n_curves + 1)
-    curve_indices = list(curve_indices)
+def rescale_bulk(curves, N, consts, times):
+    """Centered curves sigma^-1 N^-1/3 (L_i(t) - 2qN/(1-q) - q t/(1-q)) of a
+    (..., M+1) curve array at the integer times t in `times`; the bulk limit
+    reads them at scaled time t N^-2/3."""
     q = consts.q
-    times = t_grid * N ** (2.0 / 3.0)
-    if times.size and times.max() > ens.horizon:
-        raise BoundsError(
-            f"grid reaches t*N^(2/3) = {times.max():.1f} beyond horizon {ens.horizon}"
-        )
     center = 2.0 * q * N / (1.0 - q) + q * times / (1.0 - q)
-    out = np.empty((len(curve_indices), t_grid.size))
-    for r, i in enumerate(curve_indices):
-        vals = np.array([ens.value(i, t) for t in times])
-        out[r] = (vals - center) / (consts.sigma * N ** (1.0 / 3.0))
-    return out
-
-
-def rescale_top(ens, N, consts, t_grid):
-    """Top-curve fluctuation field on [0, kappa_bar): the N^{1/2} window."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.size and t_grid.max() >= consts.kappa_bar:
-        raise ParameterError(
-            f"t grid must stay below kappa_bar = {consts.kappa_bar:.6g}"
-        )
-    times = t_grid * N
-    if times.size and times.max() > ens.horizon:
-        raise BoundsError("grid beyond ensemble horizon")
-    scale = (consts.p_top * (1.0 + consts.p_top)) ** -0.5 * N ** -0.5
-    vals = np.array([ens.value(1, t) for t in times])
-    return scale * (vals - consts.C_top * N - consts.p_top * times)
+    return (curves[..., times] - center) / (consts.sigma * N ** (1.0 / 3.0))
 
 
 def rescale_top_batch(top_vals, N, consts, t_grid):
-    """Same as rescale_top for a (B, M+1) array of top-curve values; the grid
-    must hit integer times."""
+    """Top-curve fluctuation field on [0, kappa_bar), the N^{1/2} window, for
+    a (B, M+1) array of top-curve values; the grid must hit integer times."""
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size and t_grid.max() >= consts.kappa_bar:
         raise ParameterError("t grid must stay below kappa_bar")

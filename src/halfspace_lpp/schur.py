@@ -3,13 +3,11 @@ functions (series and contour forms), and the exact law of an interacting
 pair at the origin.
 
 Partitions are tuples of non-negative ints, weakly decreasing, trailing
-zeros optional.  All weight computations exist in float (log-safe) form and,
-where ratio tests demand exactness, in Fraction form.
+zeros optional.
 """
 
 import cmath
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -20,10 +18,6 @@ from .lpp import sample_weights_batch, lambda_process_batch
 
 class AccuracyError(RuntimeError):
     """Requested tolerance not reachable within the allowed truncation."""
-
-
-class SupportError(ValueError):
-    """Configuration outside the support of the measure."""
 
 
 # ---------------------------------------------------------------------------
@@ -72,19 +66,6 @@ def principal_spec_log(lam, q, N):
     return out
 
 
-def principal_spec_fraction(lam, q, N):
-    """Exact s_lambda(q^N) for rational q, as a Fraction."""
-    lam = trim(lam)
-    if len(lam) > N:
-        return Fraction(0)
-    full = lam + (0,) * (N - len(lam))
-    out = Fraction(q) ** weight_sum(lam)
-    for i in range(N):
-        for j in range(i + 1, N):
-            out *= Fraction(full[i] - full[j] + j - i, j - i)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Schur process weight and sampler
 # ---------------------------------------------------------------------------
@@ -109,24 +90,6 @@ def schur_weight(partitions, q, c, N):
     return tau * q ** (weight_sum(seq[-1]) - weight_sum(seq[0])) * math.exp(ls)
 
 
-def schur_weight_fraction(partitions, q, c, N):
-    """Exact weight for rational q, c (used by the ratio checks)."""
-    seq = [trim(p) for p in partitions]
-    for a, b in zip(seq, seq[1:]):
-        if not interlaces(a, b):
-            return Fraction(0)
-    s = principal_spec_fraction(seq[-1], q, N)
-    if s == 0:
-        return Fraction(0)
-    a0 = alt_sum(seq[0])
-    c = Fraction(c)
-    if c == 0:
-        tau = Fraction(1) if a0 == 0 else Fraction(0)
-    else:
-        tau = c ** a0
-    return tau * Fraction(q) ** (weight_sum(seq[-1]) - weight_sum(seq[0])) * s
-
-
 def schur_normalization_log(q, c, N, M):
     """log Z for the Schur process: sum of all weights."""
     return -N * math.log(1.0 - c * q) - (N * (N - 1) // 2 + N * M) * math.log(1.0 - q * q)
@@ -142,27 +105,6 @@ def sample_schur_process_batch(N, M, params, rng, size, max_rows=None):
         params = ModelParams(*params)
     W = sample_weights_batch(N + M, N, params, rng, size)
     return lambda_process_batch(W, N, M, max_curves=max_rows)
-
-
-def conditional_ratio_check(seq_a, seq_b, q, c):
-    """Weight ratio of two sequences sharing the final partition, against the
-    closed form c^(delta alt) * q^(-delta sum) of the time-M conditional law.
-
-    Exact rational arithmetic; returns (ratio, prediction).
-    """
-    a = [trim(p) for p in seq_a]
-    b = [trim(p) for p in seq_b]
-    if a[-1] != b[-1]:
-        raise SupportError("sequences must agree at the final time")
-    N = max(len(a[-1]), 1)
-    wa = schur_weight_fraction(a, q, c, N)
-    wb = schur_weight_fraction(b, q, c, N)
-    if wa == 0 or wb == 0:
-        raise SupportError("both sequences must be on-support")
-    d_alt = alt_sum(a[0]) - alt_sum(b[0])
-    d_sum = weight_sum(a[0]) - weight_sum(b[0])
-    pred = Fraction(c) ** d_alt * Fraction(q) ** (-d_sum)
-    return wa / wb, pred
 
 
 # ---------------------------------------------------------------------------
@@ -283,20 +225,6 @@ def _pair_block(T1, delta, n, q, c, lg):
     rho = max(q * q * x * (delta + n + 3) / (delta + n + 2),
               c * q * x * (delta + n + 3) / (delta + n + 2) if c > 0 else 0.0)
     return d[keep], lw[keep], p1, p2, rho
-
-
-def pair_path_count(T1, y, x):
-    """Number of interlacing increasing path pairs from x at 0 to y at T1,
-    as an exact integer (Lindstrom/Jacobi-Trudi determinant)."""
-    y1, y2 = y
-    x1, x2 = x
-    if x1 < x2 or y1 < y2:
-        return 0
-
-    def h(r):
-        return math.comb(T1 + r - 1, r) if r >= 0 else 0
-
-    return h(y1 - x1) * h(y2 - x2) - h(y1 - x2 + 1) * h(y2 - x1 - 1)
 
 
 def partition_fn_series(T1, y, params, tol=1e-12, max_terms=100000):
@@ -432,11 +360,6 @@ def characteristic_ratio(T_n, y, params, s, t, b=1.0, tol=1e-11):
     sc_den, den = _contour_Z_scaled(T_n, y, complex(q), complex(c), r1, r2, tol)
     phase = cmath.exp(2j * p * T_n * s / (sigma * math.sqrt(d_n)))
     return phase * math.exp(sc_num - sc_den) * num / den
-
-
-def characteristic_ratio_limit(c, s, t, b=1.0):
-    """Limit target e^{-b s^2} (1-c)^2 / (1 - c e^{it})^2."""
-    return math.exp(-b * s * s) * (1.0 - c) ** 2 / (1.0 - c * cmath.exp(1j * t)) ** 2
 
 
 # ---------------------------------------------------------------------------

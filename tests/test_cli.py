@@ -117,6 +117,17 @@ def test_kernel_converge_table(tmp_path):
     assert {"err_I11", "err_I12", "err_I22", "err_R12", "err_R22"} <= set(rows[0])
 
 
+def test_kernel_converge_lists_failing_nesting_conditions(tmp_path):
+    rc = run([
+        "kernel-converge", "--out", str(tmp_path), "--set", "regime=bulk",
+        "--set", "q=0.5", "--set", "c=0.8", "--set", "N_sweep=[50]",
+        "--tol", "1e-6",
+    ])
+    assert rc == 0
+    man = json.loads((tmp_path / "kernel_converge_manifest.json").read_text())
+    assert "c_inside_gamma_minus" in man["checks"]["failing_nesting_conditions"]["50"]
+
+
 def test_verify_all_filtered(tmp_path):
     rc = run([
         "verify-all", "--out", str(tmp_path), "--set",

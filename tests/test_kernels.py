@@ -39,8 +39,6 @@ def test_phase_function_identities():
         assert d2.real == pytest.approx(
             cst.sigma2 ** 2 * (cst.kappa_bar - kap) / c ** 2, rel=1e-10
         )
-    g2 = kernels.g2_edge_d2(c + 0j, q, c)
-    assert g2.real == pytest.approx(-cst.sigma2 ** 2 / c ** 2, rel=1e-10)
     # S-to-Shat rescaling identity at random points
     zs = np.array([0.8 + 0.3j, 1.2 - 0.5j])
     for kap in (0.5, 3.0):

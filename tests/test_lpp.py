@@ -39,13 +39,13 @@ def test_scaling_constant_identities():
 
 def test_weights_symmetry_and_diagonal(rng):
     P = ModelParams(0.5, 0.0)
-    W = lpp.sample_weights(4, 4, P, rng)
+    W = lpp.sample_weights_batch(4, 4, P, rng, 1)[0]
     assert np.array_equal(W, W.T)
     # c = 0 puts all diagonal mass at zero
     Wb = lpp.sample_weights_batch(3, 3, P, rng, 200)
     assert np.all(Wb[:, np.arange(3), np.arange(3)] == 0)
     # rectangular arrays mirror only the overlapping block
-    W2 = lpp.sample_weights(6, 3, ModelParams(0.5, 0.8), rng)
+    W2 = lpp.sample_weights_batch(6, 3, ModelParams(0.5, 0.8), rng, 1)[0]
     assert np.array_equal(W2[:3, :3], W2[:3, :3].T)
 
 
@@ -67,7 +67,7 @@ def test_g1_hand_example():
 
 def test_g1_symmetry(rng):
     P = ModelParams(0.5, 0.8)
-    W = lpp.sample_weights(6, 6, P, rng)
+    W = lpp.sample_weights_batch(6, 6, P, rng, 1)[0]
     for m, n in [(2, 5), (4, 3), (6, 6)]:
         assert lpp.lpp_g1(W, m, n) == lpp.lpp_g1(W, n, m)
 
@@ -111,21 +111,22 @@ def test_rsk_matches_bruteforce(rng):
 
 def test_lambda_process_invariants(rng):
     P = ModelParams(0.5, 0.8)
-    W = lpp.sample_weights(12, 5, P, rng)
-    ens = lpp.lambda_process(W, 5, 7, P)
-    ens.validate()
-    assert ens.horizon == 7
+    W = lpp.sample_weights_batch(12, 5, P, rng, 1)
+    curves = lpp.lambda_process_batch(W, 5, 7)[0]
+    assert curves.shape == (5, 8)
+    # curves are non-decreasing in t and interlace: L_i(t-1) >= L_{i+1}(t)
+    assert np.all(np.diff(curves, axis=1) >= 0)
+    assert np.all(curves[:-1, :-1] >= curves[1:, 1:])
     # terminal weight convention: |lambda(m, n)| = sum of the rectangle
     for t in (0, 3, 7):
-        assert ens.curves[:, t].sum() == W[: 5 + t, :5].sum()
+        assert curves[:, t].sum() == W[0, : 5 + t, :5].sum()
     # zero environment gives identically zero curves
-    z = lpp.lambda_process(np.zeros((8, 3), dtype=int), 3, 5)
-    assert np.all(z.curves == 0)
+    assert np.all(lpp.lambda_process_batch(np.zeros((1, 8, 3), dtype=int), 3, 5) == 0)
     # M = 0 single column
-    single = lpp.lambda_process(W, 5, 0, P)
-    assert single.horizon == 0
-    assert tuple(single.curves[:, 0]) == lpp.rsk_shape(W, 5, 5) + (0,) * (
-        5 - len(lpp.rsk_shape(W, 5, 5))
+    single = lpp.lambda_process_batch(W, 5, 0)[0]
+    assert single.shape == (5, 1)
+    assert tuple(single[:, 0]) == lpp.rsk_shape(W[0], 5, 5) + (0,) * (
+        5 - len(lpp.rsk_shape(W[0], 5, 5))
     )
 
 
@@ -157,12 +158,11 @@ def test_rescale_bulk_centering():
     sc = ScalingConstantsBulk(q)
     assert sc.sigma == pytest.approx(np.sqrt(2.0))
     N = 64
-    T = 40
-    times = np.arange(T + 1)
+    times = np.arange(41)
     center = 2 * q * N / (1 - q) + q * times / (1 - q)
-    curves = np.rint(center)[None, :].astype(np.int64)
-    ens = lpp.DiscreteLineEnsemble(curves=np.repeat(curves, 1, axis=0), N=N, q=q, c=0.8)
-    out = lpp.rescale_bulk(ens, N, sc, [0.0, 1.0, 2.0], curve_indices=[1])
+    curves = np.rint(center)[None, None, :].astype(np.int64)
+    out = lpp.rescale_bulk(curves, N, sc, np.array([0, 16, 32]))
+    assert out.shape == (1, 1, 3)
     assert np.max(np.abs(out)) < 1.0 / (sc.sigma * N ** (1 / 3))
 
 
@@ -172,12 +172,11 @@ def test_rescale_top_exact_line():
     N = 50
     times = np.arange(0, 4 * N + 1)
     line = cst.C_top * N + cst.p_top * times
-    curves = np.rint(line)[None, :].astype(np.int64)
-    ens = lpp.DiscreteLineEnsemble(curves=curves, N=N, q=q, c=c)
-    vals = lpp.rescale_top(ens, N, cst, [0.0, 1.0, 3.0])
+    tops = np.rint(line)[None, :].astype(np.int64)
+    vals = lpp.rescale_top_batch(tops, N, cst, [0.0, 1.0, 3.0])
     assert np.max(np.abs(vals)) < 1.0 / np.sqrt(N)
     with pytest.raises(ParameterError):
-        lpp.rescale_top(ens, N, cst, [cst.kappa_bar])
+        lpp.rescale_top_batch(tops, N, cst, [cst.kappa_bar])
 
 
 def test_geometric_icdf_at_zero():

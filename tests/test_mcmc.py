@@ -12,6 +12,19 @@ def rng():
     return np.random.default_rng(2024)
 
 
+def paper_maximal_config(T0, T1, x, y):
+    """Maximal state min(x_{i-s}, y_i) of the free (f,g absent) space, the
+    paper's formula kept as the reference for maximal_config."""
+    k = len(x)
+    T = T1 - T0
+    cfg = np.empty((k, T + 1), dtype=np.int64)
+    for i in range(k):
+        for s in range(T + 1):
+            xv = x[i - s] if i - s >= 0 else ia.INF
+            cfg[i, s] = min(xv, y[i])
+    return cfg
+
+
 def test_maximal_config_matches_paper_formula(rng):
     for _ in range(20):
         k = int(rng.integers(1, 4))
@@ -23,7 +36,7 @@ def test_maximal_config_matches_paper_formula(rng):
         if np.any(np.diff(x) > 0) or np.any(np.diff(y) > 0):
             continue
         a = ia.maximal_config(0, T, x, y)
-        b = ia.paper_maximal_config(0, T, x, y)
+        b = paper_maximal_config(0, T, x, y)
         assert np.array_equal(a, b)
 
 
@@ -77,6 +90,16 @@ def test_monotone_coupling_invariants(rng):
     with pytest.raises(ia.InfeasibilityError):
         ia.monotone_coupled_chains(0, 4, [3], [6], [4], [6], M=1, steps=1,
                                    rng=rng)
+
+
+def test_monotone_coupling_rejects_empty_bridge_space(rng):
+    # the coupling conditions hold, but no bridge runs from x to y: x > y,
+    # or y breaks interlacing at the last step
+    state = rng.bit_generator.state
+    for x, y in (([0], [-1]), ([0, 0], [0, 1])):
+        with pytest.raises(ia.InfeasibilityError):
+            ia.monotone_coupled_chains(0, 3, x, y, x, y, M=0, steps=5, rng=rng)
+    assert rng.bit_generator.state == state  # raised before any step
 
 
 def test_truncated_geometric_law(rng):

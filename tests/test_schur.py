@@ -1,5 +1,6 @@
+import cmath
+import itertools
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -40,29 +41,36 @@ def test_principal_specialization():
         got = math.exp(schur.principal_spec_log(lam, 0.3, N))
         a, b = lam[0], lam[1] if len(lam) > 1 else 0
         assert got == pytest.approx(0.3 ** (a + b) * (a - b + 1))
-    fr = schur.principal_spec_fraction((3, 1), Fraction(3, 10), 2)
-    assert fr == Fraction(3, 10) ** 4 * 3
+
+
+def _conditional_ratio(seq_a, seq_b, q, c):
+    """Weight ratio of two sequences sharing the final partition, and its
+    closed form c^(delta alt) q^(-delta sum) from the time-M conditional law."""
+    N = max(len(schur.trim(seq_a[-1])), 1)
+    ratio = schur.schur_weight(seq_a, q, c, N) / schur.schur_weight(seq_b, q, c, N)
+    d_alt = schur.alt_sum(seq_a[0]) - schur.alt_sum(seq_b[0])
+    d_sum = sum(seq_a[0]) - sum(seq_b[0])
+    return ratio, c ** d_alt * q ** -d_sum
 
 
 def test_conditional_ratio_exact():
-    q, c = Fraction(3, 10), Fraction(3, 5)
+    q, c = 0.3, 0.6
     a = [(3, 1), (3, 2)]
     b = [(2, 1), (3, 2)]
-    ratio, pred = schur.conditional_ratio_check(a, b, q, c)
-    assert ratio == pred
+    ratio, pred = _conditional_ratio(a, b, q, c)
+    assert ratio == pytest.approx(pred, rel=1e-12)
     # unit ratio for identical sequences
-    r2, p2 = schur.conditional_ratio_check(a, a, q, c)
+    r2, p2 = _conditional_ratio(a, a, q, c)
     assert r2 == p2 == 1
     # single-part bump: ratio = c * q^{-1}
-    a3 = [(3,), (3,)]
-    b3 = [(2,), (3,)]
-    r3, p3 = schur.conditional_ratio_check(a3, b3, q, c)
-    assert r3 == c / q and p3 == c / q
+    r3, p3 = _conditional_ratio([(3,), (3,)], [(2,), (3,)], q, c)
+    assert r3 == pytest.approx(c / q, rel=1e-12)
+    assert p3 == pytest.approx(c / q, rel=1e-12)
 
 
 def test_conditional_ratio_random_pairs(rng):
     # random on-support (M=2, N=2) pairs sharing the final partition
-    q, c = Fraction(2, 5), Fraction(1, 2)
+    q, c = 0.4, 0.5
     lam_top = (4, 2)
     below = schur.interlacing_below(lam_top)
     for _ in range(10):
@@ -70,8 +78,8 @@ def test_conditional_ratio_random_pairs(rng):
         mu_b = below[rng.integers(len(below))]
         chain_a = [schur.interlacing_below(mu_a)[-1], mu_a, lam_top]
         chain_b = [schur.interlacing_below(mu_b)[-1], mu_b, lam_top]
-        ra, pa = schur.conditional_ratio_check(chain_a, chain_b, q, c)
-        assert ra == pa
+        ra, pa = _conditional_ratio(chain_a, chain_b, q, c)
+        assert ra == pytest.approx(pa, rel=1e-12)
 
 
 def test_sampler_matches_enumeration_smallq(rng):
@@ -126,32 +134,40 @@ def test_partition_fn_contour_examples():
         schur.partition_fn_contour(1, (1, 0), 0.5, 0.8, r1=0.1)
 
 
-def test_pair_path_count_matches_brute_enumeration():
-    # exact integer cardinality of interlacing path pairs for T1 <= 4
-    import itertools
+def _brute_path_count(T1, y, x):
+    """Interlacing increasing path pairs from x at 0 to y at T1, enumerated."""
+    def paths(x0, y0):
+        out = []
+        for mids in itertools.product(range(x0, y0 + 1), repeat=T1 - 1):
+            vals = (x0,) + mids + (y0,)
+            if all(a <= b for a, b in zip(vals, vals[1:])):
+                out.append(vals)
+        return out
 
-    def brute(T1, y, x):
-        def paths(x0, y0):
-            out = []
-            for mids in itertools.product(range(x0, y0 + 1), repeat=T1 - 1):
-                vals = (x0,) + mids + (y0,)
-                if all(a <= b for a, b in zip(vals, vals[1:])):
-                    out.append(vals)
-            return out
+    cnt = 0
+    for p1 in paths(x[0], y[0]):
+        for p2 in paths(x[1], y[1]):
+            # interlacing p1(r-1) >= p2(r)
+            if all(p1[r - 1] >= p2[r] for r in range(1, T1 + 1)):
+                cnt += 1
+    return cnt
 
-        cnt = 0
-        for p1 in paths(x[0], y[0]):
-            for p2 in paths(x[1], y[1]):
-                # interlacing p1(r-1) >= p2(r)
-                if all(p1[r - 1] >= p2[r] for r in range(1, T1 + 1)):
-                    cnt += 1
-        return cnt
 
+def test_origin_law_weights_match_brute_path_count():
+    # p * Z = c^{x1-x2} q^{y1+y2-x1-x2} * #paths(x -> y) for T1 <= 4; pairs
+    # without a path are absent from the law
+    q, c = 0.5, 0.8
+    P = ModelParams(q, c)
     cases = [((2, 0), (1, 0)), ((3, 1), (1, 1)), ((2, 2), (0, 0)),
              ((4, 1), (2, 0)), ((3, 0), (0, 0))]
     for T1 in (1, 2, 3, 4):
         for y, x in cases:
-            assert schur.pair_path_count(T1, y, x) == brute(T1, y, x)
+            x1, x2, p = schur.origin_law(T1, y, P)
+            Z, _ = schur.partition_fn_series(T1, y, P)
+            law = {(a, b): v for a, b, v in zip(x1.tolist(), x2.tolist(), p)}
+            count = _brute_path_count(T1, y, x)
+            w = c ** (x[0] - x[1]) * q ** (y[0] + y[1] - x[0] - x[1])
+            assert law.get(x, 0.0) * Z == pytest.approx(w * count, rel=1e-9)
 
 
 def test_characteristic_ratio_trivia():
@@ -165,11 +181,17 @@ def test_characteristic_ratio_trivia():
         assert abs(r - 1.0) < 1e-9
 
 
+def characteristic_ratio_limit(c, s, t, b=1.0):
+    """Limit target e^{-b s^2} (1-c)^2 / (1 - c e^{it})^2 of
+    schur.characteristic_ratio."""
+    return math.exp(-b * s * s) * (1.0 - c) ** 2 / (1.0 - c * cmath.exp(1j * t)) ** 2
+
+
 def test_characteristic_ratio_converges():
     P = ModelParams(0.5, 0.3)
     p = 1.0
     sigma = math.sqrt(2.0)
-    lim = schur.characteristic_ratio_limit(0.3, 1.0, 1.0)
+    lim = characteristic_ratio_limit(0.3, 1.0, 1.0)
     errs = []
     for Tn in (100, 400, 1600):
         gap = round(2.0 * sigma * math.sqrt(Tn))
