@@ -457,6 +457,18 @@ def enumerate_interacting_configs(T1, y, g, params, floor_slack=25):
     return configs, w / w.sum()
 
 
+def _row_classes(rows):
+    """Distinct rows of a 2-D integer array in lexicographic order, as
+    (perm, starts, counts): rows[perm] is sorted, stably, and the class
+    starting at starts[c] holds counts[c] rows."""
+    perm = np.lexsort(rows.T[::-1])
+    srt = rows[perm]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (srt[1:] != srt[:-1]).any(axis=1)
+    starts = np.flatnonzero(new)
+    return perm, starts, np.diff(starts, append=len(rows))
+
+
 def gibbs_consistency_check(
     samples, T, k, params, g_value=0, min_hits=50, top_classes=3
 ):
@@ -473,27 +485,26 @@ def gibbs_consistency_check(
     ys = samples[:, : 2 * k, T]
     gpath = samples[:, 2 * k, : T + 1]
     keys = np.concatenate([ys, gpath], axis=1)
-    uniq, inverse, counts = np.unique(
-        keys, axis=0, return_inverse=True, return_counts=True
-    )
+    perm, starts, counts = _row_classes(keys)
     order = np.argsort(-counts)
     report = {"classes": [], "warnings": []}
     for ci in order[:top_classes]:
         hits = int(counts[ci])
-        y = tuple(int(v) for v in uniq[ci][: 2 * k])
-        g = np.asarray(uniq[ci][2 * k :], dtype=np.int64)
+        cls = keys[perm[starts[ci]]]
+        y = tuple(int(v) for v in cls[: 2 * k])
+        g = np.asarray(cls[2 * k :], dtype=np.int64)
         if hits < min_hits:
             report["warnings"].append(
                 f"class y={y} g={tuple(g)} has only {hits} hits; skipped"
             )
             continue
-        sel = samples[inverse == ci][:, : 2 * k, : T + 1]
+        members = perm[starts[ci] : starts[ci] + hits]
+        sel = samples[:, : 2 * k, : T + 1][members].reshape(hits, -1)
         configs, probs = enumerate_interacting_configs(T, np.array(y), g, params)
         flat = {tuple(cfg.ravel()): p for cfg, p in zip(configs, probs)}
-        emp = {}
-        for s in sel:
-            key = tuple(s.ravel())
-            emp[key] = emp.get(key, 0) + 1
+        cperm, cstarts, ccounts = _row_classes(sel)
+        first = cperm[cstarts]  # each configuration's first sample
+        emp = {tuple(sel[first[j]].tolist()): int(ccounts[j]) for j in np.argsort(first)}
         tv = 0.0
         for key in set(flat) | set(emp):
             tv += abs(flat.get(key, 0.0) - emp.get(key, 0) / hits)

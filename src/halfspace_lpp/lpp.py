@@ -6,6 +6,13 @@ so w[i-1, j-1] is the weight at lattice point (i, j).  Partitions are tuples
 of ints with trailing zeros stripped.  The diagonal weights are Geom(c*q),
 off-diagonal Geom(q^2), mirrored across the diagonal wherever both mirror
 cells fall inside the rectangle.
+
+Sampling draws a weight only for the cells that are not mirror copies and
+keeps the draws packed as int32, one row of samples per cell, with an index
+map that sends each lower-triangle cell to its mirror; a weight that would
+pass 2^31 - 1 raises ResourceError instead of wrapping.  The uniform stream
+is that of one (size, m, n) draw followed by one (size, min(m, n)) draw for
+the diagonal, so fixed seeds give the same environments as a full draw.
 """
 
 import itertools
@@ -25,7 +32,8 @@ class ResourceError(RuntimeError):
 
 
 BRUTE_FORCE_CELL_CAP = 16
-_DRAW_SLAB = 1 << 16  # uniforms drawn per slab by sample_weights_batch
+_DRAW_SLAB = 1 << 16  # uniforms drawn per slab by _symmetric_draws
+_INT32_MAX = int(np.iinfo(np.int32).max)
 
 
 # ---------------------------------------------------------------------------
@@ -50,25 +58,57 @@ def geometric_icdf(u, alpha):
     return x.astype(np.int64)[()]
 
 
-def sample_weights_batch(m, n, params, rng, size):
-    """(size, m, n) array of symmetrized geometric environments."""
+def _int32_weights(u, alpha):
+    """geometric_icdf(u, alpha), refused with ResourceError when a weight
+    would not fit the int32 storage of the packed draws."""
+    w = geometric_icdf(u, alpha)
+    if w.max(initial=0) > _INT32_MAX:
+        raise ResourceError(f"geometric weight {w.max()} passes the int32 limit")
+    return w
+
+
+def _symmetric_draws(m, n, params, rng, size):
+    """Packed weights of `size` symmetrized environments on an m x n grid.
+
+    Consumes the stream of one (size, m, n) uniform draw, taken whole samples
+    a slab at a time, then of one (size, r) draw for the diagonal, r = min(m, n).
+    Only cells that are not mirror copies get a weight: i < j, every row
+    i >= r, then the diagonal.  Returns (packed, index): packed is a (P, size)
+    int32 array, one row per kept cell, and index an (m, n) array with
+    w[b, i, j] = packed[index[i, j], b]; below the diagonal of the r x r
+    block it points at the mirror cell above it.
+    """
     if m < 1 or n < 1:
         raise ParameterError(f"grid must be nonempty, got m={m}, n={n}")
     if not isinstance(params, ModelParams):
         params = ModelParams(*params)
     q, c = params.q, params.c
-    w = np.empty((size, m, n), dtype=np.int64)
     r = min(m, n)
-    below = np.tri(r, k=-1, dtype=bool)
+    i, j = np.indices((m, n))
+    cells = np.flatnonzero((i < j) | (i >= r))  # off-diagonal cells, row-major
+    nf = cells.size
+    index = np.empty((m, n), dtype=np.intp)
+    index.flat[cells] = np.arange(nf)
+    d = np.arange(r)
+    index[d, d] = nf + d
+    block = index[:r, :r]
+    np.copyto(block, block.T.copy(), where=np.tri(r, k=-1, dtype=bool))
+    packed = np.empty((nf + r, size), dtype=np.int32)
     # whole samples a slab at a time: the stream of one (size, m, n) draw
     step = max(1, _DRAW_SLAB // (m * n))
     for s in range(0, size, step):
-        blk = w[s : s + step]
-        blk[...] = geometric_icdf(rng.random(blk.shape), q * q)
-        # mirror the r x r block where both (i,j) and (j,i) are visible
-        np.copyto(blk[:, :r, :r], blk[:, :r, :r].transpose(0, 2, 1), where=below)
-    d = np.arange(r)
-    w[:, d, d] = geometric_icdf(rng.random((size, r)), c * q)
+        u = rng.random((min(step, size - s), m * n))
+        packed[:nf, s : s + step] = _int32_weights(u[:, cells], q * q).T
+    packed[nf:] = _int32_weights(rng.random((size, r)), c * q).T
+    return packed, index
+
+
+def sample_weights_batch(m, n, params, rng, size):
+    """(size, m, n) int64 array of symmetrized geometric environments."""
+    packed, index = _symmetric_draws(m, n, params, rng, size)
+    w = np.empty((size, m, n), dtype=np.int64)
+    for i in range(m):
+        w[:, i] = packed[index[i]].T
     return w
 
 
@@ -122,8 +162,6 @@ def lpp_g1(W, m, n):
 # that is B = R + M with M[u] = min_{v<=u}(A[v] - R[v]) <= A[0] - R[0] <= 0,
 # and the row becomes R - B + C = C - M.  All of these are bounded by the
 # sample's number of inserted letters, which is checked once per word.
-
-_INT32_MAX = int(np.iinfo(np.int32).max)
 
 
 class RSKTableau:
@@ -295,10 +333,13 @@ def sample_top_curves(N, M, params, rng, size, n_curves=2):
     """Stream-sample `size` environments on [[1, N+M]] x [[1, N]] and return
     the top `n_curves` curves as a (size, n_curves, M+1) array.
 
-    Rows beyond N have no mirror cell inside the rectangle and are generated
-    on the fly, so the full environment is never materialized.  Samples are
-    processed in fixed-size chunks (a deterministic function of N) to bound
-    memory at large batch sizes without breaking seed reproducibility.
+    The N x N block is held only as its packed int32 draws (N(N+1)/2 cells
+    per sample) and fed to the tableau one row of the index map at a time;
+    the mirrored (size, N, N) environment is never built.  Rows beyond N have
+    no mirror cell inside the rectangle and are drawn one at a time as they
+    are inserted.  Samples are processed in chunks of max(1, 2^25 // N^2), a
+    deterministic function of N that fixes the stream; a chunk's packed draws
+    hold about 2^24 int32 weights (64 MB) whatever the batch size.
     """
     if not isinstance(params, ModelParams):
         params = ModelParams(*params)
@@ -310,13 +351,13 @@ def sample_top_curves(N, M, params, rng, size, n_curves=2):
             for i0 in range(0, size, chunk)
         ]
         return np.concatenate(parts, axis=0)
-    top = sample_weights_batch(N, N, params, rng, size)
+    packed, index = _symmetric_draws(N, N, params, rng, size)
     tab = RSKTableau(size, N, n_curves)
     out = np.zeros((size, n_curves, M + 1), dtype=np.int64)
     for i in range(N):
-        tab.insert_counts(top[:, i])
+        tab.insert_counts(packed[index[i]].T)
     out[:, :, 0] = tab.shape()
-    del top
+    del packed
     for t in range(1, M + 1):
         row = geometric_icdf(rng.random((size, N)), q * q)
         tab.insert_counts(row)

@@ -132,17 +132,26 @@ def pair_correlation(samples, slice_pairs):
 # archives
 # ---------------------------------------------------------------------------
 
+_ARCHIVE_BLOCK = 1 << 16  # archive lines formatted per write
+
+
 def write_curve_archive(path, samples):
-    """CSV archive of a batch of line ensembles: sample_id,index,time,value."""
+    """CSV archive of a batch of line ensembles: sample_id,index,time,value.
+
+    One line per value, in (sample, index, time) order, with CRLF endings;
+    the body is formatted a block of whole samples at a time.
+    """
     samples = np.asarray(samples)
+    B, K, T = samples.shape
+    step = max(1, _ARCHIVE_BLOCK // max(K * T, 1))
+    b, i, t = np.indices((min(step, B), K, T))
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["sample_id", "index", "time", "value"])
-        B, K, T = samples.shape
-        for b in range(B):
-            for i in range(K):
-                for t in range(T):
-                    w.writerow([b, i + 1, t, int(samples[b, i, t])])
+        fh.write("sample_id,index,time,value\r\n")
+        for s in range(0, B, step):
+            vals = samples[s : s + step]
+            n = vals.shape[0]
+            grid = np.stack([b[:n] + s, i[:n] + 1, t[:n], vals.astype(np.int64)], axis=-1)
+            fh.write("%d,%d,%d,%d\r\n" * (n * K * T) % tuple(grid.ravel().tolist()))
 
 
 def read_curve_archive(path):

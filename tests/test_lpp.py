@@ -249,3 +249,92 @@ def test_geometric_icdf_input_untouched_and_scalar():
         s = lpp.geometric_icdf(v, 0.36)
         assert np.ndim(s) == 0 and s == w[i, j]
     assert lpp.geometric_icdf(0.5, 0.0) == 0
+
+
+def _materialised_weights(m, n, params, rng, size, dtype=np.int64):
+    """The mirrored sampler as it stood before the packed draws: whole
+    (size, m, n) environments, every cell drawn and the lower triangle of the
+    r x r block then overwritten by its mirror, the diagonal drawn last."""
+    w = np.empty((size, m, n), dtype=dtype)
+    r = min(m, n)
+    below = np.tri(r, k=-1, dtype=bool)
+    step = max(1, (1 << 16) // (m * n))
+    for s in range(0, size, step):
+        blk = w[s : s + step]
+        vals = lpp.geometric_icdf(rng.random(blk.shape), params.q * params.q)
+        assert vals.max(initial=0) <= np.iinfo(dtype).max
+        blk[...] = vals
+        np.copyto(blk[:, :r, :r], blk[:, :r, :r].transpose(0, 2, 1), where=below)
+    d = np.arange(r)
+    w[:, d, d] = lpp.geometric_icdf(rng.random((size, r)), params.c * params.q)
+    return w
+
+
+def _materialised_top_curves(N, M, params, rng, size, n_curves, dtype=np.int64):
+    """sample_top_curves as it stood before the packed draws, building each
+    chunk's (chunk, N, N) environment block."""
+    chunk = max(1, (1 << 25) // (N * N))
+    if size > chunk:
+        return np.concatenate([
+            _materialised_top_curves(N, M, params, rng, min(chunk, size - i0),
+                                     n_curves, dtype)
+            for i0 in range(0, size, chunk)
+        ])
+    top = _materialised_weights(N, N, params, rng, size, dtype)
+    tab = lpp.RSKTableau(size, N, n_curves)
+    out = np.zeros((size, n_curves, M + 1), dtype=np.int64)
+    for i in range(N):
+        tab.insert_counts(top[:, i].astype(np.int64))
+    out[:, :, 0] = tab.shape()
+    for t in range(1, M + 1):
+        tab.insert_counts(lpp.geometric_icdf(rng.random((size, N)), params.q * params.q))
+        out[:, :, t] = tab.shape()
+    return out
+
+
+@pytest.mark.parametrize("m,n", [(4, 4), (5, 3), (3, 5), (1, 1), (1, 6), (6, 1),
+                                 (120, 40), (40, 120)])
+def test_packed_weights_equal_materialised(m, n):
+    P = ModelParams(0.5, 1.4)
+    for size in (1, 7, 700):
+        got = lpp.sample_weights_batch(m, n, P, np.random.default_rng([m, n, size]), size)
+        ref = _materialised_weights(m, n, P, np.random.default_rng([m, n, size]), size)
+        assert got.dtype == np.int64 and got.shape == (size, m, n)
+        assert np.array_equal(got, ref)
+    curves = lpp.lambda_process_batch(got, min(m, n), m - min(m, n), max_curves=2)
+    assert np.array_equal(
+        curves, lpp.lambda_process_batch(ref, min(m, n), m - min(m, n), max_curves=2))
+
+
+@pytest.mark.parametrize("N,M,size,n_curves", [(1, 3, 5, 1), (6, 4, 10, 2),
+                                               (30, 20, 300, 3), (600, 3, 100, 1)])
+def test_packed_top_curves_equal_materialised(N, M, size, n_curves):
+    # (600, 3, 100) spans two chunks of 93 and 7 samples; its reference block
+    # is held as int16 (asserted to fit) to keep the test small
+    P = ModelParams(0.5, 1.4)
+    got = lpp.sample_top_curves(N, M, P, np.random.default_rng(N), size, n_curves)
+    ref = _materialised_top_curves(N, M, P, np.random.default_rng(N), size, n_curves,
+                                   dtype=np.int16)
+    assert np.array_equal(got, ref)
+
+
+def test_packed_weights_int32_guard():
+    # q or c*q close to 1 puts single weights far past 2^31 - 1
+    for P in (ModelParams(1.0 - 1e-12, 0.5), ModelParams(0.5, 2.0 - 1e-12)):
+        with pytest.raises(lpp.ResourceError):
+            lpp.sample_weights_batch(3, 2, P, np.random.default_rng(1), 4)
+        with pytest.raises(lpp.ResourceError):
+            lpp.sample_top_curves(3, 2, P, np.random.default_rng(1), 4)
+
+
+def test_top_curves_never_build_the_environment_block():
+    # the mirrored int64 block of 3000 samples at N = 100 alone is 240 MB
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        lpp.sample_top_curves(100, 1, ModelParams(0.5, 1.4), np.random.default_rng(3),
+                              3000, n_curves=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 90e6, peak / 1e6
