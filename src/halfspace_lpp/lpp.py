@@ -85,7 +85,7 @@ def _symmetric_draws(m, n, params, rng, size):
     q, c = params.q, params.c
     r = min(m, n)
     i, j = np.indices((m, n))
-    cells = np.flatnonzero((i < j) | (i >= r))  # off-diagonal cells, row-major
+    cells = np.flatnonzero((i < j) | (i >= r))  # the slab cells kept, row-major
     nf = cells.size
     index = np.empty((m, n), dtype=np.intp)
     index.flat[cells] = np.arange(nf)

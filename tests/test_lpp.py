@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -329,7 +331,6 @@ def test_packed_weights_int32_guard():
 
 def test_top_curves_never_build_the_environment_block():
     # the mirrored int64 block of 3000 samples at N = 100 alone is 240 MB
-    import tracemalloc
     tracemalloc.start()
     try:
         lpp.sample_top_curves(100, 1, ModelParams(0.5, 1.4), np.random.default_rng(3),
