@@ -2,8 +2,9 @@
 
 Each check returns a CheckResult with pass/fail, the measured numbers, and
 its runtime; run_all executes the full battery.  The same functions back
-tests/test_acceptance.py and the verify-all CLI command, and the kernel
-convergence sweeps also back the kernel-converge command.
+tests/test_acceptance.py and the verify-all CLI command; the kernel
+convergence sweeps also back the kernel-converge command, and the
+Brownian-limit statistics the brownian-limit command.
 """
 
 import math
@@ -76,14 +77,10 @@ def check_schur_identity(rng):
     seqs, weights, tail = schur.enumerate_schur_support(N, M, P.q, P.c, 24)
     Z = math.exp(schur.schur_normalization_log(P.q, P.c, N, M))
     probs = {s: w / Z for s, w in zip(seqs, weights)}
-    emp = {}
-    for b in range(B):
-        key = (schur.trim(arr[b, :, 0]), schur.trim(arr[b, :, 1]))
-        emp[key] = emp.get(key, 0) + 1
-    tv = 0.0
-    for key in set(probs) | set(emp):
-        tv += abs(probs.get(key, 0.0) - emp.get(key, 0) / B)
-    tv = 0.5 * tv + 0.5 * tail / Z
+    # rows (lambda^0, lambda^1), keyed as the trimmed partition pairs of seqs
+    law = stats.empirical_law(arr.transpose(0, 2, 1).reshape(B, -1))
+    emp = {(schur.trim(row[:N]), schur.trim(row[N:])): k for row, k in law.items()}
+    tv = stats.tv_distance(emp, probs, tail / Z)
     passed = tv < 0.02
     return CheckResult(
         "schur_identity", passed,
@@ -162,11 +159,7 @@ def check_origin_statistics(rng):
     sigma = math.sqrt(p * (1.0 + p))
     gap = round(2.0 * sigma * math.sqrt(d))
     X1, X2 = schur.sample_origin_exact(Tn, (gap, 0), P, rng, 100000)
-    V = X1 - X2
-    kmax = 60
-    emp = np.bincount(V, minlength=kmax + 1)[: kmax + 1] / len(V)
-    law = schur.origin_gap_law(c, kmax)
-    tv = 0.5 * float(np.abs(emp - law).sum()) + 0.5 * (1.0 - float(law.sum()))
+    tv = schur.origin_gap_tv(X1 - X2, c, 60)
     U = (X1 + X2 - gap + 2.0 * p * Tn) / (sigma * math.sqrt(d))
     var_half = float((U / 2.0).var())
     mean_half = float((U / 2.0).mean())
@@ -195,11 +188,9 @@ def check_monotone_coupling(rng):
     st = interacting.sample_interlacing_bridges_mcmc(
         0, 4, [0], [2], None, None, steps=40, rng=rng, replicas=R
     )
-    keys = {}
-    for row in st[:, 0, 1:4]:
-        keys[tuple(row)] = keys.get(tuple(row), 0) + 1
+    law = stats.empirical_law(st[:, 0, 1:4])
     n_states = 10  # weakly increasing triples in {0,1,2}
-    counts = np.array(list(keys.values()) + [0] * (n_states - len(keys)))
+    counts = np.array(list(law.values()) + [0] * (n_states - len(law)))
     chi2, pval = sstats.chisquare(counts)
     # chi^2 for the weighted interacting chain on its tiny exact law
     P = ModelParams(0.5, 0.8)
@@ -208,9 +199,7 @@ def check_monotone_coupling(rng):
     )
     X1, X2, pr = schur.origin_law(1, (1, 0), P)
     exact = {(a, b): p for a, b, p in zip(X1.tolist(), X2.tolist(), pr)}
-    emp = {}
-    for a, b in zip(st2[:, 0, 0], st2[:, 1, 0]):
-        emp[(int(a), int(b))] = emp.get((int(a), int(b)), 0) + 1
+    emp = stats.empirical_law(st2[:, :2, 0])
     support = [k for k, p in exact.items() if p * 20000 >= 8]
     obs = np.array([emp.get(k, 0) for k in support], dtype=float)
     exp = np.array([exact[k] * 20000 for k in support])
@@ -341,27 +330,33 @@ def check_phase_diagnostics(rng):
     )
 
 
+def brownian_limit_stats(params, N, B, t_grid, rng):
+    """Rescaled top curves U of B samples on [[0, ceil(N max t_grid)]] and,
+    per t, (Var U(t) / (kappa_bar - t), mean U(t), sd U(t)) with ddof = 1."""
+    cst = ScalingConstantsEdge(params.q, params.c)
+    t_grid = np.asarray(t_grid, dtype=float)
+    M = int(math.ceil(float(t_grid.max()) * N)) if t_grid.size else 1
+    tops = lpp.sample_top_curves(N, M, params, rng, B, n_curves=1)[:, 0, :]
+    U = lpp.rescale_top_batch(tops, N, cst, t_grid)
+    moments = []
+    for j, t in enumerate(t_grid):
+        var = float(U[:, j].var(ddof=1))
+        moments.append((var / (cst.kappa_bar - t), float(U[:, j].mean()), math.sqrt(var)))
+    return U, moments
+
+
 @_timed
 def check_brownian_limit(rng):
     """Top-curve fluctuations: Var U1(t)/(kappa_bar - t) in [0.85, 1.15] and
     |mean| < 0.1 sqrt(Var) at t in {0, 2, 4}; q=0.5, c=1.4, N=200.  The mean
     rule meets a finite-N bias: mean/sd ran from -0.002 to -0.056 over fresh
     seeds at B=2000 (standard error 0.022)."""
-    q, c, N, B = 0.5, 1.4, 200, 2000
-    P = ModelParams(q, c)
-    cst = ScalingConstantsEdge(q, c)
-    M = 4 * N
-    tops = lpp.sample_top_curves(N, M, P, rng, B, n_curves=1)[:, 0, :]
-    t_grid = np.array([0.0, 2.0, 4.0])
-    U = lpp.rescale_top_batch(tops, N, cst, t_grid)
+    t_grid = [0.0, 2.0, 4.0]
+    _, moments = brownian_limit_stats(ModelParams(0.5, 1.4), 200, 2000, t_grid, rng)
     passed = True
     parts = []
-    for j, t in enumerate(t_grid):
-        var = float(U[:, j].var(ddof=1))
-        mean = float(U[:, j].mean())
-        ratio = var / (cst.kappa_bar - t)
-        ok = 0.85 <= ratio <= 1.15 and abs(mean) < 0.1 * math.sqrt(var)
-        passed = passed and ok
+    for t, (ratio, mean, sd) in zip(t_grid, moments):
+        passed = passed and 0.85 <= ratio <= 1.15 and abs(mean) < 0.1 * sd
         parts.append(f"t={t:g}: var ratio {ratio:.3f}, mean {mean:+.3f}")
     return CheckResult("brownian_limit", passed, "; ".join(parts))
 
@@ -505,8 +500,9 @@ ALL_CHECKS = [
 ]
 
 
-def run_all(seed=DEFAULT_SEED, names=None, printer=print):
-    """Run the acceptance battery; returns the list of CheckResults.
+def run_all(seed=DEFAULT_SEED, names=None):
+    """Run the acceptance battery, printing one line per check; returns the
+    list of CheckResults.
 
     Seeds are derived per criterion from its position in the battery, so a
     run is reproducible and a filtered run executes the identical checks.
@@ -518,6 +514,5 @@ def run_all(seed=DEFAULT_SEED, names=None, printer=print):
         rng = np.random.default_rng([seed, index])
         res = fn(rng)
         results.append(res)
-        if printer:
-            printer(res.line())
+        print(res.line())
     return results

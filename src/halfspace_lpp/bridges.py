@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, ParameterError
-from .schur import sample_origin_exact, origin_gap_law
+from .schur import origin_gap_tv, sample_origin_exact
 
 
 class RejectionError(RuntimeError):
@@ -155,11 +155,9 @@ def ks_distance(samples_a, samples_b):
 
 @dataclass
 class PinnedOriginReport:
-    T_values: list
     gap_tv: dict
     sum_ks: dict
     top_ks: dict
-    gap_law_tail: float
 
 
 def discrete_to_pinned_check(T_values, b, y_scaled, params, rng, n_samples=100000,
@@ -181,24 +179,17 @@ def discrete_to_pinned_check(T_values, b, y_scaled, params, rng, n_samples=10000
     p = q / (1.0 - q)
     sigma = math.sqrt(p * (1.0 + p))
     y1, y2 = y_scaled
-    rep = PinnedOriginReport(T_values=list(T_values), gap_tv={}, sum_ks={},
-                             top_ks={}, gap_law_tail=0.0)
+    rep = PinnedOriginReport(gap_tv={}, sum_ks={}, top_ks={})
     # continuum reference: time-0 values of the pinned pair
     zmean = 0.5 * (y1 + y2)
     zsd = math.sqrt(b / 2.0)
     ref_sum = zmean + zsd * rng.standard_normal(n_cont)
-    kmax = 80
-    law = origin_gap_law(c, kmax)
-    rep.gap_law_tail = max(0.0, 1.0 - float(law.sum()))
     for T in T_values:
         d = T / b
         Y1 = round(p * T + sigma * math.sqrt(d) * y1)
         Y2 = round(p * T + sigma * math.sqrt(d) * y2)
         X1, X2 = sample_origin_exact(T, (Y1, Y2), params, rng, n_samples)
-        gaps = X1 - X2
-        emp = np.bincount(gaps, minlength=kmax + 1)[: kmax + 1] / len(gaps)
-        tv = 0.5 * float(np.abs(emp - law).sum()) + 0.5 * rep.gap_law_tail
-        rep.gap_tv[T] = tv
+        rep.gap_tv[T] = origin_gap_tv(X1 - X2, c, 80)
         # in the scaled-ensemble convention both curves' time-0 values
         # converge to the pin Z ~ N((y1+y2)/2, b/2)
         scale = 1.0 / (sigma * math.sqrt(d))

@@ -306,18 +306,13 @@ def cmd_brownian_limit(cfg):
     in_window = t_grid < cst.kappa_bar
     skipped = t_grid[~in_window].tolist()
     t_grid = t_grid[in_window]
-    M = int(math.ceil(float(t_grid.max()) * N)) if t_grid.size else 1
-    rng = replica_rng(cfg["seed"], 0)
-    tops = lpp.sample_top_curves(N, M, P, rng, B, n_curves=1)[:, 0, :]
-    U = lpp.rescale_top_batch(tops, N, cst, t_grid)
+    U, moments = acceptance.brownian_limit_stats(P, N, B, t_grid,
+                                                 replica_rng(cfg["seed"], 0))
     rows = []
     checks = {"skipped_out_of_window": skipped}
-    for j, t in enumerate(t_grid):
-        var = float(U[:, j].var(ddof=1))
-        mean = float(U[:, j].mean())
-        rows.append((f"t={t:g}", t, var / (cst.kappa_bar - t), 0.0,
-                     1.0, mean / math.sqrt(var)))
-        checks[f"var_ratio_t{t:g}"] = var / (cst.kappa_bar - t)
+    for t, (ratio, mean, sd) in zip(t_grid, moments):
+        rows.append((f"t={t:g}", t, ratio, 0.0, 1.0, mean / sd))
+        checks[f"var_ratio_t{t:g}"] = ratio
     # reverse-time increment correlation heuristic
     if t_grid.size >= 3:
         inc1 = U[:, 1] - U[:, 0]

@@ -43,12 +43,12 @@ rows are summed against the z weights once, in row order, so reruns are
 byte-identical.  While a tile is evaluated numpy's ufunc buffer is kept
 small (_UFUNC_BUFSIZE), which results do not depend on.
 
-Pieces carry an optional geometric panel grading toward one endpoint for
-integrands with a short internal scale (steepest-descent wedges near a
-critical point).  Circles alone use the doubling trapezoid rule
-(integrate_circle).  The adaptive Gauss-Kronrod integrate_contour is kept as
-an independent reference for tests; it is the one routine that rejects a
-pole on the contour.
+Segments and arcs carry an optional geometric panel grading toward one
+endpoint, the same for both, for integrands with a short internal scale
+(steepest-descent wedges near a critical point).  Circles alone use the
+doubling trapezoid rule (integrate_circle).  The adaptive Gauss-Kronrod
+integrate_contour is kept as an independent reference for tests; it is the
+one routine that rejects a pole on the contour.
 """
 
 import math
@@ -126,26 +126,8 @@ class Segment:
     def derivative(self, t):
         return np.full(np.shape(t), self.b - self.a, dtype=complex)
 
-    @property
-    def start(self):
-        return self.a
-
-    @property
-    def end(self):
-        return self.b
-
     def base_breaks(self):
-        if self.grade is None:
-            return np.linspace(0.0, 1.0, 5)
-        h = min(max(self.grade_scale, 1e-12), 0.5)
-        pts = [0.0]
-        x = h
-        while x < 1.0:
-            pts.append(x)
-            x *= 2.0
-        pts.append(1.0)
-        pts = np.array(pts)
-        return pts if self.grade == "start" else 1.0 - pts[::-1]
+        return np.linspace(0.0, 1.0, 5) if self.grade is None else _graded(self)
 
 
 @dataclass
@@ -168,28 +150,26 @@ class Arc:
         th = self.theta0 + np.asarray(t) * (self.theta1 - self.theta0)
         return 1j * self.radius * (self.theta1 - self.theta0) * np.exp(1j * th)
 
-    @property
-    def start(self):
-        return self.point(0.0)
-
-    @property
-    def end(self):
-        return self.point(1.0)
-
     def base_breaks(self):
-        if self.grade is None:
-            span = abs(self.theta1 - self.theta0)
-            n = max(4, int(math.ceil(span / (math.pi / 8))))
-            return np.linspace(0.0, 1.0, n + 1)
-        h = min(max(self.grade_scale, 1e-12), 0.5)
-        pts = [0.0]
-        x = h
-        while x < 1.0:
-            pts.append(x)
-            x *= 2.0
-        pts.append(1.0)
-        pts = np.array(pts)
-        return pts if self.grade == "start" else 1.0 - pts[::-1]
+        if self.grade is not None:
+            return _graded(self)
+        span = abs(self.theta1 - self.theta0)
+        n = max(4, int(math.ceil(span / (math.pi / 8))))
+        return np.linspace(0.0, 1.0, n + 1)
+
+
+def _graded(piece):
+    """Panel breaks on [0, 1] of widths doubling away from the piece's graded
+    endpoint, the first about grade_scale (clipped to [1e-12, 0.5])."""
+    h = min(max(piece.grade_scale, 1e-12), 0.5)
+    pts = [0.0]
+    x = h
+    while x < 1.0:
+        pts.append(x)
+        x *= 2.0
+    pts.append(1.0)
+    pts = np.array(pts)
+    return pts if piece.grade == "start" else 1.0 - pts[::-1]
 
 
 def full_circle(center, radius):
@@ -199,19 +179,9 @@ def full_circle(center, radius):
 
 @dataclass
 class Contour:
-    """Ordered list of pieces.  connected() verifies end-to-start chaining."""
+    """Ordered list of pieces, each traversed from its t = 0 end to t = 1."""
 
     pieces: list
-
-    def connected(self, tol=1e-12, closed=False):
-        for p, q in zip(self.pieces, self.pieces[1:]):
-            if abs(p.end - q.start) > tol * max(1.0, abs(p.end)):
-                return False
-        if closed and self.pieces:
-            back = abs(self.pieces[-1].end - self.pieces[0].start)
-            if back > tol * max(1.0, abs(self.pieces[-1].end)):
-                return False
-        return True
 
     def nodes(self, level):
         """Gauss-Legendre panel nodes; returns (points z_i, weights for dz)."""

@@ -2,12 +2,15 @@
 
 Curves are stored 0-based: state[j, t] is curve j+1 at time t, curves ordered
 top to bottom, interlacing state[j, t-1] >= state[j+1, t].  Endpoints are
-frozen; interior sites resample uniformly on the allowed integer interval.
-Under the interacting-pair weight, time-0 sites resample from truncated
-two-sided geometric conditionals instead, so every single step is exact.
+frozen; interior sites resample uniformly on the allowed integer interval,
+by one update all three chains share.  Under the interacting-pair weight,
+time-0 sites resample from truncated two-sided geometric conditionals
+instead, so every single step is exact.
 
 Chains are batched over independent replicas (leading axis), one site update
-per replica per step with replica-independent site choices.
+per replica per step with replica-independent site choices, drawn as curve
+indices, time indices, then uniforms.  The samplers add 20 n log n + 1
+burn-in updates for n free sites.
 """
 
 import math
@@ -16,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import ModelParams, ParameterError
+from .stats import _row_classes, empirical_law, tv_distance
 
 INF = np.int64(2 ** 62)
 
@@ -79,28 +83,31 @@ def _config_valid(cfg, x, y, f, g):
 # uniform interlacing-bridge chain
 # ---------------------------------------------------------------------------
 
-def _neighbor_bounds(state, A, B, f_arr, g_arr):
-    """Heat-bath interval [C, D] for sites (A, B) across replicas.
-
-    state: (R, k, T+1); A, B: (R,) int arrays of curve / time indices.
-    """
-    R, k, Tp = state.shape
-    r = np.arange(R)
-    lo_mono = state[r, A, B - 1]
-    hi_mono = state[r, A, B + 1]
+def _uniform_update(state, r, A, B, U, f, g):
+    """Resample the interior sites state[r, A, B] in place, with uniforms U,
+    uniformly between their time neighbours and the interlacing curves above
+    and below, or the ceiling path f and floor path g (None: unbounded); the
+    uniform law is the truncated geometric one of ratio 1."""
+    _, k, Tp = state.shape
     below = np.where(
         A + 1 < k,
         state[r, np.minimum(A + 1, k - 1), np.minimum(B + 1, Tp - 1)],
-        g_arr[np.minimum(B + 1, Tp - 1)] if g_arr is not None else -INF,
+        g[np.minimum(B + 1, Tp - 1)] if g is not None else -INF,
     )
     above = np.where(
         A > 0,
         state[r, np.maximum(A - 1, 0), B - 1],
-        f_arr[B - 1] if f_arr is not None else INF,
+        f[B - 1] if f is not None else INF,
     )
-    C = np.maximum(lo_mono, below)
-    D = np.minimum(hi_mono, above)
-    return C, D
+    C = np.maximum(state[r, A, B - 1], below)
+    D = np.minimum(state[r, A, B + 1], above)
+    state[r, A, B] = _truncated_geometric(1.0, C, D, U)
+
+
+def _burnin(n_sites):
+    """Default burn-in of a chain with n_sites free sites, in site updates."""
+    n = max(n_sites, 2)
+    return int(20 * n * math.log(n)) + 1
 
 
 @dataclass
@@ -138,18 +145,12 @@ class BridgeChain:
         R, k, _ = self.state.shape
         A = rng.integers(0, k, size=R)
         B = rng.integers(1, T, size=R)
-        C, D = _neighbor_bounds(self.state, A, B, self._f, self._g)
         U = rng.random(R)
-        val = C + np.floor(U * (D - C + 1)).astype(np.int64)
-        self.state[np.arange(R), A, B] = val
+        _uniform_update(self.state, np.arange(R), A, B, U, self._f, self._g)
 
     def run(self, steps, rng):
         for _ in range(steps):
             self.step(rng)
-
-    def default_burnin(self):
-        n = max(self.n_sites, 2)
-        return int(20 * n * math.log(n)) + 1
 
 
 def sample_interlacing_bridges_mcmc(T0, T1, x, y, f, g, steps, rng, replicas=1):
@@ -159,7 +160,7 @@ def sample_interlacing_bridges_mcmc(T0, T1, x, y, f, g, steps, rng, replicas=1):
     updates per replica on top of the default burn-in.
     """
     chain = BridgeChain(T0, T1, np.asarray(x), np.asarray(y), replicas, f, g)
-    chain.run(chain.default_burnin() + steps, rng)
+    chain.run(_burnin(chain.n_sites) + steps, rng)
     return chain.state if replicas > 1 else chain.state[0]
 
 
@@ -223,8 +224,7 @@ def monotone_coupled_chains(
         B = rng.integers(1, T, size=R)
         U = rng.random(R)
         for state in (top, bot, hat):
-            C, D = _neighbor_bounds(state, A, B, None, None)
-            state[r, A, B] = C + (U * (D - C + 1)).astype(np.int64)
+            _uniform_update(state, r, A, B, U, None, None)
         if n % check_every == 0:
             triple.check()
     triple.check()
@@ -243,13 +243,10 @@ def _truncated_geometric(beta, C, D, u):
     """
     C = np.asarray(C, dtype=np.int64)
     D = np.asarray(D, dtype=np.int64)
-    out = np.empty(C.shape, dtype=np.int64)
     if beta == 0.0:
-        out[:] = C
-        return out
+        return C.copy()
     if math.isinf(beta):
-        out[:] = D
-        return out
+        return D.copy()
     if beta == 1.0:
         return C + np.floor(u * (D - C + 1)).astype(np.int64)
     # measure from the heavy end with ratio rho < 1
@@ -343,11 +340,8 @@ class InteractingEnsembleChain:
         interior = B >= 1
         r = np.arange(R)
         if np.any(interior):
-            Ai, Bi, ri = A[interior], B[interior], r[interior]
-            C, D = _neighbor_bounds(self.state[interior], Ai, Bi, None, self._g)
-            self.state[ri, Ai, Bi] = C + np.floor(
-                U[interior] * (D - C + 1)
-            ).astype(np.int64)
+            _uniform_update(self.state, r[interior], A[interior], B[interior],
+                            U[interior], None, self._g)
         origin = ~interior
         if np.any(origin):
             Ao, ro, Uo = A[origin], r[origin], U[origin]
@@ -374,15 +368,10 @@ class InteractingEnsembleChain:
         for _ in range(steps):
             self.step(rng)
 
-    def default_burnin(self):
-        n = max(self.n_sites, 2)
-        return int(20 * n * math.log(n)) + 1
 
-
-def sample_interacting_ensemble_mcmc(
-    T1, y, g, params, steps, rng, replicas=1, burnin=None
-):
-    """Run the interacting-ensemble chain; returns final state(s).
+def sample_interacting_ensemble_mcmc(T1, y, g, params, steps, rng, replicas=1):
+    """Run the interacting-ensemble chain for `steps` site updates per
+    replica on top of the default burn-in; returns the final state(s).
 
     Well-posedness is the staircase condition (g increasing, g(T1) <= y_2k);
     anything beyond that raises InfeasibilityError.
@@ -390,7 +379,7 @@ def sample_interacting_ensemble_mcmc(
     chain = InteractingEnsembleChain(
         T1=T1, y=np.asarray(y), params=params, replicas=replicas, g=g
     )
-    chain.run((chain.default_burnin() if burnin is None else burnin) + steps, rng)
+    chain.run(_burnin(chain.n_sites) + steps, rng)
     return chain.state if replicas > 1 else chain.state[0]
 
 
@@ -415,9 +404,9 @@ def enumerate_interacting_configs(T1, y, g, params, floor_slack=25):
         else np.full(T1 + 1, int(y[-1]) - floor_slack, dtype=np.int64)
     )
 
-    def curve_paths(hi_curve, endpoint, lo_path):
-        """All increasing paths p with p(T1)=endpoint, p(t) <= hi_curve(t-1),
-        p(t-1) >= lo_path(t) handled by caller; here only upper bounds."""
+    def curve_paths(hi_curve, endpoint):
+        """All increasing paths p with p(T1) = endpoint, p(t) <= hi_curve(t-1)
+        and p(t) >= the floor; the caller checks interlacing from below."""
         paths = [[endpoint]]
         for t in range(T1 - 1, -1, -1):
             ext = []
@@ -441,7 +430,7 @@ def enumerate_interacting_configs(T1, y, g, params, floor_slack=25):
                 configs.append(arr)
             return
         hi_curve = acc[-1] if acc else None
-        for p in curve_paths(hi_curve, int(y[j]), None):
+        for p in curve_paths(hi_curve, int(y[j])):
             rec(j + 1, acc + [p])
 
     rec(0, [])
@@ -457,27 +446,13 @@ def enumerate_interacting_configs(T1, y, g, params, floor_slack=25):
     return configs, w / w.sum()
 
 
-def _row_classes(rows):
-    """Distinct rows of a 2-D integer array in lexicographic order, as
-    (perm, starts, counts): rows[perm] is sorted, stably, and the class
-    starting at starts[c] holds counts[c] rows."""
-    perm = np.lexsort(rows.T[::-1])
-    srt = rows[perm]
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = (srt[1:] != srt[:-1]).any(axis=1)
-    starts = np.flatnonzero(new)
-    return perm, starts, np.diff(starts, append=len(rows))
-
-
-def gibbs_consistency_check(
-    samples, T, k, params, g_value=0, min_hits=50, top_classes=3
-):
+def gibbs_consistency_check(samples, T, k, params, min_hits=50):
     """Empirical interacting-pair Gibbs check on Schur process samples.
 
     samples: (B, K, M+1) line-ensemble array with K >= 2k+1 and M >= T.
-    For the most frequent conditioning classes (y, g) the conditional law of
-    the top 2k curves on [[0, T]] is compared with the exact enumeration.
-    Returns a report dict with per-class TV distances.
+    For the three most frequent conditioning classes (y, g) the conditional
+    law of the top 2k curves on [[0, T]] is compared with the exact
+    enumeration.  Returns a report dict with per-class TV distances.
     """
     B, K, Mp1 = samples.shape
     if K < 2 * k + 1 or Mp1 <= T:
@@ -488,7 +463,7 @@ def gibbs_consistency_check(
     perm, starts, counts = _row_classes(keys)
     order = np.argsort(-counts)
     report = {"classes": [], "warnings": []}
-    for ci in order[:top_classes]:
+    for ci in order[:3]:
         hits = int(counts[ci])
         cls = keys[perm[starts[ci]]]
         y = tuple(int(v) for v in cls[: 2 * k])
@@ -502,13 +477,8 @@ def gibbs_consistency_check(
         sel = samples[:, : 2 * k, : T + 1][members].reshape(hits, -1)
         configs, probs = enumerate_interacting_configs(T, np.array(y), g, params)
         flat = {tuple(cfg.ravel()): p for cfg, p in zip(configs, probs)}
-        cperm, cstarts, ccounts = _row_classes(sel)
-        first = cperm[cstarts]  # each configuration's first sample
-        emp = {tuple(sel[first[j]].tolist()): int(ccounts[j]) for j in np.argsort(first)}
-        tv = 0.0
-        for key in set(flat) | set(emp):
-            tv += abs(flat.get(key, 0.0) - emp.get(key, 0) / hits)
+        tv = tv_distance(empirical_law(sel), flat)
         report["classes"].append(
-            {"y": y, "g": tuple(int(v) for v in g), "hits": hits, "tv": 0.5 * tv}
+            {"y": y, "g": tuple(int(v) for v in g), "hits": hits, "tv": tv}
         )
     return report

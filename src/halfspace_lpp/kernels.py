@@ -872,19 +872,16 @@ def kernel_limit_bulk_from_hs(s, x, t, y, consts, tol=DEFAULT_TOL):
 # steepest-descent diagnostics
 # ---------------------------------------------------------------------------
 
-def _fd_derivative(f, z0, order, h=1e-4, richardson=True):
-    """Central finite difference of given order with optional Richardson."""
+def _fd_derivative(f, z0, order, h=1e-4):
+    """Central finite difference of given order, Richardson-extrapolated
+    from the steps h and h/2."""
 
     def central(hh):
         if order == 1:
             return (f(z0 + hh) - f(z0 - hh)) / (2.0 * hh)
         return (f(z0 + hh) - 2.0 * f(z0) + f(z0 - hh)) / (hh * hh)
 
-    d1 = central(h)
-    if not richardson:
-        return d1
-    d2 = central(h / 2.0)
-    return (4.0 * d2 - d1) / 3.0
+    return (4.0 * central(h / 2.0) - central(h)) / 3.0
 
 
 def phase_diagnostics(q, c, kappas, h=1e-4, fd_tol=1e-6):

@@ -13,6 +13,10 @@ map that sends each lower-triangle cell to its mirror; a weight that would
 pass 2^31 - 1 raises ResourceError instead of wrapping.  The uniform stream
 is that of one (size, m, n) draw followed by one (size, min(m, n)) draw for
 the diagonal, so fixed seeds give the same environments as a full draw.
+
+One driver feeds a batched tableau a stream of letter-count words and reads
+its shape: at one corner, along the line ensemble of an environment array,
+and along the top curves fed straight from the packed draws.
 """
 
 import itertools
@@ -216,15 +220,25 @@ class RSKTableau:
         return out
 
 
-def rsk_shape_batch(W_batch, m, n, max_rows=None):
-    """Shapes lambda(m, n) for a batch of environments, as (B, max_rows)."""
+def _shapes(words, size, n, K, first, T):
+    """(size, K, T+1) shapes of a tableau tracking K rows that is fed the
+    first + T + 1 (size, n) letter-count words of the iterator `words`, read
+    after word `first` (0-based) and after each of the T words that follow.
+    No word is held past its insertion."""
+    tab = RSKTableau(size, n, K)
+    out = np.zeros((size, K, T + 1), dtype=np.int64)
+    for i in range(first + T + 1):
+        tab.insert_counts(next(words))
+        if i >= first:
+            out[:, :, i - first] = tab.shape()
+    return out
+
+
+def rsk_shape_batch(W_batch, m, n):
+    """Shapes lambda(m, n) for a batch of environments, as (B, min(m, n))."""
     W_batch = np.asarray(W_batch)
-    if max_rows is None:
-        max_rows = min(m, n)
-    tab = RSKTableau(W_batch.shape[0], n, max_rows)
-    for i in range(m):
-        tab.insert_counts(W_batch[:, i, :n])
-    return tab.shape()
+    words = (W_batch[:, i, :n] for i in range(m))
+    return _shapes(words, W_batch.shape[0], n, min(m, n), m - 1, 0)[:, :, 0]
 
 
 def rsk_shape(W, m, n):
@@ -320,13 +334,8 @@ def lambda_process_batch(W_batch, N, M, max_curves=None):
             f"need a ({N + M}, {N}) environment, got ({rows}, {cols})"
         )
     K = min(N, max_curves) if max_curves else N
-    tab = RSKTableau(B, N, K)
-    out = np.zeros((B, K, M + 1), dtype=np.int64)
-    for i in range(N + M):
-        tab.insert_counts(W_batch[:, i, :N])
-        if i >= N - 1:
-            out[:, :, i - N + 1] = tab.shape()
-    return out
+    words = (W_batch[:, i, :N] for i in range(N + M))
+    return _shapes(words, B, N, K, N - 1, M)
 
 
 def sample_top_curves(N, M, params, rng, size, n_curves=2):
@@ -351,18 +360,18 @@ def sample_top_curves(N, M, params, rng, size, n_curves=2):
             for i0 in range(0, size, chunk)
         ]
         return np.concatenate(parts, axis=0)
-    packed, index = _symmetric_draws(N, N, params, rng, size)
-    tab = RSKTableau(size, N, n_curves)
-    out = np.zeros((size, n_curves, M + 1), dtype=np.int64)
-    for i in range(N):
-        tab.insert_counts(packed[index[i]].T)
-    out[:, :, 0] = tab.shape()
-    del packed
-    for t in range(1, M + 1):
-        row = geometric_icdf(rng.random((size, N)), q * q)
-        tab.insert_counts(row)
-        out[:, :, t] = tab.shape()
-    return out
+
+    def words(packed, index):
+        for i in range(N):
+            yield packed[index[i]].T
+        del packed  # its only reference: free the block before the rows past N
+        for _ in range(M):
+            yield geometric_icdf(rng.random((size, N)), q * q)
+
+    # draw the block before _shapes allocates the tableau and the output, so
+    # that neither coexists with the draw's temporaries
+    top = words(*_symmetric_draws(N, N, params, rng, size))
+    return _shapes(top, size, N, n_curves, N - 1, M)
 
 
 # ---------------------------------------------------------------------------

@@ -80,8 +80,6 @@ class ScalingConstantsEdge:
     kappa_bar: float = field(init=False)
     p_top: float = field(init=False)
     C_top: float = field(init=False)
-    kappa_star_low: float = field(init=False)
-    kappa_star_high: float = field(init=False)
 
     def __post_init__(self):
         q, c = self.q, self.c
@@ -97,8 +95,6 @@ class ScalingConstantsEdge:
         object.__setattr__(
             self, "C_top", q * (c * c - 2.0 * q * c + 1.0) / ((c - q) * (1.0 - q * c))
         )
-        object.__setattr__(self, "kappa_star_low", (1.0 - q * c) ** 2 / (c - q) ** 2)
-        object.__setattr__(self, "kappa_star_high", (c - q) ** 2 / (1.0 - q * c) ** 2)
 
     def z_crit(self, kappa):
         """Critical point z_c(kappa) = (q + sqrt(1+kappa)) / (1 + q sqrt(1+kappa))."""

@@ -11,11 +11,11 @@ class ShapeError(ValueError):
     pass
 
 
-def slogpf(A, overwrite=False):
+def slogpf(A):
     """(phase, logabs) with Pf(A) = phase * exp(logabs), as slogdet splits
     det; Pf(A) = 0 gives (0, -inf).  Skew-symmetric elimination with partial
     pivoting, for real or complex A of even dimension."""
-    A = np.array(A, dtype=complex, copy=not overwrite)
+    A = np.array(A, dtype=complex)
     n = A.shape[0]
     if A.shape[0] != A.shape[1]:
         raise ShapeError("matrix must be square")
@@ -44,10 +44,10 @@ def slogpf(A, overwrite=False):
     return phase, logabs
 
 
-def pfaffian(A, overwrite=False):
+def pfaffian(A):
     """Pf(A) = phase * exp(logabs) from slogpf: raises OverflowError past
     e^700 and underflows to 0 below about e^-745."""
-    phase, logabs = slogpf(A, overwrite)
+    phase, logabs = slogpf(A)
     if logabs > 700.0:
         raise OverflowError(f"|Pf| = e^{logabs:.1f} overflows float range")
     return phase * math.exp(logabs)

@@ -1,6 +1,6 @@
 """Pfaffian Schur process weights and samplers, interacting-pair partition
-functions (series and contour forms), and the exact law of an interacting
-pair at the origin.
+functions (series and contour forms), the exact law of an interacting pair
+at the origin, and the distance of sampled origin gaps to their limit law.
 
 Partitions are tuples of non-negative ints, weakly decreasing, trailing
 zeros optional.
@@ -95,8 +95,8 @@ def schur_normalization_log(q, c, N, M):
     return -N * math.log(1.0 - c * q) - (N * (N - 1) // 2 + N * M) * math.log(1.0 - q * q)
 
 
-def sample_schur_process_batch(N, M, params, rng, size, max_rows=None):
-    """(size, K, M+1) array: entry [b, i, j] is lambda^j_{i+1} of sample b.
+def sample_schur_process_batch(N, M, params, rng, size):
+    """(size, N, M+1) array: entry [b, i, j] is lambda^j_{i+1} of sample b.
 
     Exact sampler through the LPP identity: rsk shapes of the symmetrized
     environment at corners (N+j, N).
@@ -104,7 +104,7 @@ def sample_schur_process_batch(N, M, params, rng, size, max_rows=None):
     if not isinstance(params, ModelParams):
         params = ModelParams(*params)
     W = sample_weights_batch(N + M, N, params, rng, size)
-    return lambda_process_batch(W, N, M, max_curves=max_rows)
+    return lambda_process_batch(W, N, M)
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +227,12 @@ def _pair_block(T1, delta, n, q, c, lg):
     return d[keep], lw[keep], p1, p2, rho
 
 
-def partition_fn_series(T1, y, params, tol=1e-12, max_terms=100000):
+def partition_fn_series(T1, y, params, tol=1e-12):
     """Interacting-pair normalization Z(T1, y; q, c) by direct summation.
 
     Returns (value, tail_bound); the tail bound is rigorous, from geometric
-    domination of the term envelope.
+    domination of the term envelope.  Raises AccuracyError when tol is not
+    reached within 100000 blocks.
     """
     if not isinstance(params, ModelParams):
         params = ModelParams(*params)
@@ -255,9 +256,9 @@ def partition_fn_series(T1, y, params, tol=1e-12, max_terms=100000):
             if tail <= tol * max(total, 1e-300):
                 return total, tail
         n += 1
-        if n > max_terms:
+        if n > 100000:
             raise AccuracyError(
-                f"series for Z({T1},{y}) did not reach tol={tol} within {max_terms} terms"
+                f"series for Z({T1},{y}) did not reach tol={tol} within 100000 terms"
             )
 
 
@@ -366,17 +367,18 @@ def characteristic_ratio(T_n, y, params, s, t, b=1.0, tol=1e-11):
 # exact origin law of an interacting pair
 # ---------------------------------------------------------------------------
 
-def origin_law(T1, y, params, tail_tol=1e-10, max_n=200000):
+def origin_law(T1, y, params):
     """Exact joint law of (B1(0), B2(0)) under the interacting-pair measure.
 
     Marginalizing the uniform conditional paths leaves the mixture weights
     w(x1, x2) = c^{x1-x2} q^{y1+y2-x1-x2} * #paths(x -> y), with the count
     given by the 2x2 Jacobi-Trudi determinant.  Returns (x1, x2, p) arrays
-    with sum(p) >= 1 - tail_tol of the true mass, ordered by n = y2 - x2,
+    with sum(p) >= 1 - 1e-10 of the true mass, ordered by n = y2 - x2,
     then by d = x1 - x2.  Each n contributes its whole d-row at once, with
     the log-gamma terms read from a table of math.lgamma values.  Raises
     AccuracyError at the first row whose tail envelope is zero while the
-    total is still zero: then no configuration has mass.
+    total is still zero: then no configuration has mass; and past 200000
+    rows.
     """
     if not isinstance(params, ModelParams):
         params = ModelParams(*params)
@@ -399,10 +401,10 @@ def origin_law(T1, y, params, tail_tol=1e-10, max_n=200000):
             ltail = np.logaddexp(p1, p2) - math.log1p(-rho)
             if ltail == log_total == -math.inf:
                 raise AccuracyError("origin law: no configuration has mass")
-            if ltail < log_total + math.log(tail_tol):
+            if ltail < log_total + math.log(1e-10):
                 break
         n += 1
-        if n > max_n:
+        if n > 200000:
             raise AccuracyError("origin law truncation did not converge")
 
     p = np.exp(np.concatenate(lws) - log_total)
@@ -411,9 +413,9 @@ def origin_law(T1, y, params, tail_tol=1e-10, max_n=200000):
     return x1, x2, p
 
 
-def sample_origin_exact(T1, y, params, rng, size, tail_tol=1e-10):
+def sample_origin_exact(T1, y, params, rng, size):
     """(x1, x2) samples from the exact interacting-pair origin law."""
-    x1, x2, p = origin_law(T1, y, params, tail_tol)
+    x1, x2, p = origin_law(T1, y, params)
     cdf = np.cumsum(p)
     cdf /= cdf[-1]
     idx = np.searchsorted(cdf, rng.random(size), side="right")
@@ -428,3 +430,15 @@ def origin_gap_law(c, kmax):
         p[0] = 1.0
         return p
     return (1.0 - c) ** 2 * (k + 1) * c ** k
+
+
+def origin_gap_tv(gaps, c, kmax):
+    """TV distance between the empirical law of the integer gaps X1 - X2 >= 0
+    and the limiting gap law, resolved on 0..kmax.  The mass each law puts
+    past kmax is lumped into one atom of its own, so half of each tail adds
+    to the distance, which bounds the untruncated distance from above."""
+    counts = np.bincount(gaps, minlength=kmax + 1)
+    emp = counts[: kmax + 1] / len(gaps)
+    law = origin_gap_law(c, kmax)
+    return (0.5 * float(np.abs(emp - law).sum()) + 0.5 * (1.0 - float(law.sum()))
+            + 0.5 * float(counts[kmax + 1 :].sum()) / len(gaps))

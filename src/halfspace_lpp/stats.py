@@ -1,6 +1,8 @@
 """Empirical statistics of sampled ensembles and their comparison with the
 exact kernel formulas: densities, pair correlations, tail counts, with
-jackknife standard errors, plus CSV archive IO.
+jackknife standard errors; empirical laws of sampled rows, counted by one
+lexicographic sort, and their total-variation distance to exact laws; plus
+CSV archive IO.
 """
 
 import csv
@@ -71,7 +73,7 @@ class PointStats:
     window: tuple
 
 
-def empirical_point_stats(samples, slice_index, lattice, window, max_curves=None):
+def empirical_point_stats(samples, slice_index, lattice, window):
     """Densities rho_1(x) and window counts for one time slice of an archive.
 
     samples: (B, K, M+1) integer curve array; points are lambda_i - i.
@@ -82,9 +84,7 @@ def empirical_point_stats(samples, slice_index, lattice, window, max_curves=None
     samples = np.asarray(samples)
     if samples.shape[0] < 2:
         raise InputError("need at least 2 samples")
-    K = samples.shape[1] if max_curves is None else min(max_curves, samples.shape[1])
-    lam = samples[:, :K, slice_index]
-    pts = lam - np.arange(1, K + 1)
+    pts = samples[:, :, slice_index] - np.arange(1, samples.shape[1] + 1)
     lo, hi = window
     m_lo = int(math.ceil((lo - lattice.b) / lattice.a - 1e-9))
     m_hi = int(math.floor((hi - lattice.b) / lattice.a + 1e-9))
@@ -103,12 +103,10 @@ def empirical_point_stats(samples, slice_index, lattice, window, max_curves=None
     )
 
 
-def empirical_tail_count(samples, slice_index, lattice, a, max_curves=None):
+def empirical_tail_count(samples, slice_index, lattice, a):
     """(mean, se) of #{i : scaled point >= a} at one slice."""
     samples = np.asarray(samples)
-    K = samples.shape[1] if max_curves is None else min(max_curves, samples.shape[1])
-    lam = samples[:, :K, slice_index]
-    pts = lam - np.arange(1, K + 1)
+    pts = samples[:, :, slice_index] - np.arange(1, samples.shape[1] + 1)
     # exact integer comparison: point index m = lambda_i - i vs threshold index
     m_min = int(math.ceil((a - lattice.b) / lattice.a - 1e-9))
     counts = (pts >= m_min).sum(axis=1).astype(float)
@@ -126,6 +124,39 @@ def pair_correlation(samples, slice_pairs):
         ind = (np.any(p1 == m1, axis=1) & np.any(p2 == m2, axis=1)).astype(float)
         out.append(jackknife_mean(ind))
     return out
+
+
+def _row_classes(rows):
+    """Distinct rows of a 2-D integer array in lexicographic order, as
+    (perm, starts, counts): rows[perm] is sorted, stably, and the class
+    starting at starts[c] holds counts[c] rows."""
+    perm = np.lexsort(rows.T[::-1])
+    srt = rows[perm]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (srt[1:] != srt[:-1]).any(axis=1)
+    starts = np.flatnonzero(new)
+    return perm, starts, np.diff(starts, append=len(rows))
+
+
+def empirical_law(rows):
+    """Empirical law of the rows of a 2-D integer array, as a {row tuple:
+    count} dict whose keys come in order of first occurrence."""
+    rows = np.asarray(rows)
+    perm, starts, counts = _row_classes(rows)
+    first = perm[starts]  # the stable sort puts each class's first row first
+    return {tuple(rows[first[j]].tolist()): int(counts[j]) for j in np.argsort(first)}
+
+
+def tv_distance(counts, probs, missing=0.0):
+    """Total variation distance between the empirical law of a {key: count}
+    dict and a {key: probability} dict, plus half of `missing`, the mass the
+    probabilities leave out.  Sums over set(probs) | set(counts), in that
+    set's order."""
+    n = sum(counts.values())
+    tv = 0.0
+    for key in set(probs) | set(counts):
+        tv += abs(probs.get(key, 0.0) - counts.get(key, 0) / n)
+    return 0.5 * tv + 0.5 * missing
 
 
 # ---------------------------------------------------------------------------

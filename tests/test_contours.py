@@ -47,15 +47,6 @@ def test_pole_clearance_guard():
     assert abs(val) < 1e-10
 
 
-def test_connectivity_check():
-    good = ct.Contour([ct.Segment(0j, 1j), ct.Segment(1j, 1.0 + 1j)])
-    assert good.connected()
-    bad = ct.Contour([ct.Segment(0j, 1j), ct.Segment(2j, 3j)])
-    assert not bad.connected()
-    closed = ct.Contour([ct.full_circle(0.0, 1.0)])
-    assert closed.connected(closed=True)
-
-
 def test_double_integral_product_poles():
     cz = ct.Contour([ct.full_circle(0.0, 1.0)])
     cw = ct.Contour([ct.full_circle(0.0, 2.0)])

@@ -339,3 +339,58 @@ def test_top_curves_never_build_the_environment_block():
     finally:
         tracemalloc.stop()
     assert peak < 90e6, peak / 1e6
+
+
+def _loop_rsk_shape_batch(W_batch, m, n):
+    """rsk_shape_batch as its own tableau loop, kept as the reference for the
+    shared shape driver."""
+    tab = lpp.RSKTableau(W_batch.shape[0], n, min(m, n))
+    for i in range(m):
+        tab.insert_counts(W_batch[:, i, :n])
+    return tab.shape()
+
+
+def _loop_lambda_process_batch(W_batch, N, M, max_curves=None):
+    K = min(N, max_curves) if max_curves else N
+    tab = lpp.RSKTableau(W_batch.shape[0], N, K)
+    out = np.zeros((W_batch.shape[0], K, M + 1), dtype=np.int64)
+    for i in range(N + M):
+        tab.insert_counts(W_batch[:, i, :N])
+        if i >= N - 1:
+            out[:, :, i - N + 1] = tab.shape()
+    return out
+
+
+def _loop_top_curves(N, M, params, rng, size, n_curves):
+    chunk = max(1, (1 << 25) // max(N * N, 1))
+    if size > chunk:
+        return np.concatenate([
+            _loop_top_curves(N, M, params, rng, min(chunk, size - i0), n_curves)
+            for i0 in range(0, size, chunk)
+        ])
+    packed, index = lpp._symmetric_draws(N, N, params, rng, size)
+    tab = lpp.RSKTableau(size, N, n_curves)
+    out = np.zeros((size, n_curves, M + 1), dtype=np.int64)
+    for i in range(N):
+        tab.insert_counts(packed[index[i]].T)
+    out[:, :, 0] = tab.shape()
+    for t in range(1, M + 1):
+        tab.insert_counts(lpp.geometric_icdf(rng.random((size, N)), params.q ** 2))
+        out[:, :, t] = tab.shape()
+    return out
+
+
+def test_shape_driver_equals_tableau_loops():
+    P = ModelParams(0.5, 1.2)
+    for m, n, size in ((1, 1, 3), (5, 3, 20), (3, 5, 20), (14, 6, 40)):
+        W = lpp.sample_weights_batch(m, n, P, np.random.default_rng([m, n]), size)
+        assert np.array_equal(lpp.rsk_shape_batch(W, m, n), _loop_rsk_shape_batch(W, m, n))
+        r = min(m, n)
+        for K in (None, 1, 2):
+            assert np.array_equal(lpp.lambda_process_batch(W, r, m - r, max_curves=K),
+                                  _loop_lambda_process_batch(W, r, m - r, K))
+    # (600, 2, 100) spans two chunks of 93 and 7 samples
+    for N, M, size, K in ((1, 2, 4, 1), (7, 5, 30, 3), (600, 2, 100, 1)):
+        got = lpp.sample_top_curves(N, M, P, np.random.default_rng(N), size, K)
+        ref = _loop_top_curves(N, M, P, np.random.default_rng(N), size, K)
+        assert np.array_equal(got, ref)

@@ -181,3 +181,93 @@ def test_gibbs_consistency_on_schur_samples(rng):
     rep2 = ia.gibbs_consistency_check(arr, T=1, k=1, params=P,
                                       min_hits=10 ** 9)
     assert rep2["warnings"] and not rep2["classes"]
+
+
+def _loop_bounds(state, A, B, f, g):
+    """Heat-bath interval [C, D] of sites (A, B), one per replica, kept as the
+    reference for the shared update."""
+    R, k, Tp = state.shape
+    r = np.arange(R)
+    below = np.where(A + 1 < k,
+                     state[r, np.minimum(A + 1, k - 1), np.minimum(B + 1, Tp - 1)],
+                     g[np.minimum(B + 1, Tp - 1)] if g is not None else -ia.INF)
+    above = np.where(A > 0, state[r, np.maximum(A - 1, 0), B - 1],
+                     f[B - 1] if f is not None else ia.INF)
+    return (np.maximum(state[r, A, B - 1], below),
+            np.minimum(state[r, A, B + 1], above))
+
+
+def _loop_bridge_chain(state, T, f, g, n_steps, rng):
+    R, k, _ = state.shape
+    for _ in range(n_steps):
+        A = rng.integers(0, k, size=R)
+        B = rng.integers(1, T, size=R)
+        C, D = _loop_bounds(state, A, B, f, g)
+        U = rng.random(R)
+        state[np.arange(R), A, B] = C + np.floor(U * (D - C + 1)).astype(np.int64)
+    return state
+
+
+def _loop_coupled(states, T, n_steps, rng):
+    R, k, _ = states[0].shape
+    r = np.arange(R)
+    for _ in range(n_steps):
+        A = rng.integers(0, k, size=R)
+        B = rng.integers(1, T, size=R)
+        U = rng.random(R)
+        for state in states:
+            C, D = _loop_bounds(state, A, B, None, None)
+            state[r, A, B] = C + (U * (D - C + 1)).astype(np.int64)
+    return states
+
+
+def _loop_weighted_chain(chain, n_steps, rng):
+    state, g = chain.state, chain._g
+    R, k2, _ = state.shape
+    r = np.arange(R)
+    for _ in range(n_steps):
+        A = rng.integers(0, k2, size=R)
+        B = rng.integers(0, chain.T1, size=R)
+        U = rng.random(R)
+        interior = B >= 1
+        if np.any(interior):
+            Ai, Bi, ri = A[interior], B[interior], r[interior]
+            C, D = _loop_bounds(state[interior], Ai, Bi, None, g)
+            state[ri, Ai, Bi] = C + np.floor(U[interior] * (D - C + 1)).astype(np.int64)
+        origin = ~interior
+        Ao, ro, Uo = A[origin], r[origin], U[origin]
+        D = state[ro, Ao, 1]
+        C = np.where(Ao + 1 < k2, state[ro, np.minimum(Ao + 1, k2 - 1), 1],
+                     g[1] if g is not None else -ia.INF)
+        upper = Ao % 2 == 0
+        val = np.empty(len(ro), dtype=np.int64)
+        val[upper] = ia._truncated_geometric(chain._beta_upper, C[upper], D[upper], Uo[upper])
+        val[~upper] = ia._truncated_geometric(chain._beta_lower, C[~upper], D[~upper],
+                                              Uo[~upper])
+        state[ro, Ao, 0] = val
+    return state
+
+
+def test_chains_equal_reference_update_loops():
+    # f/g-bounded uniform chain
+    f, g = np.array([5, 5, 5, 5, 5]), np.array([-1, -1, -1, 0, 0])
+    chain = ia.BridgeChain(0, 4, np.array([1, 0]), np.array([4, 2]), 50, f, g)
+    ref = _loop_bridge_chain(chain.state.copy(), 4, f, g, 400, np.random.default_rng(1))
+    chain.run(400, np.random.default_rng(1))
+    assert np.array_equal(chain.state, ref)
+    # coupled triple
+    tri = ia.monotone_coupled_chains(0, 6, [5, 3], [9, 7], [4, 2], [8, 6], M=1,
+                                     steps=500, rng=np.random.default_rng(2), replicas=30)
+    starts = [np.repeat(ia.maximal_config(0, 6, x, y)[None], 30, axis=0)
+              for x, y in (([5, 3], [9, 7]), ([4, 2], [8, 6]), ([4, 2], [8, 6]))]
+    ref = _loop_coupled(starts, 6, 500, np.random.default_rng(2))
+    for got, want in zip((tri.top, tri.bot, tri.hat), ref):
+        assert np.array_equal(got, want)
+    # g-floored and free weighted chains
+    for T1, y, g, P in ((2, [4, 1], np.array([0, 0, 1]), ModelParams(0.5, 0.8)),
+                        (3, [5, 3, 2, 0], None, ModelParams(0.5, 1.3))):
+        chain = ia.InteractingEnsembleChain(T1, np.array(y), P, 64, g)
+        twin = ia.InteractingEnsembleChain(T1, np.array(y), P, 64, g)
+        chain.run(600, np.random.default_rng(3))
+        assert np.array_equal(chain.state, _loop_weighted_chain(twin, 600,
+                                                                np.random.default_rng(3)))

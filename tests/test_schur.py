@@ -312,3 +312,17 @@ def test_origin_law_without_mass_fails_fast(monkeypatch):
     with pytest.raises(schur.AccuracyError, match="no configuration has mass"):
         schur.origin_law(0, (1, 0), ModelParams(0.5, 0.0))
     assert rows == [0, 1]
+
+
+def test_origin_gap_tv_counts_gaps_past_kmax():
+    kmax, c = 10, 0.5
+    law = schur.origin_gap_law(c, kmax)
+    # every sampled gap past kmax: the laws are disjoint on the resolved
+    # range and the lumped tails, so the distance is 1
+    assert schur.origin_gap_tv(np.array([11, 40, 12, 11]), c, kmax) == pytest.approx(1.0)
+    # half the gaps at 0, a quarter at 5 and a quarter past kmax
+    gaps = np.array([0, 0, 5, 30])
+    emp = np.zeros(kmax + 1)
+    emp[0], emp[5] = 0.5, 0.25
+    want = 0.5 * np.abs(emp - law).sum() + 0.5 * (1.0 - law.sum()) + 0.5 * 0.25
+    assert schur.origin_gap_tv(gaps, c, kmax) == pytest.approx(want, abs=1e-15)

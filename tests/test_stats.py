@@ -87,3 +87,23 @@ def test_stats_csv_schema(tmp_path):
     stats.write_stats_csv(path, [("t=1", 0.0, 1.25, 0.01, 1.24, 1.0)])
     header = path.read_text().splitlines()[0]
     assert header == "slice,x_or_window,estimate,stderr,exact,z_score"
+
+
+def test_empirical_law_counts_in_first_occurrence_order(rng):
+    rows = rng.integers(-2, 3, size=(3000, 3))
+    ref = {}
+    for row in rows:
+        ref[tuple(int(v) for v in row)] = ref.get(tuple(int(v) for v in row), 0) + 1
+    law = stats.empirical_law(rows)
+    assert law == ref
+    assert list(law) == list(ref)
+    assert stats.empirical_law(np.zeros((0, 2), dtype=np.int64)) == {}
+
+
+def test_tv_distance_with_missing_mass():
+    # empirical (1/2, 1/4, 1/4) on a, b, c against 0.4 a + 0.5 b, 0.1 left out
+    counts = {"a": 2, "b": 1, "c": 1}
+    probs = {"a": 0.4, "b": 0.5}
+    tv = stats.tv_distance(counts, probs, missing=0.1)
+    assert tv == pytest.approx(0.5 * (0.1 + 0.25 + 0.25) + 0.05, abs=1e-15)
+    assert stats.tv_distance({"a": 3}, {"a": 1.0}) == 0.0
