@@ -14,7 +14,7 @@ pass 2^31 - 1 raises ResourceError instead of wrapping.  The uniform stream
 is that of one (size, m, n) draw followed by one (size, min(m, n)) draw for
 the diagonal, so fixed seeds give the same environments as a full draw.
 
-One driver feeds a batched tableau a stream of letter-count words and reads
+One loop feeds a batched tableau a stream of letter-count words and reads
 its shape: at one corner, along the line ensemble of an environment array,
 and along the top curves fed straight from the packed draws.
 """

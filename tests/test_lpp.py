@@ -343,7 +343,7 @@ def test_top_curves_never_build_the_environment_block():
 
 def _loop_rsk_shape_batch(W_batch, m, n):
     """rsk_shape_batch as its own tableau loop, kept as the reference for the
-    shared shape driver."""
+    shared shape loop."""
     tab = lpp.RSKTableau(W_batch.shape[0], n, min(m, n))
     for i in range(m):
         tab.insert_counts(W_batch[:, i, :n])
@@ -380,7 +380,7 @@ def _loop_top_curves(N, M, params, rng, size, n_curves):
     return out
 
 
-def test_shape_driver_equals_tableau_loops():
+def test_shared_shape_loop_equals_tableau_loops():
     P = ModelParams(0.5, 1.2)
     for m, n, size in ((1, 1, 3), (5, 3, 20), (3, 5, 20), (14, 6, 40)):
         W = lpp.sample_weights_batch(m, n, P, np.random.default_rng([m, n]), size)
