@@ -12,7 +12,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sstats
 
 from .model import ModelParams, ScalingConstantsBulk, ScalingConstantsEdge
 from . import bridges, interacting, kernels, lpp, schur, stats
@@ -159,7 +158,7 @@ def check_origin_statistics(rng):
     sigma = math.sqrt(p * (1.0 + p))
     gap = round(2.0 * sigma * math.sqrt(d))
     X1, X2 = schur.sample_origin_exact(Tn, (gap, 0), P, rng, 100000)
-    tv = schur.origin_gap_tv(X1 - X2, c, 60)
+    tv = schur.origin_gap_tv(X1 - X2, c)
     U = (X1 + X2 - gap + 2.0 * p * Tn) / (sigma * math.sqrt(d))
     var_half = float((U / 2.0).var())
     mean_half = float((U / 2.0).mean())
@@ -191,7 +190,9 @@ def check_monotone_coupling(rng):
     law = stats.empirical_law(st[:, 0, 1:4])
     n_states = 10  # weakly increasing triples in {0,1,2}
     counts = np.array(list(law.values()) + [0] * (n_states - len(law)))
-    chi2, pval = sstats.chisquare(counts)
+    from scipy.stats import chisquare
+
+    chi2, pval = chisquare(counts)
     # chi^2 for the weighted interacting chain on its tiny exact law
     P = ModelParams(0.5, 0.8)
     st2 = interacting.sample_interacting_ensemble_mcmc(
@@ -205,7 +206,7 @@ def check_monotone_coupling(rng):
     exp = np.array([exact[k] * 20000 for k in support])
     rest_obs = 20000 - obs.sum()
     rest_exp = 20000 - exp.sum()
-    chi2b, pval2 = sstats.chisquare(
+    chi2b, pval2 = chisquare(
         np.append(obs, rest_obs), np.append(exp, rest_exp)
     )
     passed = pval > 1e-3 and pval2 > 1e-3
@@ -426,7 +427,9 @@ def check_continuum_samplers(rng):
     exp = probs * n
     mask = exp > 10
     chi2 = float(((cnt[mask] - exp[mask]) ** 2 / exp[mask]).sum())
-    pval = float(sstats.chi2.sf(chi2, int(mask.sum()) - 1))
+    from scipy.stats import chi2 as chi2_law
+
+    pval = float(chi2_law.sf(chi2, int(mask.sum()) - 1))
 
     y1, y2 = 1.0, -0.5
     npp = 50000

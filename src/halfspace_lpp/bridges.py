@@ -189,7 +189,7 @@ def discrete_to_pinned_check(T_values, b, y_scaled, params, rng, n_samples=10000
         Y1 = round(p * T + sigma * math.sqrt(d) * y1)
         Y2 = round(p * T + sigma * math.sqrt(d) * y2)
         X1, X2 = sample_origin_exact(T, (Y1, Y2), params, rng, n_samples)
-        rep.gap_tv[T] = origin_gap_tv(X1 - X2, c, 80)
+        rep.gap_tv[T] = origin_gap_tv(X1 - X2, c)
         # in the scaled-ensemble convention both curves' time-0 values
         # converge to the pin Z ~ N((y1+y2)/2, b/2)
         scale = 1.0 / (sigma * math.sqrt(d))

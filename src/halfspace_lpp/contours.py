@@ -300,7 +300,10 @@ def integrate_contour(f, contour, tol=1e-10, poles=(), max_depth=40,
     return total, err_total
 
 
-def integrate_circle(f, radius, center=0.0, tol=1e-12, n0=64, nmax=1 << 17):
+CIRCLE_MAX_NODES = 1 << 17  # the last doubling of integrate_circle
+
+
+def integrate_circle(f, radius, center=0.0, tol=1e-12, n0=64, nmax=CIRCLE_MAX_NODES):
     """(1/2pi i) * closed circle integral by the doubling trapezoid rule.
 
     Spectrally accurate for integrands analytic near the circle; f must take

@@ -16,7 +16,11 @@ the diagonal, so fixed seeds give the same environments as a full draw.
 
 One loop feeds a batched tableau a stream of letter-count words and reads
 its shape: at one corner, along the line ensemble of an environment array,
-and along the top curves fed straight from the packed draws.
+and along the top curves fed straight from the packed draws.  The tableau
+keeps each row letter-major, as an (n, batch) int32 prefix sum, and inserts
+a word by the max-plus recursion R'[u] = w[u] + max(R'[u-1], R[u]), one
+batch-wide pass per letter, so no scan runs along a sample row.  The top
+curves draw every word into buffers reused from word to word.
 """
 
 import itertools
@@ -44,6 +48,19 @@ _INT32_MAX = int(np.iinfo(np.int32).max)
 # environment sampling
 # ---------------------------------------------------------------------------
 
+def _icdf_in_place(x, alpha):
+    """The steps of geometric_icdf on the float buffer x, in place: x ends
+    holding the integral draws as floats."""
+    if alpha == 0.0:
+        x.fill(0.0)
+        return x
+    np.maximum(x, 2.0 ** -53, out=x)
+    np.log(x, out=x)
+    np.divide(x, np.log(alpha), out=x)
+    np.floor(x, out=x)
+    return x
+
+
 def geometric_icdf(u, alpha):
     """Inverse CDF of Geom(alpha): mass alpha^k (1-alpha) on k >= 0.
 
@@ -52,23 +69,19 @@ def geometric_icdf(u, alpha):
     Returns int64 values shaped like u (a scalar for a scalar); u is left
     untouched.
     """
-    u = np.asarray(u)
-    if alpha == 0.0:
-        return np.zeros(u.shape, dtype=np.int64)
-    x = np.maximum(u, 2.0 ** -53, out=np.empty(u.shape))
-    np.log(x, out=x)
-    np.divide(x, np.log(alpha), out=x)
-    np.floor(x, out=x)
+    x = _icdf_in_place(np.array(u, dtype=float), alpha)
     return x.astype(np.int64)[()]
 
 
-def _int32_weights(u, alpha):
-    """geometric_icdf(u, alpha), refused with ResourceError when a weight
-    would not fit the int32 storage of the packed draws."""
-    w = geometric_icdf(u, alpha)
-    if w.max(initial=0) > _INT32_MAX:
-        raise ResourceError(f"geometric weight {w.max()} passes the int32 limit")
-    return w
+def _int32_weights(u, alpha, out):
+    """Write geometric_icdf(u, alpha) into the int32 array `out`, running the
+    steps in place on the float buffer u; refused with ResourceError, before
+    `out` is touched, when a weight would not fit int32."""
+    x = _icdf_in_place(u, alpha)
+    top = x.max(initial=0.0)
+    if top > _INT32_MAX:
+        raise ResourceError(f"geometric weight {top:.0f} passes the int32 limit")
+    np.copyto(out, x, casting="unsafe")
 
 
 def _symmetric_draws(m, n, params, rng, size):
@@ -102,8 +115,8 @@ def _symmetric_draws(m, n, params, rng, size):
     step = max(1, _DRAW_SLAB // (m * n))
     for s in range(0, size, step):
         u = rng.random((min(step, size - s), m * n))
-        packed[:nf, s : s + step] = _int32_weights(u[:, cells], q * q).T
-    packed[nf:] = _int32_weights(rng.random((size, r)), c * q).T
+        _int32_weights(u[:, cells], q * q, packed[:nf, s : s + step].T)
+    _int32_weights(rng.random((size, r)), c * q, packed[nf:].T)
     return packed, index
 
 
@@ -154,69 +167,79 @@ def lpp_g1(W, m, n):
 
 
 # ---------------------------------------------------------------------------
-# RSK row insertion on prefix sums
+# RSK row insertion as a max-plus recursion
 # ---------------------------------------------------------------------------
 #
-# Tableau rows live over the alphabet 1..n, batched over samples: row k is a
-# (B, n) int32 array R, R[b, u] the number of letters <= u+1 in the row.
-# Inserting a weakly increasing word with inclusive prefix sums C bumps, for
-# each letter v in increasing order, the smallest entries larger than v.
-# With A[u] = C[u-1] (A[0] = 0) the bumped word's prefix sums solve
-#     B[u] = min(B[u-1] + r[u], A[u]),   B[-1] = 0,
-# that is B = R + M with M[u] = min_{v<=u}(A[v] - R[v]) <= A[0] - R[0] <= 0,
-# and the row becomes R - B + C = C - M.  All of these are bounded by the
-# sample's number of inserted letters, which is checked once per word.
+# Tableau rows live over the alphabet 1..n, batched over samples and stored
+# letter-major: row k is an (n, B) int32 array R, R[u, b] the number of
+# letters <= u+1 in the row of sample b.  Inserting a weakly increasing word
+# with letter counts w into a row leaves the row with prefix sums
+#     R'[u] = w[u] + max(R'[u-1], R[u]),   R'[-1] = 0,
+# Greene's max-plus recursion, which for the first row is the last passage
+# time G_1 of the words inserted so far.  Letters are conserved, so the word
+# bumped into the next row has counts w + D - shift(D) with D = R - R' <= 0
+# and shift(D)[u] = D[u-1], shift(D)[0] = 0; it totals sum(w) + D[n-1].  All
+# of these are bounded by the sample's number of inserted letters, which is
+# checked once per word.
 
 
 class RSKTableau:
     """Batched semistandard tableau built by multiset row insertion.
 
-    Tracks at most max_rows rows, each as its (batch, n) int32 prefix sum;
-    bumping out of the last tracked row is discarded, which leaves the
-    tracked rows (hence the first max_rows parts of the shape) exact.
-    insert_counts raises ResourceError when a sample's inserted letters,
-    which bound every prefix sum, would pass 2^31 - 1.
+    Tracks at most max_rows rows, each as a letter-major (n, batch) int32
+    prefix sum; `rows` shows the rows in use as (batch, n) views.  Bumping
+    out of the last tracked row is discarded, which leaves the tracked rows
+    (hence the first max_rows parts of the shape) exact.  insert_counts
+    raises ResourceError when a sample's inserted letters, which bound every
+    prefix sum, would pass 2^31 - 1.
     """
 
     def __init__(self, batch, n, max_rows):
         self.batch = batch
         self.n = n
         self.max_rows = max_rows
-        self.rows = []
+        self._rows = []
         self._letters = np.zeros(batch, dtype=np.int64)
-        self._word = np.empty((batch, n), dtype=np.int64)
-        self._scratch = (np.empty((batch, n), dtype=np.int32),
-                         np.empty((batch, n), dtype=np.int32))
+        self._word = np.empty((n, batch), dtype=np.int32)
+        self._spare = np.empty((n, batch), dtype=np.int32)
+
+    @property
+    def rows(self):
+        return [R.T for R in self._rows]
 
     def insert_counts(self, counts):
         """Insert one weakly increasing word per sample, given as (batch, n)
         letter counts."""
-        word = np.cumsum(counts, axis=1, out=self._word)
-        letters = self._letters + word[:, -1]
+        counts = np.asarray(counts)
+        total = counts.sum(axis=1, dtype=np.int64)
+        letters = self._letters + total
         if letters.max(initial=0) > _INT32_MAX:
             raise ResourceError(f"{letters.max()} RSK letters pass the int32 limit")
         self._letters = letters
-        C, M = self._scratch
-        np.copyto(C, word, casting="same_kind")
-        for k, R in enumerate(self.rows):
-            if not C[:, -1].any():
+        w, X = self._word, self._spare
+        np.copyto(w, counts.T, casting="same_kind")
+        for k in range(self.max_rows):
+            if not total.any():
                 break
-            np.subtract(0, R[:, 0], out=M[:, 0])  # numpy 2.4 np.negative drops this stride
-            np.subtract(C[:, :-1], R[:, 1:], out=M[:, 1:])
-            np.minimum.accumulate(M, axis=1, out=M)
-            C -= M  # the new row
-            R += M  # the bumped word
-            self.rows[k], C = C, R
-        if len(self.rows) < self.max_rows and C[:, -1].any():
-            self.rows.append(C)
-            C = np.empty_like(M)
-        self._scratch = C, M
+            if k == len(self._rows):
+                self._rows.append(np.zeros_like(w))
+            R = self._rows[k]
+            prev = np.add(R[0], w[0], out=X[0])
+            for x, r, c in zip(X[1:], R[1:], w[1:]):
+                prev = np.add(np.maximum(prev, r, out=x), c, out=x)
+            self._rows[k], X = X, R
+            if k + 1 < self.max_rows:
+                D = np.subtract(X, self._rows[k], out=X)
+                total += D[-1]
+                w += D
+                w[1:] -= D[:-1]
+        self._spare = X
 
     def shape(self):
         """(batch, max_rows) int64 array of row lengths (trailing rows zero)."""
         out = np.zeros((self.batch, self.max_rows), dtype=np.int64)
-        for k, R in enumerate(self.rows):
-            out[:, k] = R[:, -1]
+        for k, R in enumerate(self._rows):
+            out[:, k] = R[-1]
         return out
 
 
@@ -362,11 +385,15 @@ def sample_top_curves(N, M, params, rng, size, n_curves=2):
         return np.concatenate(parts, axis=0)
 
     def words(packed, index):
+        # every word is written into one reused letter-major buffer
+        word = np.empty((N, size), dtype=np.int32)
         for i in range(N):
-            yield packed[index[i]].T
+            yield np.take(packed, index[i], axis=0, out=word, mode="clip").T
         del packed  # its only reference: free the block before the rows past N
+        u = np.empty((size, N))
         for _ in range(M):
-            yield geometric_icdf(rng.random((size, N)), q * q)
+            _int32_weights(rng.random(out=u), q * q, word.T)
+            yield word.T
 
     # draw the block before _shapes allocates the tableau and the output, so
     # that neither coexists with the draw's temporaries

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .contours import integrate_circle
+from .contours import CIRCLE_MAX_NODES, ContourPlacementError, integrate_circle
 from .model import ModelParams, ParameterError
 from .lpp import sample_weights_batch, lambda_process_batch
 
@@ -303,17 +303,29 @@ def _contour_Z_scaled(T1, y, qhat, chat, r1, r2, tol):
     return scale, val
 
 
-def default_contour_radii(q, c):
-    """Admissible (r1, r2): r1 in (q^2, min(1, q/c)), r2 in (max(q^2, qc), 1)."""
+def _mid_radius(lo, hi, tol):
+    """Radius mid-way, in log scale, across the annulus lo < |u| < hi where
+    an integrand is analytic.  There the doubling trapezoid rule's error
+    falls like (lo/hi)^(n/2) with n nodes; ContourPlacementError when the
+    annulus is too thin for that to reach tol before the last doubling."""
+    if 0.25 * CIRCLE_MAX_NODES * math.log(hi / lo) < -math.log(tol):
+        raise ContourPlacementError(
+            f"annulus ({lo:.6g}, {hi:.6g}) too thin for tol {tol:g} within "
+            f"{CIRCLE_MAX_NODES} trapezoid nodes")
+    return math.sqrt(lo * hi)
+
+
+def default_contour_radii(q, c, tol):
+    """(r1, r2) mid-way across the annuli r1 in (q^2, min(1, q/c)) and r2 in
+    (max(q^2, qc), 1), whose ends are the integrands' nearest singularities;
+    tol is that of the integrals to be taken on them."""
     hi1 = min(1.0, q / c) if c > 0 else 1.0
     if hi1 <= q * q:
         raise ParameterError("no admissible r1: need q^2 < q/c")
-    r1 = q if q * q < q < hi1 else 0.5 * (q * q + hi1)
     lo2 = max(q * q, q * c)
     if lo2 >= 1.0:
         raise ParameterError("no admissible r2: need max(q^2, qc) < 1")
-    r2 = q if lo2 < q < 1.0 else 0.5 * (lo2 + 1.0)
-    return r1, r2
+    return _mid_radius(q * q, hi1, tol), _mid_radius(lo2, 1.0, tol)
 
 
 def partition_fn_contour(T1, y, qhat, chat, r1=None, r2=None, tol=1e-11):
@@ -325,7 +337,7 @@ def partition_fn_contour(T1, y, qhat, chat, r1=None, r2=None, tol=1e-11):
     """
     q, c = abs(qhat), abs(chat)
     if r1 is None or r2 is None:
-        d1, d2 = default_contour_radii(q, c)
+        d1, d2 = default_contour_radii(q, c, tol)
         r1 = d1 if r1 is None else r1
         r2 = d2 if r2 is None else r2
     if not (q * q < r1 < 1.0 and c * r1 / q < 1.0):
@@ -356,7 +368,7 @@ def characteristic_ratio(T_n, y, params, s, t, b=1.0, tol=1e-11):
     sigma = math.sqrt(p * (1.0 + p))
     qhat = q * cmath.exp(-1j * s / (sigma * math.sqrt(d_n)))
     chat = c * cmath.exp(1j * t)
-    r1, r2 = default_contour_radii(q, c)
+    r1, r2 = default_contour_radii(q, c, tol)
     sc_num, num = _contour_Z_scaled(T_n, y, qhat, chat, r1, r2, tol)
     sc_den, den = _contour_Z_scaled(T_n, y, complex(q), complex(c), r1, r2, tol)
     phase = cmath.exp(2j * p * T_n * s / (sigma * math.sqrt(d_n)))
@@ -432,13 +444,12 @@ def origin_gap_law(c, kmax):
     return (1.0 - c) ** 2 * (k + 1) * c ** k
 
 
-def origin_gap_tv(gaps, c, kmax):
+def origin_gap_tv(gaps, c):
     """TV distance between the empirical law of the integer gaps X1 - X2 >= 0
-    and the limiting gap law, resolved on 0..kmax.  The mass each law puts
-    past kmax is lumped into one atom of its own, so half of each tail adds
-    to the distance, which bounds the untruncated distance from above."""
-    counts = np.bincount(gaps, minlength=kmax + 1)
-    emp = counts[: kmax + 1] / len(gaps)
-    law = origin_gap_law(c, kmax)
-    return (0.5 * float(np.abs(emp - law).sum()) + 0.5 * (1.0 - float(law.sum()))
-            + 0.5 * float(counts[kmax + 1 :].sum()) / len(gaps))
+    and the limiting gap law: the sum over 0..K, K the largest sampled gap,
+    plus the law's tail P(V > K) = c^(K+1) ((K+2) - (K+1) c), where the
+    sample has no mass."""
+    counts = np.bincount(gaps)
+    K = counts.size - 1
+    tail = c ** (K + 1) * ((K + 2) - (K + 1) * c)
+    return 0.5 * (float(np.abs(counts / len(gaps) - origin_gap_law(c, K)).sum()) + tail)

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -195,3 +199,14 @@ def test_fixed_seed_archives_keep_their_digests(tmp_path):
     for (command, name), digest in PINNED_ARCHIVES.items():
         data = (tmp_path / command / name).read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest, name
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is most of a cold start; only the checks that need it load it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, halfspace_lpp.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

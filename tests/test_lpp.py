@@ -240,6 +240,46 @@ def test_rsk_int32_guard():
         lpp.RSKTableau(1, 1, 1).insert_counts(np.array([[2 ** 40]]))
 
 
+def test_first_row_is_g1_after_every_word():
+    # the max-plus row recursion on the first row is the LPP recursion
+    rng = np.random.default_rng(11)
+    for B, m, n in ((1, 1, 1), (5, 7, 4), (4, 3, 9), (30, 12, 12)):
+        W = rng.geometric(0.4, size=(B, m, n)) - 1
+        G = np.stack([lpp.lpp_g1_grid(w) for w in W])
+        tab = lpp.RSKTableau(B, n, 1)
+        for i in range(m):
+            tab.insert_counts(W[:, i])
+            first = tab.rows[0] if tab.rows else np.zeros((B, n))  # no letter yet
+            assert np.array_equal(first, G[:, i])
+
+
+def test_insert_counts_allocates_less_than_a_word():
+    B, n = 3000, 100
+    rng = np.random.default_rng(4)
+    words = [(rng.geometric(0.6, size=(n, B)) - 1).astype(np.int32) for _ in range(4)]
+    tab = lpp.RSKTableau(B, n, 2)
+    for word in words:
+        tab.insert_counts(word.T)
+    assert len(tab.rows) == 2
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(200):
+            tab.insert_counts(words[i % 4].T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < words[0].nbytes, (peak - before) / words[0].nbytes
+
+
+def test_top_curves_refuse_fresh_words_past_int32():
+    # q^2 = 1 - 2e-9 puts a draw u < 0.0137 past 2^31 - 1; at N = 1 the
+    # block is one diagonal cell of Geom(cq), so only the rows past N overflow
+    P = ModelParams(1.0 - 1e-9, 0.5)
+    with pytest.raises(lpp.ResourceError, match="geometric weight"):
+        lpp.sample_top_curves(1, 3, P, np.random.default_rng(2), 1000, n_curves=1)
+
+
 def test_geometric_icdf_input_untouched_and_scalar():
     u = np.random.default_rng(8).random((4, 5))
     u[0, 0] = 0.0

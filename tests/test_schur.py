@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from halfspace_lpp.contours import ContourPlacementError
 from halfspace_lpp.model import ModelParams
 from halfspace_lpp import schur
 
@@ -132,6 +133,27 @@ def test_partition_fn_contour_examples():
     assert v2 == pytest.approx(1.0, abs=1e-10)
     with pytest.raises(Exception):
         schur.partition_fn_contour(1, (1, 0), 0.5, 0.8, r1=0.1)
+
+
+def test_default_radii_clear_poles_near_c_one():
+    # perfbench ensemble-sampling seed 3401 draws this input; with r1 = q the
+    # pole at q/c lay 1.3e-4 off the circle and the trapezoid never converged
+    T1, gap, q, c = 4, 4, 0.6050901780565486, 0.9997860673188714
+    r1, r2 = schur.default_contour_radii(q, c, 1e-11)
+    assert r1 == pytest.approx(math.sqrt(q * q * q / c))
+    assert r2 == pytest.approx(math.sqrt(q * c))
+    vs, _ = schur.partition_fn_series(T1, (gap, 0), ModelParams(q, c), tol=1e-12)
+    vc = schur.partition_fn_contour(T1, (gap, 0), q, c)
+    assert abs(vc - vs) / abs(vs) < 1e-10
+
+
+def test_default_radii_refuse_thin_annuli():
+    # q/c within 1e-4 of q^2 (r1), and qc within 5e-5 of 1 (r2)
+    for q, c in ((0.5, 1.0 / (0.5 * (1.0 + 1e-4))), (0.5, 1.9999)):
+        with pytest.raises(ContourPlacementError):
+            schur.default_contour_radii(q, c, 1e-11)
+        with pytest.raises(ContourPlacementError):
+            schur.partition_fn_contour(1, (1, 0), q, c)
 
 
 def _brute_path_count(T1, y, x):
@@ -314,15 +336,16 @@ def test_origin_law_without_mass_fails_fast(monkeypatch):
     assert rows == [0, 1]
 
 
-def test_origin_gap_tv_counts_gaps_past_kmax():
-    kmax, c = 10, 0.5
-    law = schur.origin_gap_law(c, kmax)
-    # every sampled gap past kmax: the laws are disjoint on the resolved
-    # range and the lumped tails, so the distance is 1
-    assert schur.origin_gap_tv(np.array([11, 40, 12, 11]), c, kmax) == pytest.approx(1.0)
-    # half the gaps at 0, a quarter at 5 and a quarter past kmax
-    gaps = np.array([0, 0, 5, 30])
-    emp = np.zeros(kmax + 1)
-    emp[0], emp[5] = 0.5, 0.25
-    want = 0.5 * np.abs(emp - law).sum() + 0.5 * (1.0 - law.sum()) + 0.5 * 0.25
-    assert schur.origin_gap_tv(gaps, c, kmax) == pytest.approx(want, abs=1e-15)
+def test_origin_gap_tv_sums_to_largest_gap_plus_tail():
+    c = 0.95
+    gaps = np.random.default_rng(5).negative_binomial(2, 1.0 - c, size=20000)
+    assert gaps.max() > 80
+    # explicit support far past the sample: the law's mass beyond it is
+    # c^3001 * 3002 < 1e-60
+    counts = np.bincount(gaps, minlength=3001)
+    want = 0.5 * np.abs(counts / gaps.size - schur.origin_gap_law(c, 3000)).sum()
+    assert schur.origin_gap_tv(gaps, c) == pytest.approx(want, abs=1e-12)
+    # a point mass at k is at distance 1 - P(V = k)
+    for k in (0, 7, 300):
+        lam = schur.origin_gap_law(0.5, k)[k]
+        assert schur.origin_gap_tv(np.array([k, k]), 0.5) == pytest.approx(1.0 - lam, abs=1e-15)
