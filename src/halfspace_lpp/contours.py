@@ -1,11 +1,20 @@
 """Oriented piecewise contours in the complex plane and quadrature on them.
 
-Pieces are segments and circular arcs with a [0, 1] parametrization.  Single
-and double contour integrals share one level-doubling engine: per-piece
-Gauss-Legendre panels (tensor products for double integrals) whose panel
-count doubles from level to level.  The acceptance threshold is
-max(tol * |value|, tol^2, 1e-13 * mass), where mass is the integrand's L1
-mass, so a value below the roundoff floor of the mass counts as zero.
+Pieces are segments, circular arcs and full circles with a [0, 1]
+parametrization.  Single and double contour integrals share one
+level-doubling engine over two node rules.  Segments and arcs carry
+Gauss-Legendre panels whose count doubles from level to level (tensor
+products for double integrals); a full_circle is such an arc, with panel
+breaks on the real axis at theta = +-pi and 0.  A Circle carries the
+periodic trapezoid rule at the midpoints theta_k = -pi + 2 pi (k + 1/2)/n,
+n = 256 * 2^level, as many nodes per level as the arc's panels; it converges
+geometrically for an integrand that is analytic and single-valued on an
+annulus around the circle, and no node lies on the real axis.  An integrand
+with a branch seam on the circle (a principal logarithm times a non-integer
+coefficient) needs the arc, whose panels break at the seam.  The
+acceptance threshold is max(tol * |value|, tol^2, 1e-13 * mass), where
+mass is the integrand's L1 mass, so a value below the roundoff floor of the
+mass counts as zero.
 
 A single integral accepts level l when its change from level l - 1 is below
 the threshold; the error is that change.  A double integral walks over level
@@ -16,10 +25,12 @@ contour whose doubling moved the value by more, so a contour resolved at a
 coarse level stays there while the other one refines.  The accepted value
 is V(lz + 1, lw) + V(lz, lw + 1) - V(lz, lw), which cancels the leading
 error of each axis, and the error is the sum of the two one-axis changes.
-Errors are floored at 1e-15 * mass.  No contour passes the engine's maximum
-level; a non-finite level raises QuadratureError at once, and
-non-convergence raises it with the partial value, the levels reached, the
-last changes and the threshold.
+Errors are floored at the roundoff of a sum over the nodes: eps sqrt(n) *
+mass for a single integral over n nodes, and eps (sqrt(n_z) + sqrt(n_w)) *
+mass for a double one over the finest levels evaluated, eps being machine
+epsilon.  No contour passes the engine's maximum level; a non-finite level
+raises QuadratureError at once, and non-convergence raises it with the
+partial value, the levels reached, the last changes and the threshold.
 
 A double integrand may come factored as a(z) F(z, w) b(w): the per-axis
 factors are evaluated once per node of a level and folded into the weights
@@ -45,10 +56,11 @@ small (_UFUNC_BUFSIZE), which results do not depend on.
 
 Segments and arcs carry an optional geometric panel grading toward one
 endpoint, the same for both, for integrands with a short internal scale
-(steepest-descent wedges near a critical point).  Circles alone use the
-doubling trapezoid rule (integrate_circle).  The adaptive Gauss-Kronrod
-integrate_contour is kept as an independent reference for tests; it is the
-one routine that rejects a pole on the contour.
+(steepest-descent wedges near a critical point).  The doubling trapezoid
+rule integrate_circle, with nodes from theta = 0, serves the
+partition-function circles.  The adaptive Gauss-Kronrod integrate_contour
+is kept as an independent reference for tests; it is the one routine that
+rejects a pole on the contour.
 """
 
 import math
@@ -80,6 +92,7 @@ _GWEIGHTS = np.zeros_like(_KWEIGHTS)
 _GWEIGHTS[1:-1:2] = np.concatenate([_WG[:-1], [_WG[-1]], _WG[:-1][::-1]])
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_CIRCLE_LEVEL0_NODES = 256  # the 16 panels of 16 nodes of a level-0 full_circle
 
 
 class QuadratureError(RuntimeError):
@@ -107,8 +120,22 @@ class ContourPlacementError(ValueError):
     """Contour constraints (radii, pole distances) cannot be met."""
 
 
+class _Panels:
+    """Gauss-Legendre panels on the piece's base breaks, each halved per
+    level."""
+
+    def rule(self, level):
+        """Parameters t in (0, 1) of the level's nodes and their weights for dt."""
+        breaks = _refine(self.base_breaks(), level)
+        t0 = breaks[:-1][:, None]
+        t1 = breaks[1:][:, None]
+        t = 0.5 * (t0 + t1) + 0.5 * (t1 - t0) * _GL_NODES[None, :]
+        w = 0.5 * (t1 - t0) * _GL_WEIGHTS[None, :]
+        return t.ravel(), w.ravel()
+
+
 @dataclass
-class Segment:
+class Segment(_Panels):
     """Straight piece from a to b; optional geometric grading.
 
     grade = 'start' or 'end' anchors panels of geometrically growing width at
@@ -131,7 +158,7 @@ class Segment:
 
 
 @dataclass
-class Arc:
+class Arc(_Panels):
     """Circular arc center + radius e^{i theta}, theta from theta0 to theta1
     (counterclockwise when theta1 > theta0)."""
 
@@ -173,8 +200,40 @@ def _graded(piece):
 
 
 def full_circle(center, radius):
-    """Positively oriented circle as a single arc piece."""
+    """Positively oriented circle as a single arc piece, for integrands with
+    a branch seam on it: its Gauss-Legendre panels break at theta = +-pi,
+    the principal-log seam, so a jump there costs no convergence.  An
+    integrand that is single-valued on the circle converges faster on a
+    Circle."""
     return Arc(center, radius, -math.pi, math.pi)
+
+
+@dataclass
+class Circle:
+    """Positively oriented full circle center + radius e^{i theta}, theta
+    from -pi to pi, with the periodic trapezoid rule: the level-l nodes are
+    the n = 256 * 2^l midpoints theta_k = -pi + 2 pi (k + 1/2)/n, with
+    weights derivative/n.  For an integrand analytic and single-valued on an
+    annulus around the circle the rule converges geometrically; across a
+    branch seam it does not converge, so such integrands take full_circle.
+    No node is real, so no pole, zero or seam on the real axis is hit."""
+
+    center: complex
+    radius: float
+
+    def _spoke(self, t):
+        return self.radius * np.exp(1j * (2.0 * math.pi * np.asarray(t) - math.pi))
+
+    def point(self, t):
+        return self.center + self._spoke(t)
+
+    def derivative(self, t):
+        return 2j * math.pi * self._spoke(t)
+
+    def rule(self, level):
+        """Parameters t in (0, 1) of the level's nodes and their weights for dt."""
+        n = _CIRCLE_LEVEL0_NODES << level
+        return (np.arange(n) + 0.5) / n, np.full(n, 1.0 / n)
 
 
 @dataclass
@@ -184,16 +243,13 @@ class Contour:
     pieces: list
 
     def nodes(self, level):
-        """Gauss-Legendre panel nodes; returns (points z_i, weights for dz)."""
+        """Each piece's nodes at `level` by its rule; returns (points z_i,
+        weights for dz)."""
         zs, ws = [], []
         for piece in self.pieces:
-            breaks = _refine(piece.base_breaks(), level)
-            t0 = breaks[:-1][:, None]
-            t1 = breaks[1:][:, None]
-            t = 0.5 * (t0 + t1) + 0.5 * (t1 - t0) * _GL_NODES[None, :]
-            w = 0.5 * (t1 - t0) * _GL_WEIGHTS[None, :]
-            zs.append(piece.point(t.ravel()))
-            ws.append((w.ravel()) * piece.derivative(t.ravel()))
+            t, w = piece.rule(level)
+            zs.append(piece.point(t))
+            ws.append(w * piece.derivative(t))
         return np.concatenate(zs), np.concatenate(ws)
 
     def min_distance(self, points, samples_per_piece=512):
@@ -331,6 +387,7 @@ _BATCH_TILE_PAIRS = 1 << 19  # (n, P) weights: GEMM-bound, larger tiles pack V l
 _UFUNC_BUFSIZE = 256
 _DOUBLE_MAX_LEVEL = 6
 _SINGLE_MAX_LEVEL = 9
+_EPS = float(np.finfo(float).eps)
 
 # per thread: .held, the flat (out, tmp, mag) tile buffers kept between sums,
 # and .lent, the current tile's (out, tmp) until a coupling takes them
@@ -432,7 +489,7 @@ def _single_walk(F, contour, tol, factor=None):
         if prev is not None:
             change, thr = _change(val, prev), _threshold(val, mass, tol)
             if change <= thr:
-                return val, max(change, 1e-15 * mass)
+                return val, max(change, _EPS * math.sqrt(len(z)) * mass)
         prev = val
     raise QuadratureError("single-contour quadrature not converged", partial=prev,
                           levels=(_SINGLE_MAX_LEVEL,), changes=(change,), threshold=thr)
@@ -465,7 +522,9 @@ def _pair_walk(F, contours, tol, factors=(None, None)):
         vz, vw = at((pair[0] + 1, pair[1]))[0], at((pair[0], pair[1] + 1))[0]
         changes = (_change(vz, partial), _change(vw, partial))
         if max(changes) <= thr:
-            return vz + vw - partial, max(sum(changes), 1e-15 * mass)
+            n_z, n_w = (len(weights[axis][level + 1][0]) for axis, level in enumerate(pair))
+            floor = _EPS * (math.sqrt(n_z) + math.sqrt(n_w)) * mass
+            return vz + vw - partial, max(sum(changes), floor)
         nxt = tuple(level + (change > thr) for level, change in zip(pair, changes))
         if max(nxt) >= _DOUBLE_MAX_LEVEL:
             raise QuadratureError("double-contour quadrature not converged",
@@ -490,11 +549,12 @@ def integrate_double(F, contour_z, contour_w, tol=1e-9, z_factor=None, w_factor=
     integrand.  Each contour's level is doubled on its own, only while its
     doubling moves the value by more than the threshold (up to level 6); the
     error is the sum of the two one-axis changes at the accepted level pair,
-    floored at 1e-15 * mass (module docstring).
+    floored at eps (sqrt(n_z) + sqrt(n_w)) * mass (module docstring).
     """
     return _pair_walk(F, (contour_z, contour_w), tol, (z_factor, w_factor))
 
 
 def integrate_single(F, contour, tol=1e-10):
-    """(1/2 pi i) * contour integral by the same level-doubling panel scheme."""
+    """(1/2 pi i) * contour integral by the same level-doubling engine, on
+    each piece's node rule."""
     return _single_walk(F, contour, tol)

@@ -16,6 +16,10 @@ which matters where a value sits near the roundoff floor of the integrand's
 mass (the edge threshold counts of expected_count_tail).  All logarithms
 are principal branch; on lattice points the total log-coefficients are
 integers, which keeps the assembled integrands single-valued across the cut.
+Circles whose integrands are single-valued take the periodic trapezoid rule
+(contours.Circle): every circle of the exact kernel, and the edge w circle
+when all its levels are lattice levels.  Off the lattice the edge w circle
+is a full_circle, whose panels break at the cut.
 
 Each coupling writes into the engine's tile buffers (contours.pair_buffers)
 with out= ufuncs and in-place operators, in the operation order of its
@@ -40,6 +44,7 @@ import numpy as np
 from .model import ModelParams, ParameterError, ScalingConstantsBulk, ScalingConstantsEdge
 from .contours import (
     Arc,
+    Circle,
     Contour,
     ContourPlacementError,
     Segment,
@@ -212,50 +217,57 @@ def geo_default_radii(q, c, u_ge_v):
     return r1, rz, rw, r2
 
 
+def _geo_lambda(z, q, N, level, M):
+    """z^{-level} (1 - q/z)^{M + N} (1 - q z)^{-N}"""
+    return z ** (-level) * (1.0 - q / z) ** (M + N) * (1.0 - q * z) ** (-N)
+
+
+def _geo_a(q, c, N, level, M):
+    """The z factor (z - c) lambda(z) / (z (z^2 - 1)) of K11 and K12."""
+    return lambda z: (z - c) / (z * (z * z - 1.0)) * _geo_lambda(z, q, N, level, M)
+
+
+def _geo_b(q, c, N, level, M):
+    """The w factor 1 / ((w - c) lambda(w)) of K12 and K22."""
+    return lambda w: 1.0 / ((w - c) * _geo_lambda(w, q, N, level, M))
+
+
+def _geo_k12(u, x, v, y, params, N, M_u, M_v, tol, radii):
+    """K12(u, x; v, y) of the exact kernel and its error, on the nested
+    circles rz, rw of the radii (geo_default_radii when None)."""
+    q, c = params.q, params.c
+    _, rz, rw, _ = geo_default_radii(q, c, u >= v) if radii is None else radii
+    return integrate_double(_k12_coupling, Contour([Circle(0.0, rz)]),
+                            Contour([Circle(0.0, rw)]), tol,
+                            _geo_a(q, c, N, x, M_u), _geo_b(q, c, N, y, M_v))
+
+
+def _as_params(params):
+    return params if isinstance(params, ModelParams) else ModelParams(*params)
+
+
 def kernel_geo(u, x, v, y, params, N, M_u, M_v, tol=DEFAULT_TOL, radii=None):
     """Exact 2x2 correlation kernel block at points (u, x), (v, y).
 
     u, v index the slices (with time offsets M_u, M_v); x, y are integer
-    levels of the point process {lambda_i - i}.  Integer powers only, so no
-    branch issues.
+    levels of the point process {lambda_i - i}.  The integrands carry
+    integer powers only, so they are single-valued on every circle, and all
+    four blocks integrate over Circle contours (the periodic trapezoid
+    rule).  K21(u, x; v, y) = -K12(v, y; u, x), the swapped slice order
+    flipping the nesting of the K12 circles.
     """
-    if not isinstance(params, ModelParams):
-        params = ModelParams(*params)
+    params = _as_params(params)
     q, c = params.q, params.c
-    if radii is None:
-        r1, rz, rw, r2 = geo_default_radii(q, c, u >= v)
-    else:
-        r1, rz, rw, r2 = radii
-
-    def lam(z, level, M):
-        return z ** (-level) * (1.0 - q / z) ** (M + N) * (1.0 - q * z) ** (-N)
-
-    def a(level, M):
-        return lambda z: (z - c) / (z * (z * z - 1.0)) * lam(z, level, M)
-
-    def b(level, M):
-        return lambda w: 1.0 / ((w - c) * lam(w, level, M))
-
-    c1 = Contour([full_circle(0.0, r1)])
-    c1b = Contour([full_circle(0.0, r1 * 1.0000003)])  # avoid the z=w diagonal exactly
-    k11, e11 = integrate_double(_k11_coupling, c1, c1b, tol,
-                                a(x, M_u), a(y, M_v))
-    cz = Contour([full_circle(0.0, rz)])
-    cw = Contour([full_circle(0.0, rw)])
-    k12, e12 = integrate_double(_k12_coupling, cz, cw, tol, a(x, M_u), b(y, M_v))
-    # swapped slice order flips the nesting requirement
-    if radii is None:
-        r1s, rzs, rws, _ = geo_default_radii(q, c, v >= u)
-    else:
-        rzs, rws = rz, rw
-    k21m, e21 = integrate_double(
-        _k12_coupling,
-        Contour([full_circle(0.0, rzs)]), Contour([full_circle(0.0, rws)]), tol,
-        a(y, M_v), b(x, M_u),
-    )
-    c2 = Contour([full_circle(0.0, r2)])
-    c2b = Contour([full_circle(0.0, r2 * 1.0000003)])
-    k22, e22 = integrate_double(_k11_coupling, c2, c2b, tol, b(x, M_u), b(y, M_v))
+    r1, _, _, r2 = geo_default_radii(q, c, u >= v) if radii is None else radii
+    # the second circle of K11 and K22 avoids the z = w diagonal exactly
+    k11, e11 = integrate_double(_k11_coupling, Contour([Circle(0.0, r1)]),
+                                Contour([Circle(0.0, r1 * 1.0000003)]), tol,
+                                _geo_a(q, c, N, x, M_u), _geo_a(q, c, N, y, M_v))
+    k12, e12 = _geo_k12(u, x, v, y, params, N, M_u, M_v, tol, radii)
+    k21m, e21 = _geo_k12(v, y, u, x, params, N, M_v, M_u, tol, radii)
+    k22, e22 = integrate_double(_k11_coupling, Contour([Circle(0.0, r2)]),
+                                Contour([Circle(0.0, r2 * 1.0000003)]), tol,
+                                _geo_b(q, c, N, x, M_u), _geo_b(q, c, N, y, M_v))
     return KernelValue2x2(
         k11=k11, k12=k12, k21=-k21m, k22=k22, err=max(e11, e12, e21, e22)
     )
@@ -263,19 +275,26 @@ def kernel_geo(u, x, v, y, params, N, M_u, M_v, tol=DEFAULT_TOL, radii=None):
 
 def rho1_geo(x, params, N, M_slice, tol=DEFAULT_TOL):
     """One-point function rho_1(x) = K12(x, x) on a single slice."""
-    kv = kernel_geo(1, x, 1, x, params, N, M_slice, M_slice, tol)
-    return kv.k12.real, kv.err
+    k12, err = _geo_k12(1, x, 1, x, _as_params(params), N, M_slice, M_slice, tol, None)
+    return k12.real, err
 
 
 def rho_k_geo(points, params, N, tol=DEFAULT_TOL):
     """k-point correlation via the Pfaffian of the assembled block matrix.
 
-    points: list of (slice_index, M_slice, x).
+    points: list of (slice_index, M_slice, x).  A block at coincident points
+    is [[0, K12], [-K12, 0]]: K11 and K22 are antisymmetric and K21 = -K12
+    there, so only K12 is integrated.
     """
-    return correlation_fn(
-        points,
-        lambda a, b: kernel_geo(a[0], a[2], b[0], b[2], params, N, a[1], b[1], tol),
-    )
+    params = _as_params(params)
+
+    def block(a, b):
+        if a == b:
+            k12, err = _geo_k12(a[0], a[2], a[0], a[2], params, N, a[1], a[1], tol, None)
+            return KernelValue2x2(k11=0.0, k12=k12, k21=-k12, k22=0.0, err=err)
+        return kernel_geo(a[0], a[2], b[0], b[2], params, N, a[1], b[1], tol)
+
+    return correlation_fn(points, block)
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +336,10 @@ class _Window:
     """A scaling window of the prelimit kernel at size N.
 
     A subclass defines the window once: its contours z_contour(v) and
-    w_contour(v) at slice v (shifted=True gives the copy moved off the
-    z = w diagonal), the exponent expo(z, v, a) of the z-factor at scaled
-    level a, its a-derivative phase(z), the lattice center(v), the heat
+    w_contour(v, shifted, levels) at slice v (shifted=True gives the copy
+    moved off the z = w diagonal; levels are the scaled levels of every
+    integrand taken over it), the exponent expo(z, v, a) of the z-factor at
+    scaled level a, its a-derivative phase(z), the lattice center(v), the heat
     contour of the s < t part of R12, the z contour count_contour(v) of the
     summed double integral in count_tail (z_contour unless overridden), and
     the scalars scale (the K12 and residue prefactor), k11_scale, k22_scale,
@@ -329,8 +349,7 @@ class _Window:
     """
 
     def __init__(self, params, N):
-        if not isinstance(params, ModelParams):
-            params = ModelParams(*params)
+        params = _as_params(params)
         self.q, self.c, self.N = params.q, params.c, N
 
     def count_contour(self, v):
@@ -368,7 +387,7 @@ class _Window:
     def k12_pieces(self, s, x, t, y, tol):
         """I12 and R12 (heat-kernel part for s < t plus residue) at (s, x; t, y)."""
         zs = self.z_contour(s)
-        i12, err = integrate_double(_k12_coupling, zs, self.w_contour(t), tol,
+        i12, err = integrate_double(_k12_coupling, zs, self.w_contour(t, levels=(y,)), tol,
                                     *self.k12_factors(s, x, t, y))
         r12 = 0.0 + 0.0j
         if s < t:
@@ -390,9 +409,9 @@ class _Window:
             _k11_coupling, self.z_contour(s), self.z_contour(t, shifted=True), tol,
             lambda z: self.k11_scale * self.z_factor(z, s, x),
             lambda w: self.z_factor(w, t, y))
-        ws, wt = self.w_contour(s), self.w_contour(t)
+        ws, wt = self.w_contour(s, levels=(x,)), self.w_contour(t, levels=(y,))
         i22, e22 = integrate_double(
-            _k11_coupling, ws, self.w_contour(t, shifted=True), tol,
+            _k11_coupling, ws, self.w_contour(t, shifted=True, levels=(y,)), tol,
             lambda z: self.k22_scale * self.w_factor(z, s, x),
             lambda w: self.w_factor(w, t, y))
         r22, e_r22 = 0.0 + 0.0j, 0.0
@@ -425,7 +444,7 @@ class _Window:
         zc = self.z_contour(v)
         i12, err = _diag_batch_eval(_k12_coupling, self.k12_factors(v, 0.0, v, 0.0),
                                     (self.phase, lambda w: -self.phase(w)),
-                                    zc, self.w_contour(v), xs, tol)
+                                    zc, self.w_contour(v, levels=xs), xs, tol)
         if not self.has_residue:
             return i12, err
         phase_c = self.phase(np.asarray(self.c, dtype=complex))
@@ -440,7 +459,7 @@ class _Window:
         aN = (math.ceil(a * self.scale + center - 1e-9) - center) / self.scale
         zc, c = self.z_contour(v), self.c
         U, eU = integrate_double(
-            _tail_coupling, self.count_contour(v), self.w_contour(v), tol,
+            _tail_coupling, self.count_contour(v), self.w_contour(v, levels=(aN,)), tol,
             lambda z: z * self.z_factor(z, v, aN), lambda w: self.w_factor(w, v, aN))
         V, eV = 0.0, 0.0
         if self.has_residue:
@@ -505,7 +524,8 @@ class _BulkWindow(_Window):
     def z_contour(self, t, shifted=False):
         return bulk_contour(1.0 + 1e-7 if shifted else 1.0, self.N, +1)
 
-    def w_contour(self, t, shifted=False):
+    def w_contour(self, t, shifted=False, *, levels):
+        """gamma^-_N, the same wedge at every level."""
         return bulk_contour(-1.0 - 1e-7 if shifted else -1.0, self.N, -1)
 
     def heat_contour(self):
@@ -535,7 +555,7 @@ class _BulkWindow(_Window):
                 - Tt * g1_bulk(w, q)
             )
 
-        v, e = integrate_single(f_r22c, self.w_contour(s), tol)
+        v, e = integrate_single(f_r22c, self.w_contour(s, levels=(x, y)), tol)
         return i11, i22, r22 + v, max(err, e)
 
 
@@ -608,9 +628,18 @@ class _EdgeWindow(_Window):
         return edge_gamma_contour(self.c, self.theta, self.R, r,
                                   grade_scale=min(0.2, self.N ** -0.5))
 
-    def w_contour(self, kappa, shifted=False):
+    def w_contour(self, kappa, shifted=False, *, levels):
+        """The circle |w| = z_crit(kappa) + N^{-1/2} for integrands at the
+        scaled levels `levels` of slice kappa.  At a lattice level every
+        branched factor of e^{expo} has an integer power, so the integrand
+        is single-valued on the circle and takes a Circle (the periodic
+        trapezoid rule); off the lattice the power of w has a non-integer
+        part, the integrand jumps across the principal-log seam at w < 0,
+        and it takes full_circle, whose panels break at the seam."""
         r = self.N ** -0.5 * (1.0000003 if shifted else 1.0)
-        return Contour([full_circle(0.0, self.cst.z_crit(kappa) + r)])
+        m = np.asarray(levels, dtype=float) * self.scale + self.center(kappa)
+        lattice = bool(np.all(np.abs(m - np.rint(m)) < 1e-9))
+        return Contour([(Circle if lattice else full_circle)(0.0, self.cst.z_crit(kappa) + r)])
 
     def count_contour(self, kappa):
         """The wedge at z_crit(kappa) + 3 N^{-1/2}, between the w circle and

@@ -229,3 +229,47 @@ def test_nan_factor_fails_at_first_level(monkeypatch):
     with pytest.raises(ct.QuadratureError):
         ct.integrate_double(lambda z, w: z * w, circ, circ, z_factor=lambda z: z * np.nan)
     assert levels and max(levels) <= 1
+
+
+def test_circle_nodes_are_never_real_and_as_many_as_the_arc():
+    for level in range(10):
+        z, w = ct.Contour([ct.Circle(0.0, 2.0)]).nodes(level)
+        arc, _ = ct.Contour([ct.full_circle(0.0, 2.0)]).nodes(level)
+        assert len(z) == len(arc) == 256 << level
+        assert np.min(np.abs(z.imag)) > 0.0
+        assert abs(np.sum(w / z) - 2j * math.pi) < 1e-12
+
+
+@pytest.mark.parametrize("piece, rw, tol", [(ct.full_circle, 0.95, 1e-9)] + [
+    (ct.Circle, rw, tol) for rw in (0.98, 0.95) for tol in (1e-6, 1e-9, 1e-12)])
+def test_error_floor_bounds_roundoff(piece, rw, tol):
+    # the panel case read err 5.6e-15 against a true error of 8.4e-15 under
+    # a fixed 1e-15 * mass floor; the floor now grows with the node counts
+    cz = ct.Contour([piece(0.0, 1.0)])
+    cw = ct.Contour([piece(0.0, rw)])
+    val, err = ct.integrate_double(lambda z, w: 1.0 / ((z - w) * w), cz, cw, tol)
+    assert abs(val - 1.0) <= err < 1e3 * max(tol, 1e-14)
+
+
+@pytest.mark.parametrize("piece", [ct.full_circle, ct.Circle])
+def test_closed_forms_on_random_radii(piece):
+    # (1/2 pi i) of e^z z^{-k-1} is 1/k!, and with |w| < |z| the w integral
+    # of 1/((z - w) w^{k+1}) is z^{-k-1}, so the double integral with the
+    # factor e^z z^{-j-1} is 1/(j + k + 1)!
+    rng = np.random.default_rng(2024)
+    for _ in range(60):
+        k, r = int(rng.integers(0, 13)), float(rng.uniform(0.2, 4.0))
+        tol = float(rng.choice([1e-6, 1e-9, 1e-12]))
+        val, err = ct.integrate_single(lambda z: np.exp(z) * z ** (-k - 1.0),
+                                       ct.Contour([piece(0.0, r)]), tol)
+        assert abs(val - 1.0 / math.factorial(k)) <= err, (k, r, tol)
+    for _ in range(12):
+        j, k = (int(n) for n in rng.integers(0, 6, 2))
+        rz = float(rng.uniform(0.4, 2.5))
+        rw = rz * float(rng.uniform(0.3, 0.9))
+        tol = float(rng.choice([1e-6, 1e-9, 1e-12]))
+        val, err = ct.integrate_double(lambda z, w: 1.0 / ((z - w) * w ** (k + 1)),
+                                       ct.Contour([piece(0.0, rz)]),
+                                       ct.Contour([piece(0.0, rw)]), tol,
+                                       z_factor=lambda z: np.exp(z) * z ** (-j - 1.0))
+        assert abs(val - 1.0 / math.factorial(j + k + 1)) <= err, (j, k, rz, rw, tol)

@@ -304,7 +304,7 @@ def test_edge_k12_factors_match_whole_integrand():
         return (scale * (z * w - 1.0) * (z - c) / (z * (z - w) * (z * z - 1.0) * (w - c))
                 * np.exp(win.expo(z, s, x) - win.expo(w, t, y)))
 
-    whole, e = kernels.integrate_double(f12, win.z_contour(s), win.w_contour(t))
+    whole, e = kernels.integrate_double(f12, win.z_contour(s), win.w_contour(t, levels=(y,)))
     i12, _, err = win.k12_pieces(s, x, t, y, kernels.DEFAULT_TOL)
     assert abs(whole - i12) <= e + err
 
@@ -349,3 +349,81 @@ def test_edge_diag_batch_converges_at_large_N(N):
     for x, val in zip(xs, vals):
         i12, r12, e = win.k12_pieces(v, x, v, x, 1e-8)
         assert abs(val - (i12 + r12)) <= err + e
+
+
+def test_geo_coincident_blocks_integrate_k12_only(monkeypatch):
+    # K11 and K22 at coincident points are projected out of the Pfaffian
+    # matrix and K21 repeats K12's integral, so only K12 is integrated
+    P, N = ModelParams(0.4, 0.7), 3
+    points = [(0, 1, 0), (1, 2, 2)]
+
+    def four_blocks(a, b):
+        return kernels.kernel_geo(a[0], a[2], b[0], b[2], P, N, a[1], b[1], 1e-9)
+
+    ref_rho2 = kernels.correlation_fn(points, four_blocks)[0]
+    ref_rho1 = kernels.kernel_geo(1, 2, 1, 2, P, N, 2, 2, 1e-9).k12.real
+    calls = []
+    double = kernels.integrate_double
+    monkeypatch.setattr(kernels, "integrate_double",
+                        lambda *a, **k: calls.append(1) or double(*a, **k))
+    rho1, _ = kernels.rho1_geo(2, P, N, 2, tol=1e-9)
+    assert len(calls) == 1 and rho1 == ref_rho1
+    calls.clear()
+    rho2, _ = kernels.rho_k_geo(points, P, N, tol=1e-9)
+    assert len(calls) == 6 and rho2 == ref_rho2
+
+
+def test_geo_w_circle_through_inverse_q_stays_finite():
+    # the default u < v w circle has radius exactly 1/q = 2, where the w
+    # factor evaluates 0^(-N); no Circle or panel node is real
+    rho, err = kernels.rho_k_geo([(0, 1, 0), (1, 1, 2)], ModelParams(0.5, 0.8), 3)
+    assert math.isfinite(rho) and abs(rho - 0.05015836783218392) <= err
+
+
+def _w_contour_on(piece):
+    """An edge w_contour that takes `piece` at every level."""
+    def w_contour(self, kappa, shifted=False, *, levels):
+        r = self.N ** -0.5 * (1.0000003 if shifted else 1.0)
+        return kernels.Contour([piece(0.0, self.cst.z_crit(kappa) + r)])
+    return w_contour
+
+
+def test_edge_w_contour_is_a_circle_on_the_lattice_only(monkeypatch):
+    P, N = ModelParams(0.5, 1.4), 64
+    win = kernels._EdgeWindow(P, N)
+    xs = [kernels.edge_lattice_point(a, P, N, 0.5)[0] for a in (-1.0, 0.0, 1.0)]
+    assert isinstance(win.w_contour(0.5, levels=xs).pieces[0], kernels.Circle)
+    assert isinstance(win.w_contour(0.5, shifted=True, levels=xs[:1]).pieces[0],
+                      kernels.Circle)
+    assert isinstance(win.w_contour(0.5, levels=xs + [0.1]).pieces[0], kernels.Arc)
+    # off the lattice the components are those of the full_circle rule ...
+    point = (0.5, 0.1, 1.0, -0.2)
+    comp = kernels.edge_prelimit_components(*point, P, N, tol=1e-7)
+    monkeypatch.setattr(kernels._EdgeWindow, "w_contour", _w_contour_on(kernels.full_circle))
+    assert kernels.edge_prelimit_components(*point, P, N, tol=1e-7) == comp
+    # ... which, unlike the periodic rule, converges across the log seam
+    monkeypatch.setattr(kernels._EdgeWindow, "w_contour", _w_contour_on(kernels.Circle))
+    with pytest.raises(QuadratureError):
+        kernels.edge_prelimit_components(*point, P, N, tol=1e-7)
+
+
+def test_edge_i22_on_lattice_circles_needs_fewer_nodes(monkeypatch):
+    # the N = 400 edge point of the kernel-pointwise benchmark: the panels
+    # of full_circle took 4096 x 4096 nodes for I22, the midpoint rule 2048
+    P, N = ModelParams(0.5, 1.4), 400
+    x = kernels.edge_lattice_point(-0.3, P, N, 0.5)[0]
+    y = kernels.edge_lattice_point(0.2, P, N, 2.0)[0]
+    sizes = {}
+    nodes = kernels.Contour.nodes
+
+    def recording(self, level):
+        z, w = nodes(self, level)
+        if len(self.pieces) == 1:  # the w circles; I22 runs on two of them
+            sizes[id(self)] = max(sizes.get(id(self), 0), len(z))
+        return z, w
+
+    win = kernels._EdgeWindow(P, N)
+    monkeypatch.setattr(kernels.Contour, "nodes", recording)
+    monkeypatch.setattr(kernels, "integrate_single", lambda *a, **k: (0.0, 0.0))
+    win.k11_k22_pieces(0.5, x, 2.0, y, 1e-8)
+    assert sorted(sizes.values()) == [2048, 2048]
