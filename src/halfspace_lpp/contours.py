@@ -54,11 +54,18 @@ rows are summed against the z weights once, in row order, so reruns are
 byte-identical.  While a tile is evaluated numpy's ufunc buffer is kept
 small (_UFUNC_BUFSIZE), which results do not depend on.
 
-Segments and arcs carry an optional geometric panel grading toward one
-endpoint, the same for both, for integrands with a short internal scale
-(steepest-descent wedges near a critical point).  The doubling trapezoid
-rule integrate_circle, with nodes from theta = 0, serves the
-partition-function circles.  The adaptive Gauss-Kronrod integrate_contour
+Segments carry an optional geometric panel grading toward one endpoint,
+for integrands with a short internal scale (steepest-descent wedges near a
+critical point).
+
+integrate_circle, the partition-function circles' rule, is a separate
+doubling trapezoid rule on an origin-centered circle: 64, 128, ... nodes
+from theta = 0 up to CIRCLE_MAX_NODES, accepted on a relative change of
+tol, with no mass floor.  At long times the partition function's circle
+integrals cancel far below their integrands' magnitude (about 1e-25 of it
+at T1 = 100), where the level engine's 1e-13 * mass floor accepts a wrong
+value without error; this rule raises there instead, so the partition
+function stays on it.  The adaptive Gauss-Kronrod integrate_contour
 is kept as an independent reference for tests; it is the one routine that
 rejects a pole on the contour.
 """
@@ -101,8 +108,7 @@ class QuadratureError(RuntimeError):
     level of each contour reached), .changes (the last change per contour)
     and .threshold (the acceptance threshold), which the message repeats."""
 
-    def __init__(self, msg, partial=None, estimate=None, levels=None, changes=None,
-                 threshold=None):
+    def __init__(self, msg, partial=None, levels=None, changes=None, threshold=None):
         if levels is not None:
             msg += f" at levels {tuple(levels)}"
         if changes is not None:
@@ -110,7 +116,6 @@ class QuadratureError(RuntimeError):
                     + f" against threshold {threshold:.3e})")
         super().__init__(msg)
         self.partial = partial
-        self.estimate = estimate
         self.levels = levels
         self.changes = changes
         self.threshold = threshold
@@ -166,8 +171,6 @@ class Arc(_Panels):
     radius: float
     theta0: float
     theta1: float
-    grade: str = None
-    grade_scale: float = 0.125
 
     def point(self, t):
         th = self.theta0 + np.asarray(t) * (self.theta1 - self.theta0)
@@ -178,17 +181,15 @@ class Arc(_Panels):
         return 1j * self.radius * (self.theta1 - self.theta0) * np.exp(1j * th)
 
     def base_breaks(self):
-        if self.grade is not None:
-            return _graded(self)
         span = abs(self.theta1 - self.theta0)
         n = max(4, int(math.ceil(span / (math.pi / 8))))
         return np.linspace(0.0, 1.0, n + 1)
 
 
-def _graded(piece):
-    """Panel breaks on [0, 1] of widths doubling away from the piece's graded
-    endpoint, the first about grade_scale (clipped to [1e-12, 0.5])."""
-    h = min(max(piece.grade_scale, 1e-12), 0.5)
+def _graded(seg):
+    """Panel breaks on [0, 1] of widths doubling away from the segment's
+    graded endpoint, the first about grade_scale (clipped to [1e-12, 0.5])."""
+    h = min(max(seg.grade_scale, 1e-12), 0.5)
     pts = [0.0]
     x = h
     while x < 1.0:
@@ -196,7 +197,7 @@ def _graded(piece):
         x *= 2.0
     pts.append(1.0)
     pts = np.array(pts)
-    return pts if piece.grade == "start" else 1.0 - pts[::-1]
+    return pts if seg.grade == "start" else 1.0 - pts[::-1]
 
 
 def full_circle(center, radius):
@@ -252,11 +253,11 @@ class Contour:
             ws.append(w * piece.derivative(t))
         return np.concatenate(zs), np.concatenate(ws)
 
-    def min_distance(self, points, samples_per_piece=512):
-        """Min distance from the given points to a dense contour sampling."""
+    def min_distance(self, points):
+        """Min distance from the given points to 512 samples of each piece."""
         if len(points) == 0:
             return math.inf
-        t = np.linspace(0.0, 1.0, samples_per_piece)
+        t = np.linspace(0.0, 1.0, 512)
         best = math.inf
         for piece in self.pieces:
             z = piece.point(t)
@@ -285,18 +286,19 @@ def wedge_pieces(apex, phi, length, grade_scale=None):
     ]
 
 
-def truncate_wedge(apex, phi, log_magnitude, start=4.0, floor=-40.0, cap=1 << 12):
-    """Truncation length for C^phi_apex: doubled until log10 |integrand| at
-    both ray ends is below `floor` relative to the apex value."""
+def truncate_wedge(apex, phi, log_magnitude, start=4.0):
+    """Truncation length for C^phi_apex: doubled from `start` until |integrand|
+    at both ray ends is below 1e-40 of its value next to the apex; raises
+    QuadratureError past length 4096."""
     ref = log_magnitude(np.array([apex + 1e-3 * np.exp(1j * phi)]))[0]
     L = start
-    while L <= cap:
+    while L <= 4096:
         ends = np.array([apex + L * np.exp(1j * phi), apex + L * np.exp(-1j * phi)])
         vals = log_magnitude(ends)
-        if np.all(vals - ref < floor * math.log(10.0)):
+        if np.all(vals - ref < -40.0 * math.log(10.0)):
             return L
         L *= 2.0
-    raise QuadratureError(f"wedge truncation did not decay by 1e{floor} within L={cap}")
+    raise QuadratureError("wedge truncation did not decay by 1e-40 within L=4096")
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +345,6 @@ def integrate_contour(f, contour, tol=1e-10, poles=(), max_depth=40,
                     raise QuadratureError(
                         f"GK bisection depth {max_depth} exceeded (err={err:.2e})",
                         partial=total + val,
-                        estimate=err_total + err,
                     )
                 total += val
                 err_total += err
@@ -359,22 +360,25 @@ def integrate_contour(f, contour, tol=1e-10, poles=(), max_depth=40,
 CIRCLE_MAX_NODES = 1 << 17  # the last doubling of integrate_circle
 
 
-def integrate_circle(f, radius, center=0.0, tol=1e-12, n0=64, nmax=CIRCLE_MAX_NODES):
-    """(1/2pi i) * closed circle integral by the doubling trapezoid rule.
+def integrate_circle(f, radius, tol=1e-12):
+    """(1/2pi i) * integral over the circle |u| = radius by the trapezoid
+    rule on n = 64, 128, ... nodes from theta = 0, accepted when a doubling
+    changes the value by at most tol * |value|; QuadratureError past
+    CIRCLE_MAX_NODES nodes.
 
     Spectrally accurate for integrands analytic near the circle; f must take
     ndarray input.
     """
-    n = n0
+    n = 64
     prev = None
-    while n <= nmax:
-        u = center + radius * np.exp(2j * np.pi * np.arange(n) / n)
-        val = np.mean(f(u) * (u - center))
+    while n <= CIRCLE_MAX_NODES:
+        u = radius * np.exp(2j * np.pi * np.arange(n) / n)
+        val = np.mean(f(u) * u)
         if prev is not None and abs(val - prev) <= tol * max(abs(val), 1e-300):
             return val, abs(val - prev)
         prev = val
         n *= 2
-    raise QuadratureError(f"circle trapezoid not converged at {nmax} points",
+    raise QuadratureError(f"circle trapezoid not converged at {CIRCLE_MAX_NODES} points",
                           partial=prev)
 
 

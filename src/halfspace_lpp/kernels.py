@@ -60,7 +60,7 @@ from .contours import (
 from .pfaffian import correlation_fn
 
 DEFAULT_TOL = 1e-9
-EDGE_THETA = 5.0 * math.pi / 16.0  # default wedge angle, inside (pi/4, pi/2)
+EDGE_THETA = 5.0 * math.pi / 16.0  # edge wedge half-angle, inside (pi/4, pi/2)
 
 
 @dataclass
@@ -200,21 +200,21 @@ def _mobius(dz, dw):
 # ---------------------------------------------------------------------------
 
 def geo_default_radii(q, c, u_ge_v):
-    """Admissible circle radii for the exact kernel blocks."""
+    """Admissible circle radii (r1, rw, r2) for the exact kernel blocks: K11
+    runs on r1, K12 on z circle r1 and w circle rw, K22 on r2."""
     qinv = 1.0 / q
     r1 = 0.5 * (max(1.0, c) + qinv) if c > 1.0 else 0.5 * (1.0 + qinv)
     if not (1.0 < r1 < qinv):
         raise ContourPlacementError(f"no admissible r1 in (1, 1/q) for c={c}")
-    rz = r1
     if u_ge_v:
         lo = max(c, q)
-        if lo >= rz:
-            raise ContourPlacementError("need max(c,q) < r12^z for nested contours")
-        rw = 0.5 * (lo + rz)
+        if lo >= r1:
+            raise ContourPlacementError("need max(c,q) < r1 for nested contours")
+        rw = 0.5 * (lo + r1)
     else:
-        rw = rz + max(0.5, 0.25 * rz)
+        rw = r1 + max(0.5, 0.25 * r1)
     r2 = max(c, q, 1.0) + 0.5
-    return r1, rz, rw, r2
+    return r1, rw, r2
 
 
 def _geo_lambda(z, q, N, level, M):
@@ -234,10 +234,10 @@ def _geo_b(q, c, N, level, M):
 
 def _geo_k12(u, x, v, y, params, N, M_u, M_v, tol, radii):
     """K12(u, x; v, y) of the exact kernel and its error, on the nested
-    circles rz, rw of the radii (geo_default_radii when None)."""
+    circles r1, rw of the radii (geo_default_radii when None)."""
     q, c = params.q, params.c
-    _, rz, rw, _ = geo_default_radii(q, c, u >= v) if radii is None else radii
-    return integrate_double(_k12_coupling, Contour([Circle(0.0, rz)]),
+    r1, rw, _ = geo_default_radii(q, c, u >= v) if radii is None else radii
+    return integrate_double(_k12_coupling, Contour([Circle(0.0, r1)]),
                             Contour([Circle(0.0, rw)]), tol,
                             _geo_a(q, c, N, x, M_u), _geo_b(q, c, N, y, M_v))
 
@@ -254,11 +254,13 @@ def kernel_geo(u, x, v, y, params, N, M_u, M_v, tol=DEFAULT_TOL, radii=None):
     integer powers only, so they are single-valued on every circle, and all
     four blocks integrate over Circle contours (the periodic trapezoid
     rule).  K21(u, x; v, y) = -K12(v, y; u, x), the swapped slice order
-    flipping the nesting of the K12 circles.
+    flipping the nesting of the K12 circles.  radii, when given, is an
+    (r1, rw, r2) triple used in place of geo_default_radii for both slice
+    orders.
     """
     params = _as_params(params)
     q, c = params.q, params.c
-    r1, _, _, r2 = geo_default_radii(q, c, u >= v) if radii is None else radii
+    r1, _, r2 = geo_default_radii(q, c, u >= v) if radii is None else radii
     # the second circle of K11 and K22 avoids the z = w diagonal exactly
     k11, e11 = integrate_double(_k11_coupling, Contour([Circle(0.0, r1)]),
                                 Contour([Circle(0.0, r1 * 1.0000003)]), tol,
@@ -577,56 +579,64 @@ def bulk_lattice_point(a, params, N, t):
     return _BulkWindow(params, N).lattice_point(a, t)
 
 
-def edge_gamma_contour(c, theta, R, r, grade_scale=None):
-    """The wedge-plus-arc contour C(x, theta, R, r) around center x = c."""
+def edge_gamma_contour(c, theta, R, r, grade_scale):
+    """The wedge-plus-arc contour C(x, theta, R, r) around center x = c: rays
+    at angles +-theta from c, cut at distance r from c by a chord and closed
+    by the origin-centered arc through their points at radius R, the ray
+    segments graded toward the chord by grade_scale.  The edge window takes
+    theta = EDGE_THETA = 5 pi/16 and R = 2/q."""
     zp = c + r * cmath.exp(1j * theta)
     zm = c + r * cmath.exp(-1j * theta)
     tplus = -c * math.cos(theta) + math.sqrt(R * R - c * c * math.sin(theta) ** 2)
     zetap = c + tplus * cmath.exp(1j * theta)
     zetam = c + tplus * cmath.exp(-1j * theta)
-    gs = grade_scale if grade_scale is not None else 0.05
     pieces = []
-    pieces.append(Segment(zetam, zm, grade="end", grade_scale=gs))
+    pieces.append(Segment(zetam, zm, grade="end", grade_scale=grade_scale))
     if r > 0.0:
         pieces.append(Segment(zm, zp))
-    pieces.append(Segment(zp, zetap, grade="start", grade_scale=gs))
+    pieces.append(Segment(zp, zetap, grade="start", grade_scale=grade_scale))
     th = cmath.phase(zetap)
     pieces.append(Arc(0.0, abs(zetap), th, 2.0 * math.pi - th))
     return Contour(pieces)
 
 
-def edge_prelimit_feasible(q, c, N, theta=EDGE_THETA):
+def edge_prelimit_feasible(q, c, N):
+    """Contour-nesting conditions of the edge window at wedge angle
+    EDGE_THETA."""
     checks = {
-        "theta_range": math.pi / 4 < theta < math.pi / 2,
-        "wedge_radius_fits": 1.0 / q - c >= (1.0 / math.cos(theta)) * N ** -0.5,
+        "wedge_radius_fits": 1.0 / q - c >= (1.0 / math.cos(EDGE_THETA)) * N ** -0.5,
         "circle_between": c + N ** -0.5 > 1.0,
     }
     return all(checks.values()), checks
 
 
 class _EdgeWindow(_Window):
-    """The N^{1/2} window at slices kappa in [0, kappa_bar), c in (1, 1/q)."""
+    """The N^{1/2} window at slices kappa in [0, kappa_bar), c in (1, 1/q).
 
-    def __init__(self, params, N, theta=EDGE_THETA, R=None):
+    Its z contours are edge_gamma_contour wedges of half-angle theta =
+    EDGE_THETA = 5 pi/16, closed by the arc through radius R = 2/q.  Every
+    entry point builds it with the slices it will use, and the constructor
+    raises ParameterError for a slice outside [0, kappa_bar).
+    """
+
+    def __init__(self, params, N, *kappas):
         super().__init__(params, N)
-        self.theta = theta
-        self.R = 2.0 / self.q if R is None else R
         self.cst = ScalingConstantsEdge(self.q, self.c)
+        kbar = self.cst.kappa_bar
+        if not all(0.0 <= k < kbar for k in kappas):
+            raise ParameterError(f"edge slices must lie in [0, kappa_bar={kbar:.4g})")
         self.scale = self.k11_scale = self.k22_scale = self.cst.sigma2 * math.sqrt(N)
         self.has_residue = True
         self.tail_offset = 0.0
         self._lq_c = cmath.log(1.0 - self.q / self.c)
 
-    def check_slices(self, *kappas):
-        kbar = self.cst.kappa_bar
-        if not all(0.0 <= k < kbar for k in kappas):
-            raise ParameterError(f"s,t must lie in [0, kappa_bar={kbar:.4g})")
-        return self
+    def _wedge(self, apex, r):
+        return edge_gamma_contour(apex, EDGE_THETA, 2.0 / self.q, r,
+                                  min(0.2, self.N ** -0.5))
 
     def z_contour(self, kappa, shifted=False):
-        r = self.N ** -0.5 / math.cos(self.theta) * (1.0000003 if shifted else 1.0)
-        return edge_gamma_contour(self.c, self.theta, self.R, r,
-                                  grade_scale=min(0.2, self.N ** -0.5))
+        return self._wedge(self.c, self.N ** -0.5 / math.cos(EDGE_THETA)
+                           * (1.0000003 if shifted else 1.0))
 
     def w_contour(self, kappa, shifted=False, *, levels):
         """The circle |w| = z_crit(kappa) + N^{-1/2} for integrands at the
@@ -645,13 +655,12 @@ class _EdgeWindow(_Window):
         """The wedge at z_crit(kappa) + 3 N^{-1/2}, between the w circle and
         1/q (module docstring): on the kernel's wedge at c the threshold
         counts sat at the roundoff floor of a mass far above the count."""
-        r = self.N ** -0.5 / math.cos(self.theta)
+        r = self.N ** -0.5 / math.cos(EDGE_THETA)
         apex = self.cst.z_crit(kappa) + 3.0 * self.N ** -0.5
         if 1.0 / self.q - apex < r:
             raise ContourPlacementError(
                 f"count contour apex {apex:.4g} leaves less than {r:.3g} below 1/q")
-        return edge_gamma_contour(apex, self.theta, self.R, r,
-                                  grade_scale=min(0.2, self.N ** -0.5))
+        return self._wedge(apex, r)
 
     def heat_contour(self):
         """Wedge of half-angle pi/2 at c, closed by the circle of radius
@@ -686,26 +695,25 @@ class _EdgeWindow(_Window):
         return self.cst.h2_kappa(kappa) * self.N
 
 
-def edge_prelimit_components(
-    s, x, t, y, params, N, theta=EDGE_THETA, R=None, tol=DEFAULT_TOL
-):
+def edge_prelimit_components(s, x, t, y, params, N, tol=DEFAULT_TOL):
     """Raw pieces I11, I12, I22, R12, R22 of the prelimit edge kernel.
 
     Valid for c in (1, 1/q) with s, t in [0, kappa_bar).
     """
-    win = _EdgeWindow(params, N, theta, R).check_slices(s, t)
+    win = _EdgeWindow(params, N, s, t)
     return _components(win.k12_pieces, win.k11_k22_pieces, s, x, t, y, tol)
 
 
-def kernel_N_edge(s, x, t, y, params, N, theta=EDGE_THETA, R=None, tol=DEFAULT_TOL):
+def kernel_N_edge(s, x, t, y, params, N, tol=DEFAULT_TOL):
     """Assembled prelimit edge kernel K^N; converges to the Brownian kernel."""
-    win = _EdgeWindow(params, N, theta, R).check_slices(s, t)
+    win = _EdgeWindow(params, N, s, t)
     return _assemble_2x2(win.k12_pieces, win.k11_k22_pieces, s, x, t, y, tol)
 
 
 def edge_lattice_point(a, params, N, kappa):
-    """Nearest point of the edge lattice Lambda_kappa(N) to scaled value a."""
-    return _EdgeWindow(params, N).lattice_point(a, kappa)
+    """Nearest point of the edge lattice Lambda_kappa(N) to scaled value a,
+    kappa in [0, kappa_bar)."""
+    return _EdgeWindow(params, N, kappa).lattice_point(a, kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -724,7 +732,7 @@ def kernel_bm(s, x, t, y):
     return val
 
 
-def _airy_wedge(apex, phi, cubic_sign, quad_mag, lin_mag, tol):
+def _airy_wedge(apex, phi, cubic_sign, quad_mag, lin_mag):
     """Truncated wedge contour for exponents +-z^3/3 + a z^2 + b z with
     |a| <= quad_mag, |b| <= lin_mag; the probe over-estimates the magnitude,
     so the truncation is conservative."""
@@ -736,12 +744,12 @@ def _airy_wedge(apex, phi, cubic_sign, quad_mag, lin_mag, tol):
     return Contour(wedge_pieces(apex, phi, L))
 
 
-def _hs_wedges(s, x, t, y, tol):
+def _hs_wedges(s, x, t, y):
     if s <= 0.0 or t <= 0.0:
         raise ParameterError("half-space limit kernel needs s, t > 0")
     phi = math.pi / 3.0
-    return (_airy_wedge(1.0 + s, phi, +1.0, 0.0, abs(x) + 1.0, tol),
-            _airy_wedge(1.0 + t, phi, +1.0, 0.0, abs(y) + 1.0, tol))
+    return (_airy_wedge(1.0 + s, phi, +1.0, 0.0, abs(x) + 1.0),
+            _airy_wedge(1.0 + t, phi, +1.0, 0.0, abs(y) + 1.0))
 
 
 def _hs_e(z, x):
@@ -750,7 +758,7 @@ def _hs_e(z, x):
 
 
 def _hs_k12(s, x, t, y, tol):
-    cz, cw = _hs_wedges(s, x, t, y, tol)
+    cz, cw = _hs_wedges(s, x, t, y)
     i12, err = integrate_double(_mobius(s, -t), cz, cw, tol,
                                 lambda z: _hs_e(z, x) / (2.0 * (z + s)), lambda w: _hs_e(w, y))
     if s < t:
@@ -764,7 +772,7 @@ def _hs_k12(s, x, t, y, tol):
 
 
 def _hs_k11_k22(s, x, t, y, tol):
-    cz, cw = _hs_wedges(s, x, t, y, tol)
+    cz, cw = _hs_wedges(s, x, t, y)
     i11, e1 = integrate_double(_mobius(s, t), cz, cw, tol,
                                lambda z: _hs_e(z, x) / (4.0 * (z + s)),
                                lambda w: _hs_e(w, y) / (w + t))
@@ -789,13 +797,13 @@ def kernel_hs_inf(s, x, t, y, tol=DEFAULT_TOL):
     return _assemble_2x2(_hs_k12, _hs_k11_k22, s, x, t, y, tol)
 
 
-def _limit_wedge(sign, s, x, t, y, consts, tol, shift=1.0):
+def _limit_wedge(sign, s, x, t, y, consts, shift=1.0):
     """The pi/3 wedge at sigma1 (sign +1) or the 2pi/3 wedge at -sigma1
     (sign -1) of the bulk limit kernel; shift moves the apex off the z = w
     diagonal."""
     phi = math.pi / 3.0 if sign > 0 else 2.0 * math.pi / 3.0
     return _airy_wedge(sign * consts.sigma1 * shift, phi, sign,
-                       consts.f1 * max(s, t), abs(x) + abs(y) + 1.0, tol)
+                       consts.f1 * max(s, t), abs(x) + abs(y) + 1.0)
 
 
 def _limit_expo(z, f1, s, x):
@@ -807,8 +815,8 @@ def _limit_k12(s, x, t, y, consts, tol):
     f1 = consts.f1
     i12, err = integrate_double(
         _limit_k12_coupling,
-        _limit_wedge(+1.0, s, x, t, y, consts, tol),
-        _limit_wedge(-1.0, s, x, t, y, consts, tol), tol,
+        _limit_wedge(+1.0, s, x, t, y, consts),
+        _limit_wedge(-1.0, s, x, t, y, consts), tol,
         lambda z: np.exp(_limit_expo(z, f1, s, x)) / (2.0 * z),
         lambda w: np.exp(-_limit_expo(w, f1, t, y)))
     if s < t:
@@ -824,13 +832,13 @@ def _limit_k11_k22(s, x, t, y, consts, tol):
     f1, s1g = consts.f1, consts.sigma1
     phi23 = 2.0 * math.pi / 3.0
     i11, e1 = integrate_double(
-        _mobius(0.0, 0.0), _limit_wedge(+1.0, s, x, t, y, consts, tol),
-        _limit_wedge(+1.0, s, x, t, y, consts, tol, shift=1.0000003), tol,
+        _mobius(0.0, 0.0), _limit_wedge(+1.0, s, x, t, y, consts),
+        _limit_wedge(+1.0, s, x, t, y, consts, shift=1.0000003), tol,
         lambda z: np.exp(_limit_expo(z, f1, s, x)) / z,
         lambda w: np.exp(_limit_expo(w, f1, t, y)) / w)
     i22, e3 = integrate_double(
-        _mobius(0.0, 0.0), _limit_wedge(-1.0, s, x, t, y, consts, tol),
-        _limit_wedge(-1.0, s, x, t, y, consts, tol, shift=1.0000003), tol,
+        _mobius(0.0, 0.0), _limit_wedge(-1.0, s, x, t, y, consts),
+        _limit_wedge(-1.0, s, x, t, y, consts, shift=1.0000003), tol,
         lambda z: np.exp(-_limit_expo(z, f1, s, x)) / 4.0,
         lambda w: np.exp(-_limit_expo(w, f1, t, y)))
 
@@ -901,7 +909,7 @@ def kernel_limit_bulk_from_hs(s, x, t, y, consts, tol=DEFAULT_TOL):
 # steepest-descent diagnostics
 # ---------------------------------------------------------------------------
 
-def _fd_derivative(f, z0, order, h=1e-4):
+def _fd_derivative(f, z0, order, h):
     """Central finite difference of given order, Richardson-extrapolated
     from the steps h and h/2."""
 
@@ -913,11 +921,14 @@ def _fd_derivative(f, z0, order, h=1e-4):
     return (4.0 * central(h / 2.0) - central(h)) / 3.0
 
 
-def phase_diagnostics(q, c, kappas, h=1e-4, fd_tol=1e-6):
-    """Run every steepest-descent sanity check on a (q, c, kappa) family.
+def phase_diagnostics(q, c, kappas):
+    """Run every steepest-descent sanity check on a (q, c, kappa) family:
+    finite differences of step h = 1e-4 against the closed forms, to a
+    relative 1e-6 (fd_tol).
 
     Returns a report dict with one entry per check carrying (ok, detail).
     """
+    h, fd_tol = 1e-4, 1e-6
     cst = ScalingConstantsEdge(q, c)
     report = {"params": (q, c), "checks": [], "ok": True}
 
@@ -1033,10 +1044,10 @@ def _diag_batch_single(F, phase, contour, xs, tol):
     return _single_walk(F, contour, tol, lambda z: np.exp(np.multiply.outer(phase(z), xs)))
 
 
-def edge_k12_diag_batch(xs, params, N, kappa, theta=EDGE_THETA, R=None,
-                        tol=1e-8):
-    """K12(kappa, x; kappa, x) for an array of scaled lattice levels x."""
-    return _EdgeWindow(params, N, theta, R).k12_diag(kappa, xs, tol)
+def edge_k12_diag_batch(xs, params, N, kappa, tol=1e-8):
+    """K12(kappa, x; kappa, x) for an array of scaled lattice levels x, kappa
+    in [0, kappa_bar)."""
+    return _EdgeWindow(params, N, kappa).k12_diag(kappa, xs, tol)
 
 
 def bulk_k12_diag_batch(xs, params, N, t, tol=1e-8):
@@ -1052,16 +1063,15 @@ def bulk_k12_diag_batch(xs, params, N, t, tol=1e-8):
 # expected counts above a level
 # ---------------------------------------------------------------------------
 
-def expected_count_tail(a, params, N, regime, slice_value, theta=EDGE_THETA,
-                        R=None, tol=DEFAULT_TOL):
+def expected_count_tail(a, params, N, regime, slice_value, tol=DEFAULT_TOL):
     """E[#points >= a] on one slice, by the summed-kernel contour formulas.
 
-    regime 'edge': the N^{1/2} window at kappa = slice_value (needs c > 1);
-    regime 'bulk': the N^{1/3} window at time t = slice_value.  The level a
-    is snapped up to the slice lattice.
+    regime 'edge': the N^{1/2} window at kappa = slice_value in [0,
+    kappa_bar) (needs c > 1); regime 'bulk': the N^{1/3} window at time t =
+    slice_value.  The level a is snapped up to the slice lattice.
     """
     if regime == "edge":
-        win = _EdgeWindow(params, N, theta, R)
+        win = _EdgeWindow(params, N, slice_value)
     elif regime == "bulk":
         win = _BulkWindow(params, N)
     else:

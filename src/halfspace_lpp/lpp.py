@@ -424,5 +424,5 @@ def rescale_top_batch(top_vals, N, consts, t_grid):
     idx = np.rint(times).astype(int)
     if np.max(np.abs(times - idx)) > 1e-9:
         raise ParameterError("batch rescaling requires integer times t*N")
-    scale = (consts.p_top * (1.0 + consts.p_top)) ** -0.5 * N ** -0.5
-    return scale * (top_vals[:, idx] - consts.C_top * N - consts.p_top * times)
+    scale = (consts.p2 * (1.0 + consts.p2)) ** -0.5 * N ** -0.5
+    return scale * (top_vals[:, idx] - consts.C_top * N - consts.p2 * times)

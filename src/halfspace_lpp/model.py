@@ -38,14 +38,14 @@ class ModelParams:
 class ScalingConstantsBulk:
     """Constants of the N^{1/3} (near-diagonal) scaling window.
 
-    sigma/f center and scale the curves themselves; sigma1/f1/p1/h1 enter the
-    prelimit kernel and its lattice.  f == f1 and sigma1/sigma == (2 f1)^(-1/2)
-    hold identically and are asserted in tests.
+    sigma centers and scales the curves themselves (lpp.rescale_bulk);
+    sigma1, p1 and h1 enter the prelimit kernel and its lattice, and f1 the
+    limit kernel.  sigma1/sigma == (2 f1)^(-1/2) holds identically and is
+    asserted in tests.
     """
 
     q: float
     sigma: float = field(init=False)
-    f: float = field(init=False)
     sigma1: float = field(init=False)
     f1: float = field(init=False)
     p1: float = field(init=False)
@@ -56,11 +56,10 @@ class ScalingConstantsBulk:
         if not (0.0 < q < 1.0):
             raise ParameterError(f"q must be in (0,1), got {q}")
         object.__setattr__(self, "sigma", math.sqrt(q) / (1.0 - q))
-        object.__setattr__(self, "f", q ** (1.0 / 3.0) / (2.0 * (1.0 + q) ** (2.0 / 3.0)))
         object.__setattr__(
             self, "sigma1", q ** (1.0 / 3.0) * (1.0 + q) ** (1.0 / 3.0) / (1.0 - q)
         )
-        object.__setattr__(self, "f1", self.f)
+        object.__setattr__(self, "f1", q ** (1.0 / 3.0) / (2.0 * (1.0 + q) ** (2.0 / 3.0)))
         object.__setattr__(self, "p1", q / (1.0 - q))
         object.__setattr__(self, "h1", 2.0 * q / (1.0 - q))
 
@@ -70,7 +69,8 @@ class ScalingConstantsEdge:
     """Constants of the N^{1/2} window around the escaping top curve (c > 1).
 
     kappa_bar is the length of the time window on which the top curve is
-    diffusive; p_top/C_top give its law of large numbers line.
+    diffusive; its law of large numbers line is C_top N + p2 t, and sigma2 =
+    sqrt(p2 (1 + p2)) scales its fluctuations (lpp.rescale_top_batch).
     """
 
     q: float
@@ -78,7 +78,6 @@ class ScalingConstantsEdge:
     p2: float = field(init=False)
     sigma2: float = field(init=False)
     kappa_bar: float = field(init=False)
-    p_top: float = field(init=False)
     C_top: float = field(init=False)
 
     def __post_init__(self):
@@ -91,7 +90,6 @@ class ScalingConstantsEdge:
         object.__setattr__(self, "p2", p2)
         object.__setattr__(self, "sigma2", math.sqrt(p2 * (1.0 + p2)))
         object.__setattr__(self, "kappa_bar", (c - q) ** 2 / (1.0 - q * c) ** 2 - 1.0)
-        object.__setattr__(self, "p_top", p2)
         object.__setattr__(
             self, "C_top", q * (c * c - 2.0 * q * c + 1.0) / ((c - q) * (1.0 - q * c))
         )

@@ -328,23 +328,19 @@ def default_contour_radii(q, c, tol):
     return _mid_radius(q * q, hi1, tol), _mid_radius(lo2, 1.0, tol)
 
 
-def partition_fn_contour(T1, y, qhat, chat, r1=None, r2=None, tol=1e-11):
+_CONTOUR_TOL = 1e-11  # the circle integrals of the contour partition function
+
+
+def partition_fn_contour(T1, y, qhat, chat):
     """Z(T1, y; qhat, chat) by the two-circle contour formula.
 
-    qhat, chat may be complex with |qhat| < 1, and the radii must satisfy
-    r1 in (q^2, 1) with c r1 / q < 1 and r2 in (q^2, 1) with q c / r2 < 1,
-    where q = |qhat|, c = |chat|.
+    qhat, chat may be complex with |qhat| < 1; the circles are those of
+    default_contour_radii(|qhat|, |chat|), each integral taken to a relative
+    1e-11.
     """
-    q, c = abs(qhat), abs(chat)
-    if r1 is None or r2 is None:
-        d1, d2 = default_contour_radii(q, c, tol)
-        r1 = d1 if r1 is None else r1
-        r2 = d2 if r2 is None else r2
-    if not (q * q < r1 < 1.0 and c * r1 / q < 1.0):
-        raise ParameterError(f"r1={r1} violates (q^2, 1) and c r1/q < 1")
-    if not (q * q < r2 < 1.0 and q * c / r2 < 1.0):
-        raise ParameterError(f"r2={r2} violates (q^2, 1) and qc/r2 < 1")
-    scale, val = _contour_Z_scaled(T1, y, complex(qhat), complex(chat), r1, r2, tol)
+    r1, r2 = default_contour_radii(abs(qhat), abs(chat), _CONTOUR_TOL)
+    scale, val = _contour_Z_scaled(T1, y, complex(qhat), complex(chat), r1, r2,
+                                   _CONTOUR_TOL)
     if scale > 700.0:
         raise AccuracyError(
             f"partition function magnitude e^{scale:.1f} overflows float; "
@@ -353,7 +349,7 @@ def partition_fn_contour(T1, y, qhat, chat, r1=None, r2=None, tol=1e-11):
     return val * math.exp(scale)
 
 
-def characteristic_ratio(T_n, y, params, s, t, b=1.0, tol=1e-11):
+def characteristic_ratio(T_n, y, params, s, t, b=1.0):
     """Joint characteristic function of the centered origin statistics of an
     interacting pair, e^{2 i p T_n s / (sigma sqrt(d_n))} Z(qhat, chat)/Z(q, c),
     with qhat = q e^{-i s/(sigma sqrt(d_n))}, chat = c e^{i t}, d_n = T_n / b.
@@ -368,9 +364,9 @@ def characteristic_ratio(T_n, y, params, s, t, b=1.0, tol=1e-11):
     sigma = math.sqrt(p * (1.0 + p))
     qhat = q * cmath.exp(-1j * s / (sigma * math.sqrt(d_n)))
     chat = c * cmath.exp(1j * t)
-    r1, r2 = default_contour_radii(q, c, tol)
-    sc_num, num = _contour_Z_scaled(T_n, y, qhat, chat, r1, r2, tol)
-    sc_den, den = _contour_Z_scaled(T_n, y, complex(q), complex(c), r1, r2, tol)
+    r1, r2 = default_contour_radii(q, c, _CONTOUR_TOL)
+    sc_num, num = _contour_Z_scaled(T_n, y, qhat, chat, r1, r2, _CONTOUR_TOL)
+    sc_den, den = _contour_Z_scaled(T_n, y, complex(q), complex(c), r1, r2, _CONTOUR_TOL)
     phase = cmath.exp(2j * p * T_n * s / (sigma * math.sqrt(d_n)))
     return phase * math.exp(sc_num - sc_den) * num / den
 

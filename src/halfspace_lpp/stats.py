@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ScalingConstantsBulk, ScalingConstantsEdge
-
 
 class InputError(ValueError):
     pass
@@ -20,33 +18,16 @@ class InputError(ValueError):
 
 @dataclass
 class LatticeSpec:
-    """Slice lattice a * Z + b in scaled coordinates.
-
-    Conversion to the integer index m (the level lambda_i - i) is exact;
-    membership tests work on indices, never on floats.
+    """Slice lattice a * Z + b in scaled coordinates: x_of(m) is the scaled
+    value of the integer index m (the level lambda_i - i).  The estimators
+    compare indices, never floats.
     """
 
     a: float
     b: float
 
-    def index_of(self, x):
-        return int(round((x - self.b) / self.a))
-
     def x_of(self, m):
         return self.a * m + self.b
-
-    @classmethod
-    def bulk(cls, params, N, t):
-        sc = ScalingConstantsBulk(params.q)
-        Tt = math.floor(t * N ** (2.0 / 3.0))
-        a = 1.0 / (sc.sigma1 * N ** (1.0 / 3.0))
-        return cls(a=a, b=a * (-sc.h1 * N - sc.p1 * Tt))
-
-    @classmethod
-    def edge(cls, params, N, kappa):
-        cst = ScalingConstantsEdge(params.q, params.c)
-        a = 1.0 / (cst.sigma2 * math.sqrt(N))
-        return cls(a=a, b=-cst.h2_kappa(kappa) * math.sqrt(N) / cst.sigma2)
 
 
 def jackknife_mean(values):

@@ -66,11 +66,10 @@ def test_kernel_geo_contour_independence():
     P = ModelParams(0.4, 0.7)
     q, c = 0.4, 0.7
     base = kernels.kernel_geo(1, 1, 1, 1, P, 3, 1, 1)
-    r1, rz, rw, r2 = kernels.geo_default_radii(q, c, True)
+    r1, rw, r2 = kernels.geo_default_radii(q, c, True)
     for fac in (0.8, 1.2):
         radii = (
             1.0 + (r1 - 1.0) * fac,
-            1.0 + (rz - 1.0) * fac,
             max(c, q) + (rw - max(c, q)) * fac,
             max(1.0, c, q) + (r2 - max(1.0, c, q)) * fac,
         )
@@ -161,6 +160,24 @@ def test_edge_prelimit_trivia():
     assert np.isfinite(comp["R12"].real)
     with pytest.raises(ParameterError):
         kernels.edge_prelimit_components(9.0, 0.0, 1.0, 0.0, P, 64)
+
+
+@pytest.mark.parametrize("kappa", [-0.5, 8.0, 8.5, 12.0])
+def test_edge_entry_points_reject_slices_outside_window(kappa):
+    # kappa_bar = 8 at q = 0.5, c = 1.4; the diagonal batch and the edge tail
+    # count took such slices and returned densities of 1e5 and counts of -650
+    P, N = ModelParams(0.5, 1.4), 100
+    assert ScalingConstantsEdge(0.5, 1.4).kappa_bar == pytest.approx(8.0)
+    calls = [
+        lambda: kernels.edge_k12_diag_batch([0.0, 0.1], P, N, kappa),
+        lambda: kernels.expected_count_tail(0.0, P, N, "edge", kappa),
+        lambda: kernels.edge_prelimit_components(kappa, 0.0, 1.0, 0.0, P, N),
+        lambda: kernels.kernel_N_edge(1.0, 0.0, kappa, 0.0, P, N),
+        lambda: kernels.edge_lattice_point(0.0, P, N, kappa),
+    ]
+    for call in calls:
+        with pytest.raises(ParameterError):
+            call()
 
 
 def test_bulk_feasibility_predicate():
@@ -256,9 +273,9 @@ def test_edge_threshold_count_is_resolved(monkeypatch):
     assert e1 < 1e-6
 
     def other_apex(self, kappa):
-        r = self.N ** -0.5 / math.cos(self.theta)
+        r = self.N ** -0.5 / math.cos(kernels.EDGE_THETA)
         return kernels.edge_gamma_contour(self.cst.z_crit(kappa) + 6.0 * self.N ** -0.5,
-                                          self.theta, self.R, r)
+                                          kernels.EDGE_THETA, 2.0 / self.q, r, 0.05)
 
     monkeypatch.setattr(kernels._EdgeWindow, "count_contour", other_apex)
     v2, e2 = _threshold_count(400, 0.5)
@@ -313,7 +330,7 @@ def test_geo_k12_factors_match_whole_integrand():
     # the exact kernel's K12 integrand written whole, six powers per node pair
     q, c, N, M_u, M_v = 0.4, 0.7, 3, 1, 2
     u, x, v, y = 1, 2, 2, -1
-    _, rz, rw, _ = kernels.geo_default_radii(q, c, u >= v)
+    rz, rw, _ = kernels.geo_default_radii(q, c, u >= v)
 
     def f12(z, w):
         return ((z * w - 1.0) / (z * (z - w) * (z * z - 1.0)) * (z - c) / (w - c)

@@ -27,16 +27,14 @@ def test_model_params_domain():
 def test_scaling_constant_identities():
     for q in (0.2, 0.5, 0.8):
         sc = ScalingConstantsBulk(q)
-        assert sc.f == sc.f1
         assert abs(sc.sigma1 / sc.sigma - (2.0 * sc.f1) ** -0.5) < 1e-14
     cst = ScalingConstantsEdge(0.5, 1.4)
     assert abs(cst.kappa_bar - 8.0) < 1e-12
-    assert abs(cst.p_top - 5.0 / 9.0) < 1e-14
+    assert abs(cst.p2 - 5.0 / 9.0) < 1e-14
     assert abs(cst.C_top - 26.0 / 9.0) < 1e-14
     assert cst.z_crit(0.0) == pytest.approx(1.0)
     for kap in (0.0, 2.0, 7.9):
         assert 0.5 < cst.z_crit(kap) < 1.4
-    assert cst.p_top == cst.p2
 
 
 def test_weights_symmetry_and_diagonal(rng):
@@ -173,7 +171,7 @@ def test_rescale_top_exact_line():
     cst = ScalingConstantsEdge(q, c)
     N = 50
     times = np.arange(0, 4 * N + 1)
-    line = cst.C_top * N + cst.p_top * times
+    line = cst.C_top * N + cst.p2 * times
     tops = np.rint(line)[None, :].astype(np.int64)
     vals = lpp.rescale_top_batch(tops, N, cst, [0.0, 1.0, 3.0])
     assert np.max(np.abs(vals)) < 1.0 / np.sqrt(N)

@@ -1,6 +1,8 @@
 """Every public module-level function or class in the package is used by the
 package itself or named in the benchmark's tracing targets: a helper that
-only tests call is deleted or made real."""
+only tests call is deleted or made real.  Likewise every defaulted parameter
+of a public function, method or constructor is set by some call in src/ or
+perfbench/: a parameter no caller sets is deleted, its default a constant."""
 
 import ast
 from pathlib import Path
@@ -50,3 +52,121 @@ def test_no_public_name_is_test_only():
         if name not in used | _perfbench_targets() | set(ALLOWED)
     )
     assert not unused, f"public names no src module uses: {unused}"
+
+
+# defaulted parameters that no call in src/ or perfbench/ sets, kept with
+# their reason; every other such parameter is deleted, its default a constant
+UNSET_ALLOWED = {
+    "acceptance.CheckResult.seconds": "filled in by acceptance._timed once the "
+                                      "check has returned",
+    "schur.characteristic_ratio.b": "a model parameter (d_n = T_n / b) of the "
+                                    "characteristic-function limit",
+    "bridges.discrete_to_pinned_check.n_cont": "the size of the pinned-pair "
+                                               "reference sample, which "
+                                               "tests/test_bridges.py matches "
+                                               "to its n_samples",
+    "interacting.enumerate_interacting_configs.floor_slack": "a test seam of the "
+                                                             "enumeration bounds",
+    "interacting.gibbs_consistency_check.min_hits": "a test seam of the chi^2 "
+                                                    "cell pooling",
+    "kernels.hs_limit_components.tol": "the tol every kernel entry point "
+                                       "takes; tests set it on this one",
+    "kernels.kernel_geo.radii": "the contour-independence test's seam",
+    "cli.load_config.env": "the environment seam of the CLI tests",
+    "contours.integrate_contour.tol": "integrate_contour is the independent "
+                                      "adaptive reference of the tests, "
+                                      "which set these",
+    "contours.integrate_contour.poles": "as integrate_contour.tol",
+    "contours.integrate_contour.max_depth": "as integrate_contour.tol",
+    "contours.integrate_contour.pole_clearance": "as integrate_contour.tol",
+}
+
+
+def _is_dataclass(node):
+    return any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass"
+               or getattr(getattr(d, "func", None), "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def _defaulted(fn, offset):
+    """(parameter, position or None) of each defaulted parameter of a def,
+    positions counted after the first `offset` parameters."""
+    pos = fn.args.posonlyargs + fn.args.args
+    first = len(pos) - len(fn.args.defaults)
+    out = [(a.arg, i - offset) for i, a in enumerate(pos) if i >= first]
+    out += [(a.arg, None) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+            if d is not None]
+    return out
+
+
+def _init_fields(cls):
+    """(field, position) of each defaulted __init__ field of a dataclass."""
+    def in_init(n):
+        return not (isinstance(n.value, ast.Call) and any(
+            k.arg == "init" and getattr(k.value, "value", True) is False
+            for k in n.value.keywords))
+
+    fields = [n for n in cls.body if isinstance(n, ast.AnnAssign)
+              and isinstance(n.target, ast.Name) and in_init(n)]
+    return [(n.target.id, i) for i, n in enumerate(fields) if n.value is not None]
+
+
+def _public_defaulted():
+    """{(call name, "module.qualname.param"): position} over the public
+    functions, the public methods and constructors of public classes (a
+    method's positions count after self; the package has no static
+    methods)."""
+    out = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_")):
+                continue
+            if isinstance(node, ast.FunctionDef):
+                for p, i in _defaulted(node, 0):
+                    out[node.name, f"{path.stem}.{node.name}.{p}"] = i
+            elif isinstance(node, ast.ClassDef):
+                params = _init_fields(node) if _is_dataclass(node) else []
+                for item in node.body:
+                    if not isinstance(item, ast.FunctionDef):
+                        continue
+                    if item.name == "__init__":
+                        params += _defaulted(item, 1)
+                    elif not item.name.startswith("_"):
+                        for p, i in _defaulted(item, 1):
+                            out[item.name, f"{path.stem}.{node.name}.{item.name}.{p}"] = i
+                for p, i in params:
+                    out[node.name, f"{path.stem}.{node.name}.{p}"] = i
+    return out
+
+
+def _settings():
+    """{call name: (keywords set, positions set)} over every call in src/ and
+    perfbench/.  A *args argument at position i counts as setting positions
+    i and up (to 99), a **kwargs argument as setting every keyword ("**")."""
+    sets = {}
+    for path in sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            keywords, positions = sets.setdefault(name, (set(), set()))
+            for i, arg in enumerate(node.args):
+                positions.update(range(i, 100) if isinstance(arg, ast.Starred) else (i,))
+            keywords.update(k.arg or "**" for k in node.keywords)
+    return sets
+
+
+def test_every_defaulted_parameter_is_set_somewhere():
+    sets = _settings()
+    found = set()
+    unset = []
+    for (name, key), pos in sorted(_public_defaulted().items()):
+        found.add(key)
+        keywords, positions = sets.get(name, (set(), set()))
+        if key.rsplit(".", 1)[1] in keywords or "**" in keywords or pos in positions:
+            continue
+        if key not in UNSET_ALLOWED:
+            unset.append(key)
+    assert set(UNSET_ALLOWED) <= found, "allow-list names a parameter that is gone"
+    assert not unset, f"defaulted parameters no src or perfbench call sets: {unset}"

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from halfspace_lpp.contours import ContourPlacementError
+from halfspace_lpp.contours import ContourPlacementError, QuadratureError
 from halfspace_lpp.model import ModelParams
 from halfspace_lpp import schur
 
@@ -131,8 +131,20 @@ def test_partition_fn_contour_examples():
     assert abs(z2 - 1.0) < 1e-9
     v2, _ = schur.partition_fn_series(1, (1, 1), ModelParams(0.5, 0.0))
     assert v2 == pytest.approx(1.0, abs=1e-10)
-    with pytest.raises(Exception):
-        schur.partition_fn_contour(1, (1, 0), 0.5, 0.8, r1=0.1)
+
+
+def test_partition_fn_contour_raises_or_agrees_at_long_times():
+    # at T1 = 100 the circle integrals cancel to about 1e-25 of the
+    # integrands' magnitude (Z ~ 4e77 against |f u| ~ 1e103), below the
+    # roundoff of the sum: the doubling trapezoid raises, where the level
+    # engine's 1e-13 * mass floor accepted a value 1e9 off with no error
+    T1, y, q, c = 100, (0, 0), 0.5, 1.5
+    vs, _ = schur.partition_fn_series(T1, y, ModelParams(q, c), tol=1e-12)
+    try:
+        vc = schur.partition_fn_contour(T1, y, q, c)
+    except QuadratureError:
+        return
+    assert abs(vc - vs) / abs(vs) < 1e-8
 
 
 def test_default_radii_clear_poles_near_c_one():

@@ -12,15 +12,6 @@ def rng():
     return np.random.default_rng(606)
 
 
-def test_lattice_spec_roundtrip():
-    P = ModelParams(0.5, 0.8)
-    lat = stats.LatticeSpec.bulk(P, 64, 1.0)
-    for m in (-5, 0, 17):
-        assert lat.index_of(lat.x_of(m)) == m
-    late = stats.LatticeSpec.edge(ModelParams(0.5, 1.4), 100, 0.5)
-    assert late.index_of(late.x_of(3)) == 3
-
-
 def test_jackknife_identical_samples():
     vals = np.ones((10, 4)) * 2.5
     mean, se = stats.jackknife_mean(vals)
@@ -50,7 +41,8 @@ def test_tail_count_matches_contour_formula(rng):
     B = 30000
     W = lpp.sample_weights_batch(N + M, N, P, rng, B)
     arr = lpp.lambda_process_batch(W, N, M, max_curves=6)
-    lat = stats.LatticeSpec.bulk(P, N, t)
+    win = kernels._BulkWindow(P, N)
+    lat = stats.LatticeSpec(a=1.0 / win.scale, b=-win.center(t) / win.scale)
     mean, se = stats.empirical_tail_count(arr, M, lat, a=0.0)
     exact, _ = kernels.expected_count_tail(0.0, P, N, "bulk", t, tol=1e-8)
     assert abs(mean - exact) < 3.0 * se
