@@ -14,6 +14,16 @@ pass 2^31 - 1 raises ResourceError instead of wrapping.  The uniform stream
 is that of one (size, m, n) draw followed by one (size, min(m, n)) draw for
 the diagonal, so fixed seeds give the same environments as a full draw.
 
+That stream is drawn as contiguous sample ranges.  On a PCG64 bit generator,
+whose random() takes one 64-bit output per double, a range reads its doubles
+from a copy of the caller's generator moved by advance() to the offsets that
+the serial draw gives its samples, and the caller's generator is then moved
+past the whole stream: every output and the caller's next draw are those of
+the serial draw.  sample_weights_batch gathers one bounded range at a time
+into its output; sample_top_curves runs the ranges of a chunk on threads, one
+per usable CPU.  Any other bit generator runs the same code as one range,
+read in order.
+
 One loop feeds a batched tableau a stream of letter-count words and reads
 its shape: at one corner, along the line ensemble of an environment array,
 and along the top curves fed straight from the packed draws.  The tableau
@@ -24,6 +34,8 @@ curves draw every word into buffers reused from word to word.
 """
 
 import itertools
+import os
+import threading
 
 import numpy as np
 
@@ -41,24 +53,31 @@ class ResourceError(RuntimeError):
 
 BRUTE_FORCE_CELL_CAP = 16
 _DRAW_SLAB = 1 << 16  # uniforms drawn per slab by _symmetric_draws
+_RANGE_WEIGHTS = 1 << 20  # weights per sample range of sample_weights_batch
 _INT32_MAX = int(np.iinfo(np.int32).max)
+# Top-curve chunks split into at most _MAX_RANGES sample ranges of at least
+# _MIN_PART samples and _MIN_RANGE_WEIGHTS weights per word each.  numpy
+# releases the GIL only in ufunc calls of more than 500 elements, so ranges
+# of few samples serialise on their RSK rows, and a small word costs less
+# than its thread hand-offs.  Measured on 2 CPUs, M = 200, one range against
+# two: N = 100 with 200 samples 172 -> 322 ms, 1000 samples 467 -> 455 ms,
+# 2000 samples 889 -> 775 ms; 4000 samples at N = 1 30 -> 63 ms, N = 10
+# 134 -> 134 ms, N = 30 407 -> 270 ms.
+_MAX_RANGES = 4
+_MIN_PART = 1000
+_MIN_RANGE_WEIGHTS = 50_000
 
 
 # ---------------------------------------------------------------------------
 # environment sampling
 # ---------------------------------------------------------------------------
 
-def _icdf_in_place(x, alpha):
-    """The steps of geometric_icdf on the float buffer x, in place: x ends
-    holding the integral draws as floats."""
-    if alpha == 0.0:
-        x.fill(0.0)
-        return x
+def _log_ratio(x, alpha):
+    """log(max(x, 2^-53)) / log(alpha) on the float buffer x, in place: the
+    steps of geometric_icdf before its floor."""
     np.maximum(x, 2.0 ** -53, out=x)
     np.log(x, out=x)
-    np.divide(x, np.log(alpha), out=x)
-    np.floor(x, out=x)
-    return x
+    return np.divide(x, np.log(alpha), out=x)
 
 
 def geometric_icdf(u, alpha):
@@ -69,36 +88,60 @@ def geometric_icdf(u, alpha):
     Returns int64 values shaped like u (a scalar for a scalar); u is left
     untouched.
     """
-    x = _icdf_in_place(np.array(u, dtype=float), alpha)
+    x = np.array(u, dtype=float)
+    if alpha == 0.0:
+        x.fill(0.0)
+    else:
+        np.floor(_log_ratio(x, alpha), out=x)
     return x.astype(np.int64)[()]
 
 
 def _int32_weights(u, alpha, out):
     """Write geometric_icdf(u, alpha) into the int32 array `out`, running the
-    steps in place on the float buffer u; refused with ResourceError, before
-    `out` is touched, when a weight would not fit int32."""
-    x = _icdf_in_place(u, alpha)
-    top = x.max(initial=0.0)
-    if top > _INT32_MAX:
-        raise ResourceError(f"geometric weight {top:.0f} passes the int32 limit")
+    steps in place on the float buffer u of draws in [0, 1); refused with
+    ResourceError, before `out` is touched, when a weight would not fit int32.
+
+    For such draws log(max(u, 2^-53)) / log(alpha) >= 0, so the cast's
+    truncation is the floor.  The largest weight is that of u = 2^-53; the
+    draws are scanned for one past the limit only when that bound comes
+    within a factor two of 2^31 (alpha > 1 - 3.4e-8), a margin far wider
+    than the rounding of log.
+    """
+    if alpha == 0.0:
+        out.fill(0)
+        return
+    x = _log_ratio(u, alpha)
+    if np.log(2.0 ** -53) / np.log(alpha) >= 2.0 ** 30:
+        top = x.max(initial=0.0)
+        if top >= 2.0 ** 31:
+            raise ResourceError(f"geometric weight {int(top)} passes the int32 limit")
     np.copyto(out, x, casting="unsafe")
 
 
-def _symmetric_draws(m, n, params, rng, size):
-    """Packed weights of `size` symmetrized environments on an m x n grid.
-
-    Consumes the stream of one (size, m, n) uniform draw, taken whole samples
-    a slab at a time, then of one (size, r) draw for the diagonal, r = min(m, n).
-    Only cells that are not mirror copies get a weight: i < j, every row
-    i >= r, then the diagonal.  Returns (packed, index): packed is a (P, size)
-    int32 array, one row per kept cell, and index an (m, n) array with
-    w[b, i, j] = packed[index[i, j], b]; below the diagonal of the r x r
-    block it points at the mirror cell above it.
-    """
+def _packed_rows(m, n):
+    """Rows of the packed draws of an m x n grid, one per cell that is not a
+    mirror copy: m n less the r (r - 1) / 2 cells below the diagonal of the
+    r x r block, r = min(m, n)."""
     if m < 1 or n < 1:
         raise ParameterError(f"grid must be nonempty, got m={m}, n={n}")
-    if not isinstance(params, ModelParams):
-        params = ModelParams(*params)
+    r = min(m, n)
+    return m * n - r * (r - 1) // 2
+
+
+def _symmetric_draws(m, n, params, seek, size, b0, b1, out):
+    """Draw the packed weights of samples [b0, b1) of a stream of `size`
+    symmetrized environments on an m x n grid into `out`; return the index map.
+
+    The stream is that of one (size, m, n) uniform draw followed by one
+    (size, r) draw for the diagonal, r = min(m, n): sample b reads its cells
+    from double b m n on and its diagonal from double size m n + b r on,
+    whole samples a slab at a time.  seek(k) returns a Generator whose next
+    double is double k of the stream.  Only cells that are not mirror copies
+    get a weight: i < j, every row i >= r, then the diagonal.  out is a
+    (_packed_rows(m, n), b1 - b0) int32 array, one row per kept cell; the
+    (m, n) index map has w[b, i, j] = out[index[i, j], b - b0], and below the
+    diagonal of the r x r block it points at the mirror cell above it.
+    """
     q, c = params.q, params.c
     r = min(m, n)
     i, j = np.indices((m, n))
@@ -110,22 +153,119 @@ def _symmetric_draws(m, n, params, rng, size):
     index[d, d] = nf + d
     block = index[:r, :r]
     np.copyto(block, block.T.copy(), where=np.tri(r, k=-1, dtype=bool))
-    packed = np.empty((nf + r, size), dtype=np.int32)
-    # whole samples a slab at a time: the stream of one (size, m, n) draw
     step = max(1, _DRAW_SLAB // (m * n))
-    for s in range(0, size, step):
-        u = rng.random((min(step, size - s), m * n))
-        _int32_weights(u[:, cells], q * q, packed[:nf, s : s + step].T)
-    _int32_weights(rng.random((size, r)), c * q, packed[nf:].T)
-    return packed, index
+    rng = seek(b0 * m * n)
+    for s in range(b0, b1, step):
+        u = rng.random((min(step, b1 - s), m * n))
+        _int32_weights(u[:, cells], q * q, out[:nf, s - b0 : s - b0 + step].T)
+    u = seek(size * m * n + b0 * r).random((b1 - b0, r))
+    _int32_weights(u, c * q, out[nf:].T)
+    return index
+
+
+# ---------------------------------------------------------------------------
+# sample ranges of one stream
+# ---------------------------------------------------------------------------
+#
+# Generator.random on a PCG64 or PCG64DXSM bit generator takes one 64-bit
+# output per double, so advance(k) skips exactly k doubles (the jump-ahead of
+# the LCG inside PCG).  A sample range then reads its doubles of the caller's
+# stream from its own copy of the bit generator, set to the stream's start
+# state and advanced to each absolute offset, never backwards; the caller's
+# generator is advanced past the whole stream afterwards.  Other bit
+# generators (MT19937, SFC64, and Philox, whose advance counts blocks of four
+# outputs) run the same code as one range read in order.
+
+_SEEKABLE = (np.random.PCG64, np.random.PCG64DXSM)
+
+
+def _seeker(rng, start):
+    """seek(k): a Generator whose next double is double k of the stream that
+    starts at the bit-generator state `start`.  With start None it is rng
+    itself, which must then be read in order."""
+    if start is None:
+        return lambda k: rng
+    g = np.random.Generator(type(rng.bit_generator)())
+
+    def seek(k):
+        g.bit_generator.state = start
+        g.bit_generator.advance(k)
+        return g
+
+    return seek
+
+
+def _skip(rng, k):
+    """Move rng past k doubles, as drawing them would.  advance() drops a
+    buffered 32-bit half, which doubles never read, so it is put back."""
+    bg = rng.bit_generator
+    before = bg.state
+    bg.advance(k)
+    after = bg.state
+    after["has_uint32"], after["uinteger"] = before["has_uint32"], before["uinteger"]
+    bg.state = after
+
+
+def _usable_cpus():
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_ranges(run, parts):
+    """run(p) for every range p < parts: range 0 in the calling thread, each
+    other range on a thread of its own.  Every thread is joined before this
+    returns or raises; the error of the first failing range is raised."""
+    errors = [None] * parts
+
+    def guarded(p):
+        try:
+            run(p)
+        except BaseException as exc:  # re-raised in the calling thread
+            errors[p] = exc
+
+    threads = []
+    try:
+        for p in range(1, parts):
+            t = threading.Thread(target=guarded, args=(p,))
+            t.start()
+            threads.append(t)
+        guarded(0)
+    finally:
+        for t in threads:
+            t.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 def sample_weights_batch(m, n, params, rng, size):
-    """(size, m, n) int64 array of symmetrized geometric environments."""
-    packed, index = _symmetric_draws(m, n, params, rng, size)
+    """(size, m, n) int64 array of symmetrized geometric environments.
+
+    Drawn and gathered a sample range of at most _RANGE_WEIGHTS weights at a
+    time, so the packed int32 draws beside the output never hold more than
+    one range; a bit generator that cannot seek draws them as one range.
+    """
+    if not isinstance(params, ModelParams):
+        params = ModelParams(*params)
+    P = _packed_rows(m, n)
     w = np.empty((size, m, n), dtype=np.int64)
-    for i in range(m):
-        w[:, i] = packed[index[i]].T
+    part = max(1, _RANGE_WEIGHTS // (m * n))
+    if size <= part or not isinstance(rng.bit_generator, _SEEKABLE):
+        part = max(size, 1)
+    ranged = part < size
+    seek = _seeker(rng, rng.bit_generator.state if ranged else None)
+    for b0 in range(0, size, part):
+        b1 = min(size, b0 + part)
+        packed = np.empty((P, b1 - b0), dtype=np.int32)
+        index = _symmetric_draws(m, n, params, seek, size, b0, b1, packed)
+        for i in range(m):
+            w[b0:b1, i] = packed[index[i]].T
+        del packed
+    if ranged:
+        _skip(rng, size * (m * n + min(m, n)))
     return w
 
 
@@ -243,14 +383,15 @@ class RSKTableau:
         return out
 
 
-def _shapes(words, size, n, K, first, T):
-    """(size, K, T+1) shapes of a tableau tracking K rows that is fed the
-    first + T + 1 (size, n) letter-count words of the iterator `words`, read
-    after word `first` (0-based) and after each of the T words that follow.
-    No word is held past its insertion."""
+def _shapes(words, n, first, out):
+    """Fill the (size, K, T+1) array `out` with the shapes of a tableau
+    tracking K rows that is fed the first + T + 1 (size, n) letter-count
+    words of the iterator `words`, read after word `first` (0-based) and
+    after each of the T words that follow; return it.  No word is held past
+    its insertion."""
+    size, K, T1 = out.shape
     tab = RSKTableau(size, n, K)
-    out = np.zeros((size, K, T + 1), dtype=np.int64)
-    for i in range(first + T + 1):
+    for i in range(first + T1):
         tab.insert_counts(next(words))
         if i >= first:
             out[:, :, i - first] = tab.shape()
@@ -261,7 +402,8 @@ def rsk_shape_batch(W_batch, m, n):
     """Shapes lambda(m, n) for a batch of environments, as (B, min(m, n))."""
     W_batch = np.asarray(W_batch)
     words = (W_batch[:, i, :n] for i in range(m))
-    return _shapes(words, W_batch.shape[0], n, min(m, n), m - 1, 0)[:, :, 0]
+    out = np.empty((W_batch.shape[0], min(m, n), 1), dtype=np.int64)
+    return _shapes(words, n, m - 1, out)[:, :, 0]
 
 
 def rsk_shape(W, m, n):
@@ -358,7 +500,7 @@ def lambda_process_batch(W_batch, N, M, max_curves=None):
         )
     K = min(N, max_curves) if max_curves else N
     words = (W_batch[:, i, :N] for i in range(N + M))
-    return _shapes(words, B, N, K, N - 1, M)
+    return _shapes(words, N, N - 1, np.empty((B, K, M + 1), dtype=np.int64))
 
 
 def sample_top_curves(N, M, params, rng, size, n_curves=2):
@@ -372,33 +514,74 @@ def sample_top_curves(N, M, params, rng, size, n_curves=2):
     are inserted.  Samples are processed in chunks of max(1, 2^25 // N^2), a
     deterministic function of N that fixes the stream; a chunk's packed draws
     hold about 2^24 int32 weights (64 MB) whatever the batch size.
+
+    A chunk of `size` samples runs as contiguous sample ranges, one per
+    usable CPU (at most _MAX_RANGES, each of at least _MIN_PART samples and
+    _MIN_RANGE_WEIGHTS weights per word), on threads of their own.  Each
+    range seeks its doubles of the chunk's stream by the offsets of the
+    serial draw: sample b reads its block cells from b N^2, its diagonal
+    from size N^2 + b N and row N + t from size N^2 + size N + t size N + b N;
+    the caller's generator then moves past size N (N + 1 + M) doubles.
+    Outputs and the caller's next draw are those of the serial draw.  A bit
+    generator that cannot seek (not PCG64) runs each chunk as one range,
+    read in order.
     """
     if not isinstance(params, ModelParams):
         params = ModelParams(*params)
+    P = _packed_rows(N, N)
+    out = np.empty((size, n_curves, M + 1), dtype=np.int64)
+    chunk = max(1, (1 << 25) // (N * N))
+    for i0 in range(0, size, chunk):
+        _top_curve_chunk(N, M, params, rng, P, out[i0 : i0 + chunk])
+    return out
+
+
+def _top_curve_chunk(N, M, params, rng, P, out):
+    """Fill `out` with the top curves of a chunk of len(out) samples, run as
+    sample ranges on threads of their own; P = N (N + 1) / 2 packed cells."""
+    size = len(out)
+    parts = 1
+    if isinstance(rng.bit_generator, _SEEKABLE):
+        parts = max(1, min(_usable_cpus(), _MAX_RANGES, size // _MIN_PART,
+                           size * N // _MIN_RANGE_WEIGHTS))
+    bounds = [size * p // parts for p in range(parts + 1)]
+    start = rng.bit_generator.state if parts > 1 else None
+    # one allocation, range p's block the contiguous segment of its samples,
+    # held by nothing but that range's words: it is freed once every range
+    # has fed its N block words, before most of the rows past N
+    flat = np.empty(P * size, dtype=np.int32)
+    blocks = [[flat[P * b0 : P * b1].reshape(P, b1 - b0)]
+              for b0, b1 in zip(bounds, bounds[1:])]
+    del flat
+
+    def run(p):
+        b0, b1 = bounds[p], bounds[p + 1]
+        words = _top_words(N, M, params, _seeker(rng, start), size, b0, b1,
+                           blocks[p].pop())
+        _shapes(words, N, N - 1, out[b0:b1])
+
+    _run_ranges(run, parts)
+    if parts > 1:
+        _skip(rng, size * N * (N + 1 + M))
+
+
+def _top_words(N, M, params, seek, size, b0, b1, block):
+    """The N + M letter-count words of samples [b0, b1) of a size-sample
+    chunk, as (b1 - b0, N) views of one reused buffer: the N rows of the
+    N x N block, drawn into `block` (the only reference to it, dropped after
+    them), then the M rows past N, row N + t read from double
+    size N (N + 1) + t size N + b0 N of the chunk's stream."""
+    index = _symmetric_draws(N, N, params, seek, size, b0, b1, block)
+    word = np.empty((N, b1 - b0), dtype=np.int32)
+    for i in range(N):
+        yield np.take(block, index[i], axis=0, out=word, mode="clip").T
+    del block
+    u = np.empty((b1 - b0, N))
     q = params.q
-    chunk = max(1, (1 << 25) // max(N * N, 1))
-    if size > chunk:
-        parts = [
-            sample_top_curves(N, M, params, rng, min(chunk, size - i0), n_curves)
-            for i0 in range(0, size, chunk)
-        ]
-        return np.concatenate(parts, axis=0)
-
-    def words(packed, index):
-        # every word is written into one reused letter-major buffer
-        word = np.empty((N, size), dtype=np.int32)
-        for i in range(N):
-            yield np.take(packed, index[i], axis=0, out=word, mode="clip").T
-        del packed  # its only reference: free the block before the rows past N
-        u = np.empty((size, N))
-        for _ in range(M):
-            _int32_weights(rng.random(out=u), q * q, word.T)
-            yield word.T
-
-    # draw the block before _shapes allocates the tableau and the output, so
-    # that neither coexists with the draw's temporaries
-    top = words(*_symmetric_draws(N, N, params, rng, size))
-    return _shapes(top, size, N, n_curves, N - 1, M)
+    for t in range(M):
+        rng = seek(size * N * (N + 1) + t * size * N + b0 * N)
+        _int32_weights(rng.random(out=u), q * q, word.T)
+        yield word.T
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -379,6 +381,106 @@ def test_top_curves_never_build_the_environment_block():
     assert peak < 90e6, peak / 1e6
 
 
+def test_weights_batch_holds_one_sample_range_beside_its_output():
+    # the packed draws of all 3000 samples at 120 x 40 are 48 MB beside the
+    # 115 MB int64 output; one sample range of them is under 4 MB
+    tracemalloc.start()
+    try:
+        w = lpp.sample_weights_batch(120, 40, ModelParams(0.5, 1.4),
+                                     np.random.default_rng(6), 3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - w.nbytes < 0.1 * w.nbytes, (peak - w.nbytes) / 1e6
+
+
+_RUN_RANGES = lpp._run_ranges
+
+
+def _ranged_run(monkeypatch, sampler, cpus, bit_generator=np.random.PCG64):
+    """sampler(rng) with `cpus` usable CPUs; returns its output, the parts
+    of every top-curve chunk, and the caller's next draws."""
+    parts = []
+
+    def counted(run, n):
+        parts.append(n)
+        return _RUN_RANGES(run, n)
+
+    monkeypatch.setattr(lpp, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(lpp, "_run_ranges", counted)
+    rng = np.random.Generator(bit_generator(11))
+    rng.integers(0, 100, dtype=np.int32)  # leaves a buffered 32-bit half
+    out = sampler(rng)
+    return out, parts, (rng.integers(0, 100, dtype=np.int32), rng.random(4))
+
+
+@pytest.mark.parametrize("N,M,size,K,ranged", [
+    (1, 3, 100_000, 1, [2]),          # N = 1: 2 * _MIN_RANGE_WEIGHTS samples
+    (1, 3, 99_999, 1, [1]),
+    (50, 0, 1999, 2, [1]),            # M = 0, just below 2 * _MIN_PART
+    (50, 0, 2001, 2, [2]),            # and just above it
+    (50, 5, 4000, 3, [4]),
+    (120, 2, 4800, 1, [2, 2, 1]),     # chunks of 2330, 2330 and 140 samples
+])
+def test_top_curve_ranges_equal_one_range(monkeypatch, N, M, size, K, ranged):
+    P = ModelParams(0.5, 1.4)
+    sampler = lambda rng: lpp.sample_top_curves(N, M, P, rng, size, K)
+    # up to four ranges on two cores, switching threads every 10 us
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        got, parts, after = _ranged_run(monkeypatch, sampler, cpus=4)
+    finally:
+        sys.setswitchinterval(interval)
+    ref, one, ref_after = _ranged_run(monkeypatch, sampler, cpus=1)
+    assert parts == ranged and one == [1] * len(ranged)
+    assert got.tobytes() == ref.tobytes()
+    assert after[0] == ref_after[0] and after[1].tobytes() == ref_after[1].tobytes()
+
+
+def test_weights_batch_ranges_equal_one_range(monkeypatch):
+    P = ModelParams(0.5, 1.4)
+    assert lpp._RANGE_WEIGHTS // (60 * 40) < 1000 // 2  # three sample ranges
+    sampler = lambda rng: lpp.sample_weights_batch(60, 40, P, rng, 1000)
+    got, _, after = _ranged_run(monkeypatch, sampler, cpus=1)
+    monkeypatch.setattr(lpp, "_RANGE_WEIGHTS", 1 << 40)
+    ref, _, ref_after = _ranged_run(monkeypatch, sampler, cpus=1)
+    assert got.tobytes() == ref.tobytes()
+    assert after[0] == ref_after[0] and after[1].tobytes() == ref_after[1].tobytes()
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox])
+def test_top_curves_without_exact_advance_run_as_one_range(monkeypatch, bit_generator):
+    # MT19937 has no advance; Philox's counts blocks of four outputs.  A
+    # PCG64 stream of this shape runs as two ranges.
+    P = ModelParams(0.5, 1.4)
+    sampler = lambda rng: lpp.sample_top_curves(50, 2, P, rng, 2500, 2)
+    got, parts, after = _ranged_run(monkeypatch, sampler, 4, bit_generator)
+    assert parts == [1]
+    rng = np.random.Generator(bit_generator(11))
+    rng.integers(0, 100, dtype=np.int32)
+    assert np.array_equal(got, _loop_top_curves(50, 2, P, rng, 2500, 2))
+    assert after[0] == rng.integers(0, 100, dtype=np.int32)
+    assert np.array_equal(after[1], rng.random(4))
+
+
+def test_top_curve_range_error_propagates_and_joins(monkeypatch):
+    int32_weights = lpp._int32_weights
+
+    def failing(u, alpha, out):
+        if threading.current_thread() is not threading.main_thread():
+            raise lpp.ResourceError("geometric weight in a later range")
+        return int32_weights(u, alpha, out)
+
+    monkeypatch.setattr(lpp, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(lpp, "_int32_weights", failing)
+    before = threading.active_count()
+    with pytest.raises(lpp.ResourceError, match="later range"):
+        lpp.sample_top_curves(50, 3, ModelParams(0.5, 1.4), np.random.default_rng(4),
+                              2000)
+    assert threading.active_count() == before
+
+
 def _loop_rsk_shape_batch(W_batch, m, n):
     """rsk_shape_batch as its own tableau loop, kept as the reference for the
     shared shape loop."""
@@ -406,7 +508,8 @@ def _loop_top_curves(N, M, params, rng, size, n_curves):
             _loop_top_curves(N, M, params, rng, min(chunk, size - i0), n_curves)
             for i0 in range(0, size, chunk)
         ])
-    packed, index = lpp._symmetric_draws(N, N, params, rng, size)
+    packed = np.empty((N * (N + 1) // 2, size), dtype=np.int32)
+    index = lpp._symmetric_draws(N, N, params, lambda k: rng, size, 0, size, packed)
     tab = lpp.RSKTableau(size, N, n_curves)
     out = np.zeros((size, n_curves, M + 1), dtype=np.int64)
     for i in range(N):
