@@ -41,18 +41,35 @@ point batches integrals over the same nodes, accepted over all points.
 
 The pair sums run in tiles of whole rows: at most 2^15 node pairs for
 scalar weights, whose two complex and one real tile buffers (about 1.25
-MB) stay in a core's L2 cache, and 2^19 for batched weights, whose matrix
-product packs the w weights once per tile.  Each thread keeps its tile
-buffers from sum to sum, so a sum allocates and page-faults no tile
-memory; a sum started inside a coupling gets buffers of its own.  A
-coupling that calls pair_buffers(z, w) writes into them: the first such
-call in a tile gets that tile's buffers, any other call (outside the
-engine, or a second coupling in the same tile) gets fresh arrays, so no
-result aliases another.  The engine consumes a coupling's result before
-the next tile, so F must not keep it.  Each tile leaves its row sums; the
-rows are summed against the z weights once, in row order, so reruns are
+MB) stay in a core's L2 cache, and 2^17 for batched weights, whose matrix
+product packs the w weights once per tile.  A GEMM row's result does not
+depend on the tile it sits in as long as the tile holds at least 2 rows
+(on OpenBLAS, measured: only 1-row tiles change bits), so the batched
+tile size moves no value.  Each thread keeps its tile buffers from sum to
+sum, so a sum allocates and page-faults no tile memory; a sum started
+inside a coupling gets buffers of its own.  A coupling that calls
+pair_buffers(z, w) writes into them: the first such call in a tile gets
+that tile's buffers, any other call (outside the engine, or a second
+coupling in the same tile) gets fresh arrays, so no result aliases
+another.  The engine consumes a coupling's result before the next tile,
+so F must not keep it.  Each tile leaves its row sums; the rows are
+summed against the z weights once, in row order, so reruns are
 byte-identical.  While a tile is evaluated numpy's ufunc buffer is kept
 small (_UFUNC_BUFSIZE), which results do not depend on.
+
+The two one-axis doublings of a walk step share only the read-only
+weights of the current levels, and each builds its own new level, so they
+run concurrently: the z-doubling on one persistent worker thread (started
+by the first such step, in the caller's numpy context), the w-doubling in
+the calling thread, each with its own tile buffers.  Each computes what
+the serial walk computes, in the same order, so every value, error and
+level is bit-identical; when both raise, the z-doubling's error is
+raised, as the serial walk raises it first.  A walk stays serial on a
+host with one usable CPU (lpp._usable_cpus), when its doublings have
+at most _SERIAL_PAIRS node pairs each, and when it starts on the
+worker or inside another walk (in a coupling or a factor), so nested
+sums never wait on the worker.  While numpy holds the GIL (ufunc calls
+on small arrays, the Python between them) the two threads take turns.
 
 Segments carry an optional geometric panel grading toward one endpoint,
 for integrands with a short internal scale (steepest-descent wedges near a
@@ -70,11 +87,15 @@ is kept as an independent reference for tests; it is the one routine that
 rejects a pole on the contour.
 """
 
+import contextvars
 import math
+import os
 import threading
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import lpp
 
 # Kronrod-15 nodes on [-1, 1] (positive half) and weights; the embedded
 # Gauss-7 rule uses the odd-indexed nodes.
@@ -383,27 +404,41 @@ def integrate_circle(f, radius, tol=1e-12):
 
 
 _TILE_PAIRS = 1 << 15  # scalar weights: a tile's three buffers fit in L2
-_BATCH_TILE_PAIRS = 1 << 19  # (n, P) weights: GEMM-bound, larger tiles pack V less
+_BATCH_TILE_PAIRS = 1 << 17  # (n, P) weights, per thread: GEMM-bound, larger tiles pack V less
 # numpy's ufunc buffer while a tile is evaluated: under the default 8192
 # elements, a (rows, 1) column broadcast against a (1, m) row is copied
 # through the buffer whenever m is at most about 2048, which makes each
 # elementwise pass over a tile about 3x slower
 _UFUNC_BUFSIZE = 256
+# a walk step whose doublings have at most _SERIAL_PAIRS node pairs each
+# stays serial.  Measured on 2 CPUs, one step's two doublings (weights of
+# the new level and pair sums) serial against concurrent: 2^15 pairs 0.9 vs
+# 1.1 ms, 2^16 1.4-1.5 vs 1.5 ms, 2^17 2.6-3.4 vs 2.7 ms, 2^18 5.1-6.3 vs
+# 4.3-5.0 ms, 2^19 11.6-11.8 vs 7.5-7.7 ms.  The exact kernel's 256-node
+# circles give 2^17-pair doublings, which stay serial.
+_SERIAL_PAIRS = 1 << 17
 _DOUBLE_MAX_LEVEL = 6
 _SINGLE_MAX_LEVEL = 9
 _EPS = float(np.finfo(float).eps)
 
 # per thread: .held, the flat (out, tmp, mag) tile buffers kept between sums,
-# and .lent, the current tile's (out, tmp) until a coupling takes them
+# .lent, the current tile's (out, tmp) until a coupling takes them, and
+# .walking, true while a double walk runs in the thread (always on the
+# worker), so that a walk started then stays serial
 _tile = threading.local()
+_worker = None  # executor of the one worker thread, made by the first concurrent step
+_worker_lock = threading.Lock()
 
 
 def _weights(contour, level, factor):
     """Nodes z of `contour` at `level` and the weights dz_i factor(z_i): one
-    per node, or (n, P) for a factor that returns one column per point p."""
+    per node, or (n, P) for a factor that returns one column per point p; a
+    complex (n, P) factor is new from its call and takes dz in place."""
     z, wz = contour.nodes(level)
     f = 1.0 if factor is None else factor(z)
-    return z, (wz[:, None] if np.ndim(f) == 2 else wz) * f
+    if np.ndim(f) < 2:
+        return z, wz * f
+    return z, np.multiply(wz[:, None], f, out=f if f.dtype == complex else None)
 
 
 def pair_buffers(z, w):
@@ -499,11 +534,53 @@ def _single_walk(F, contour, tol, factor=None):
                           levels=(_SINGLE_MAX_LEVEL,), changes=(change,), threshold=thr)
 
 
+def _mark_worker():
+    _tile.walking = True
+
+
+def _forget_worker():
+    global _worker
+    _worker = None
+
+
+os.register_at_fork(after_in_child=_forget_worker)  # a forked child has no worker
+
+
+def _both(at, zpair, wpair):
+    """(at(zpair), at(wpair)), the first on the worker thread in the
+    caller's context; at(zpair)'s error is raised first, as in serial
+    order."""
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _worker = ThreadPoolExecutor(1, "pair-walk", initializer=_mark_worker)
+    future = _worker.submit(contextvars.copy_context().run, at, zpair)
+    try:
+        vw = at(wpair)
+    except BaseException:
+        future.result()
+        raise
+    return future.result(), vw
+
+
 def _pair_walk(F, contours, tol, factors=(None, None)):
     """(1/(2 pi i))^2 times the integral of a(z) F(z, w) b(w) over two
     contours, (a, b) = factors, by the per-axis walk over level pairs of the
-    module docstring; only the weights of the levels in use are kept.
+    module docstring, the two doublings of a step concurrent where the
+    module docstring says; only the weights of the levels in use are kept.
     (n, P) factors batch as in _single_walk."""
+    if getattr(_tile, "walking", False) or lpp._usable_cpus() < 2:
+        return _walk(F, contours, tol, factors, False)
+    _tile.walking = True
+    try:
+        return _walk(F, contours, tol, factors, True)
+    finally:
+        _tile.walking = False
+
+
+def _walk(F, contours, tol, factors, concurrent):
+    """_pair_walk, with the doublings of large steps concurrent if asked."""
     pref = -1.0 / (4.0 * math.pi * math.pi)
     weights = ({}, {})  # per contour: level -> (nodes, weights), levels in use only
     values = {}  # level pair -> (value, mass)
@@ -523,7 +600,12 @@ def _pair_walk(F, contours, tol, factors=(None, None)):
     while True:
         partial, mass = at(pair)
         thr = _threshold(partial, mass, tol)
-        vz, vw = at((pair[0] + 1, pair[1]))[0], at((pair[0], pair[1] + 1))[0]
+        zpair, wpair = (pair[0] + 1, pair[1]), (pair[0], pair[1] + 1)
+        pairs = 2 * len(weights[0][pair[0]][0]) * len(weights[1][pair[1]][0])
+        if concurrent and pairs > _SERIAL_PAIRS:
+            (vz, _), (vw, _) = _both(at, zpair, wpair)
+        else:
+            vz, vw = at(zpair)[0], at(wpair)[0]
         changes = (_change(vz, partial), _change(vw, partial))
         if max(changes) <= thr:
             n_z, n_w = (len(weights[axis][level + 1][0]) for axis, level in enumerate(pair))
@@ -544,7 +626,8 @@ def integrate_double(F, contour_z, contour_w, tol=1e-9, z_factor=None, w_factor=
     iint z_factor(z) F(z, w) w_factor(w), a missing factor being 1.
 
     Each factor takes the 1-D node array of a level, once, and is folded into
-    its quadrature weights; only the coupling F, which must broadcast over
+    its quadrature weights (a complex (n, P) factor must return a new array,
+    which takes dz in place); only the coupling F, which must broadcast over
     (z[:, None], w[None, :]), runs on the node pairs, one cache-sized tile
     of rows at a time.  F may write its result into the engine's tile
     buffers through pair_buffers; its result is consumed before the next

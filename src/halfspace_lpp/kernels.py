@@ -1031,11 +1031,17 @@ def phase_diagnostics(q, c, kappas):
 def _diag_batch_eval(F, factors, phases, cz, cw, xs, tol):
     """(1/(2 pi i))^2 iint a(z) F(z, w) b(w) e^{zphase(z) x} e^{wphase(w) x}
     for each x, (a, b) = factors and (zphase, wphase) = phases: each axis
-    factor times its exponential is one (nodes, len(xs)) engine factor."""
+    factor times its exponential is one (nodes, len(xs)) engine factor,
+    built in one array."""
     xs = np.asarray(xs, dtype=float)
-    return _pair_walk(F, (cz, cw), tol, tuple(
-        lambda z, f=f, p=p: f(z)[:, None] * np.exp(np.multiply.outer(p(z), xs))
-        for f, p in zip(factors, phases)))
+
+    def batched(f, p):
+        def factor(z):
+            e = np.multiply.outer(p(z), xs)
+            return np.multiply(f(z)[:, None], np.exp(e, out=e), out=e)
+        return factor
+
+    return _pair_walk(F, (cz, cw), tol, tuple(map(batched, factors, phases)))
 
 
 def _diag_batch_single(F, phase, contour, xs, tol):

@@ -252,9 +252,9 @@ def partition_fn_series(T1, y, params, tol=1e-12):
             block += math.exp(v)
         total += block
         if rho < 1.0:
-            tail = (math.exp(p1) + (math.exp(p2) if p2 > -math.inf else 0.0)) / (1.0 - rho)
-            if tail <= tol * max(total, 1e-300):
-                return total, tail
+            log_tail = float(np.logaddexp(p1, p2)) - math.log1p(-rho)
+            if log_tail <= math.log(tol * max(total, 1e-300)):
+                return total, math.exp(log_tail)
         n += 1
         if n > 100000:
             raise AccuracyError(

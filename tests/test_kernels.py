@@ -79,6 +79,27 @@ def test_kernel_geo_contour_independence():
         assert abs(kv.k22 - base.k22) < 1e-8
 
 
+def test_kernel_geo_contour_independence_at_random_radii():
+    # admissible radii: 1 < r1 < 1/q with r1 > c (K11, K12's z circle),
+    # max(c, q) < rw < r1 (K12's w circle for u >= v), r2 > max(c, q, 1)
+    # (K22); one slice, so both K12 orders take the same nesting
+    rng = np.random.default_rng(2026)
+    for _ in range(20):
+        q = rng.uniform(0.2, 0.6)
+        c = rng.uniform(0.2, min(1.6, 0.9 / q))
+        P = ModelParams(q, c)
+        N, M = int(rng.integers(2, 7)), int(rng.integers(0, 4))
+        x, y = (int(v) for v in rng.integers(-N, N + 6, size=2))
+        lo = max(c, q)
+        r1 = max(1.0, c) + (1.0 / q - max(1.0, c)) * rng.uniform(0.1, 0.9)
+        radii = (r1, lo + (r1 - lo) * rng.uniform(0.1, 0.9), max(lo, 1.0) + rng.uniform(0.1, 1.0))
+        base = kernels.kernel_geo(1, x, 1, y, P, N, M, M)
+        kv = kernels.kernel_geo(1, x, 1, y, P, N, M, M, radii=radii)
+        for block in ("k11", "k12", "k21", "k22"):
+            assert abs(getattr(kv, block) - getattr(base, block)) <= kv.err + base.err, (
+                q, c, N, M, x, y, radii, block)
+
+
 def test_kernel_geo_sum_rule_and_positivity():
     # expected number of points at levels >= -N equals N exactly, and the
     # density is nonnegative up to the reported quadrature error

@@ -121,6 +121,14 @@ def test_partition_fn_series_examples():
         assert val > 0.0
 
 
+def test_partition_fn_series_past_the_envelope_overflow():
+    # the tail envelope of the first blocks passes the float range (its log
+    # above 709) although Z fits; it is compared in log scale
+    v, tail = schur.partition_fn_series(200, (0, 0), ModelParams(0.5, 1.5))
+    assert math.log(v) == pytest.approx(357.764, abs=1e-3)
+    assert 0.0 < tail <= 1e-12 * v
+
+
 def test_partition_fn_contour_examples():
     z = schur.partition_fn_contour(1, (1, 0), 0.5, 0.8)
     assert abs(z - 13.0 / 6.0) < 1e-9
