@@ -28,9 +28,10 @@ error of each axis, and the error is the sum of the two one-axis changes.
 Errors are floored at the roundoff of a sum over the nodes: eps sqrt(n) *
 mass for a single integral over n nodes, and eps (sqrt(n_z) + sqrt(n_w)) *
 mass for a double one over the finest levels evaluated, eps being machine
-epsilon.  No contour passes the engine's maximum level; a non-finite level
-raises QuadratureError at once, and non-convergence raises it with the
-partial value, the levels reached, the last changes and the threshold.
+epsilon and n, n_z, n_w the node counts of the levels' whole rules.  No
+contour passes the engine's maximum level; a non-finite level raises
+QuadratureError at once, and non-convergence raises it with the partial
+value, the levels reached, the last changes and the threshold.
 
 A double integrand may come factored as a(z) F(z, w) b(w): the per-axis
 factors are evaluated once per node of a level and folded into the weights
@@ -38,6 +39,25 @@ next to dz and dw, and only the coupling F runs on the node pairs.  The
 mass stays sum_ij |dz_i a_i| |F_ij| |b_j dw_j|, the L1 mass of the whole
 integrand, so the split moves no threshold.  A factor with one column per
 point batches integrals over the same nodes, accepted over all points.
+
+An integrand with real coefficients (real=True: a(conj z) = conj(a(z)),
+likewise F and b) on contours that conjugation maps onto themselves, as
+circles and arcs centred at the origin and wedges with a real apex are,
+is summed over half the z contour.  Node conj(z_i) then carries the
+weight -conj(dz_i), so the pairs (i, j) and (conj i, conj j) add
+conjugate terms: the full sum S is 2 Re S_up for a double integral and
+2i Im S_up for a single one, S_up being the sum over the z nodes above
+the real axis (against every w node), and the value, the prefactor
+times that, is real.  The mass is twice that of S_up, the whole
+contour's; the floor counts the whole rules' nodes, so the threshold,
+the floor and the maximum levels mean what they mean for the full sum,
+and the walk reaches the same level pairs on half the node pairs.
+Before a level of either contour is used, its rule is checked to be
+closed under conjugation: as many nodes above the real axis as below,
+none on it, and the conjugated nodes below, sorted, matching those above
+with weights -conj(dz) to roundoff (_CONJ_TOL); a rule that fails raises
+ContourPlacementError.  The z contour then keeps its nodes above the
+axis, the w contour all of its nodes.
 
 The pair sums run in tiles of whole rows: at most 2^15 node pairs for
 scalar weights, whose two complex and one real tile buffers (about 1.25
@@ -66,8 +86,8 @@ the serial walk computes, in the same order, so every value, error and
 level is bit-identical; when both raise, the z-doubling's error is
 raised, as the serial walk raises it first.  A walk stays serial on a
 host with one usable CPU (lpp._usable_cpus), when its doublings have
-at most _SERIAL_PAIRS node pairs each, and when it starts on the
-worker or inside another walk (in a coupling or a factor), so nested
+at most _SERIAL_PAIRS evaluated node pairs each, and when it starts on
+the worker or inside another walk (in a coupling or a factor), so nested
 sums never wait on the worker.  While numpy holds the GIL (ufunc calls
 on small arrays, the Python between them) the two threads take turns.
 
@@ -410,13 +430,21 @@ _BATCH_TILE_PAIRS = 1 << 17  # (n, P) weights, per thread: GEMM-bound, larger ti
 # through the buffer whenever m is at most about 2048, which makes each
 # elementwise pass over a tile about 3x slower
 _UFUNC_BUFSIZE = 256
-# a walk step whose doublings have at most _SERIAL_PAIRS node pairs each
-# stays serial.  Measured on 2 CPUs, one step's two doublings (weights of
-# the new level and pair sums) serial against concurrent: 2^15 pairs 0.9 vs
-# 1.1 ms, 2^16 1.4-1.5 vs 1.5 ms, 2^17 2.6-3.4 vs 2.7 ms, 2^18 5.1-6.3 vs
-# 4.3-5.0 ms, 2^19 11.6-11.8 vs 7.5-7.7 ms.  The exact kernel's 256-node
-# circles give 2^17-pair doublings, which stay serial.
+# a walk step whose doublings have at most _SERIAL_PAIRS evaluated node
+# pairs each stays serial.  Measured on 2 CPUs, one step's two doublings
+# (weights of the new level and pair sums) serial against concurrent: 2^15
+# pairs 0.9 vs 1.1 ms, 2^16 1.4-1.5 vs 1.5 ms, 2^17 2.6-3.4 vs 2.7 ms, 2^18
+# 5.1-6.3 vs 4.3-5.0 ms, 2^19 11.6-11.8 vs 7.5-7.7 ms.  The exact kernel's 256-node
+# circles, the z circle halved (real=True), give doublings of 2^16
+# evaluated pairs, which stay serial.
 _SERIAL_PAIRS = 1 << 17
+# the conjugation check of a real-symmetric rule (_upper): nodes are sorted
+# by Re z + _CONJ_KEY Im z, an irrational slope along which no two of a
+# contour's nodes lie, and must match to _CONJ_TOL relative.  The kernels'
+# contours match to 1.1e-13 at level 6 (the bulk arc's weights: a panel
+# width of 1/1088 carries the rounding of breaks near 1)
+_CONJ_KEY = 0.5 * (math.sqrt(5.0) - 1.0)
+_CONJ_TOL = 1e-10
 _DOUBLE_MAX_LEVEL = 6
 _SINGLE_MAX_LEVEL = 9
 _EPS = float(np.finfo(float).eps)
@@ -430,15 +458,48 @@ _worker = None  # executor of the one worker thread, made by the first concurren
 _worker_lock = threading.Lock()
 
 
-def _weights(contour, level, factor):
-    """Nodes z of `contour` at `level` and the weights dz_i factor(z_i): one
-    per node, or (n, P) for a factor that returns one column per point p; a
-    complex (n, P) factor is new from its call and takes dz in place."""
+def _upper(z, dz):
+    """The mask of the nodes above the real axis, once the rule (z, dz) is
+    checked to be closed under conjugation: as many nodes below the axis as
+    above and none on it, and the conjugated nodes below, sorted, equal to
+    those above within _CONJ_TOL of the largest |z|, with weights
+    -conj(dz) within _CONJ_TOL of the largest |dz|.  Raises
+    ContourPlacementError otherwise."""
+    up = z.imag > 0.0
+    lo = ~up
+    a, b = z[up], z[lo]
+    if 2 * len(a) != len(z) or not (b.imag < 0.0).all():
+        raise ContourPlacementError(
+            f"rule not closed under conjugation: {len(a)} nodes above the real axis, "
+            f"{np.count_nonzero(b.imag < 0.0)} below, {np.count_nonzero(b.imag == 0.0)} on it")
+    ia = np.argsort(a.real + _CONJ_KEY * a.imag)
+    ib = np.argsort(b.real - _CONJ_KEY * b.imag)  # the key of conj(b)
+    dev = max(np.abs(a[ia] - b[ib].conj()).max() / np.abs(z).max(),
+              np.abs(dz[up][ia] + dz[lo][ib].conj()).max() / np.abs(dz).max())
+    if not dev <= _CONJ_TOL:
+        raise ContourPlacementError(
+            f"rule not closed under conjugation: conjugate nodes or weights "
+            f"{dev:.2e} apart (relative)")
+    return up
+
+
+def _weights(contour, level, factor, real=False, half=True):
+    """Nodes z of `contour` at `level`, the weights dz_i factor(z_i) and the
+    node count n of the level's rule.  The weights are one per node, or
+    (n, P) for a factor that returns one column per point p; a complex
+    (n, P) factor is new from its call and takes dz in place.  With real
+    set the rule is checked to be closed under conjugation (_upper), and
+    with half set only its nodes above the real axis are kept."""
     z, wz = contour.nodes(level)
+    n = len(z)
+    if real:
+        up = _upper(z, wz)
+        if half:
+            z, wz = z[up], wz[up]
     f = 1.0 if factor is None else factor(z)
     if np.ndim(f) < 2:
-        return z, wz * f
-    return z, np.multiply(wz[:, None], f, out=f if f.dtype == complex else None)
+        return z, wz * f, n
+    return z, np.multiply(wz[:, None], f, out=f if f.dtype == complex else None), n
 
 
 def pair_buffers(z, w):
@@ -491,10 +552,11 @@ def _block_sums(F, z, U, w, V):
             np.einsum("i...,i...->...", np.abs(U), row_mass))
 
 
-def _finite(kind, levels, raw, mass, pref, partial):
-    """The prefactor times the raw sums (a scalar or one value per point) and
-    the mass, the largest over the points; raises on a non-finite result."""
-    val = pref * raw
+def _finite(kind, levels, raw, mass, pref, partial, part=None):
+    """The prefactor times the raw sums (a scalar or one value per point),
+    or times part(raw sums) when a part is given, and the mass, the largest
+    over the points; raises on a non-finite result."""
+    val = pref * (raw if part is None else part(raw))
     mass = abs(pref) * float(np.max(mass))
     if not (np.all(np.isfinite(val)) and math.isfinite(mass)):
         raise QuadratureError(f"{kind}-contour integrand not finite", partial=partial,
@@ -510,25 +572,29 @@ def _change(a, b):
     return float(np.max(np.abs(a - b)))
 
 
-def _single_walk(F, contour, tol, factor=None):
+def _single_walk(F, contour, tol, factor=None, real=False):
     """(1/(2 pi i)) times the integral of factor(z) F(z) over one contour:
     accept level l when its change from level l - 1 is below the threshold.
 
     The factor is folded into the quadrature weights; an (n, P) factor gives
     one value per column, with the acceptance rule and the error taken over
-    all of them.  Returns (value or values, error).
+    all of them.  With real set the integrand is real-symmetric and the sum
+    runs over the upper half of the contour (module docstring).  Returns
+    (value or values, error).
     """
-    pref = 1.0 / (2j * math.pi)
+    pref, part = 1.0 / (2j * math.pi), None
+    if real:  # (1/(2 pi i)) 2i Im S_up
+        pref, part = 1.0 / math.pi, np.imag
     prev = change = thr = None
     for level in range(_SINGLE_MAX_LEVEL + 1):
-        z, U = _weights(contour, level, factor)
+        z, U, n = _weights(contour, level, factor, real)
         vals = F(z)
         val, mass = _finite("single", (level,), vals @ U, np.abs(vals) @ np.abs(U),
-                            pref, prev)
+                            pref, prev, part)
         if prev is not None:
             change, thr = _change(val, prev), _threshold(val, mass, tol)
             if change <= thr:
-                return val, max(change, _EPS * math.sqrt(len(z)) * mass)
+                return val, max(change, _EPS * math.sqrt(n) * mass)
         prev = val
     raise QuadratureError("single-contour quadrature not converged", partial=prev,
                           levels=(_SINGLE_MAX_LEVEL,), changes=(change,), threshold=thr)
@@ -564,25 +630,28 @@ def _both(at, zpair, wpair):
     return future.result(), vw
 
 
-def _pair_walk(F, contours, tol, factors=(None, None)):
+def _pair_walk(F, contours, tol, factors=(None, None), real=False):
     """(1/(2 pi i))^2 times the integral of a(z) F(z, w) b(w) over two
     contours, (a, b) = factors, by the per-axis walk over level pairs of the
     module docstring, the two doublings of a step concurrent where the
     module docstring says; only the weights of the levels in use are kept.
-    (n, P) factors batch as in _single_walk."""
+    (n, P) factors batch, and real halves the z contour, as in
+    _single_walk."""
     if getattr(_tile, "walking", False) or lpp._usable_cpus() < 2:
-        return _walk(F, contours, tol, factors, False)
+        return _walk(F, contours, tol, factors, real, False)
     _tile.walking = True
     try:
-        return _walk(F, contours, tol, factors, True)
+        return _walk(F, contours, tol, factors, real, True)
     finally:
         _tile.walking = False
 
 
-def _walk(F, contours, tol, factors, concurrent):
+def _walk(F, contours, tol, factors, real, concurrent):
     """_pair_walk, with the doublings of large steps concurrent if asked."""
-    pref = -1.0 / (4.0 * math.pi * math.pi)
-    weights = ({}, {})  # per contour: level -> (nodes, weights), levels in use only
+    pref, part = -1.0 / (4.0 * math.pi * math.pi), None
+    if real:  # pref 2 Re S_up
+        pref, part = 2.0 * pref, np.real
+    weights = ({}, {})  # per contour: level -> (nodes, weights, count), levels in use only
     values = {}  # level pair -> (value, mass)
     partial = None
 
@@ -590,10 +659,11 @@ def _walk(F, contours, tol, factors, concurrent):
         if pair not in values:
             for axis, level in enumerate(pair):
                 if level not in weights[axis]:
-                    weights[axis][level] = _weights(contours[axis], level, factors[axis])
-            (z, U), (w, V) = weights[0][pair[0]], weights[1][pair[1]]
+                    weights[axis][level] = _weights(contours[axis], level, factors[axis],
+                                                    real, axis == 0)
+            (z, U, _), (w, V, _) = weights[0][pair[0]], weights[1][pair[1]]
             values[pair] = _finite("double", pair, *_block_sums(F, z, U, w, V),
-                                   pref, partial)
+                                   pref, partial, part)
         return values[pair]
 
     pair = (0, 0)
@@ -608,7 +678,7 @@ def _walk(F, contours, tol, factors, concurrent):
             vz, vw = at(zpair)[0], at(wpair)[0]
         changes = (_change(vz, partial), _change(vw, partial))
         if max(changes) <= thr:
-            n_z, n_w = (len(weights[axis][level + 1][0]) for axis, level in enumerate(pair))
+            n_z, n_w = (weights[axis][level + 1][2] for axis, level in enumerate(pair))
             floor = _EPS * (math.sqrt(n_z) + math.sqrt(n_w)) * mass
             return vz + vw - partial, max(sum(changes), floor)
         nxt = tuple(level + (change > thr) for level, change in zip(pair, changes))
@@ -621,7 +691,8 @@ def _walk(F, contours, tol, factors, concurrent):
             weights[axis].pop(pair[axis] - 1, None)
 
 
-def integrate_double(F, contour_z, contour_w, tol=1e-9, z_factor=None, w_factor=None):
+def integrate_double(F, contour_z, contour_w, tol=1e-9, z_factor=None, w_factor=None,
+                     real=False):
     """Tensor-product double contour integral (1/(2 pi i)^2) *
     iint z_factor(z) F(z, w) w_factor(w), a missing factor being 1.
 
@@ -637,11 +708,17 @@ def integrate_double(F, contour_z, contour_w, tol=1e-9, z_factor=None, w_factor=
     doubling moves the value by more than the threshold (up to level 6); the
     error is the sum of the two one-axis changes at the accepted level pair,
     floored at eps (sqrt(n_z) + sqrt(n_w)) * mass (module docstring).
+
+    real=True promises an integrand with real coefficients, a(zbar) =
+    conj(a(z)) and likewise for F and b, on contours closed under
+    conjugation; the pair sum then runs over the z nodes above the real
+    axis only and the value is real (module docstring).  A rule that is not
+    closed under conjugation raises ContourPlacementError.
     """
-    return _pair_walk(F, (contour_z, contour_w), tol, (z_factor, w_factor))
+    return _pair_walk(F, (contour_z, contour_w), tol, (z_factor, w_factor), real)
 
 
-def integrate_single(F, contour, tol=1e-10):
+def integrate_single(F, contour, tol=1e-10, real=False):
     """(1/2 pi i) * contour integral by the same level-doubling engine, on
-    each piece's node rule."""
-    return _single_walk(F, contour, tol)
+    each piece's node rule; real as in integrate_double."""
+    return _single_walk(F, contour, tol, real=real)

@@ -21,6 +21,16 @@ Circles whose integrands are single-valued take the periodic trapezoid rule
 when all its levels are lattice levels.  Off the lattice the edge w circle
 is a full_circle, whose panels break at the cut.
 
+Every integrand here is real-symmetric, f(conj z) = conj(f(z)): q, c, N,
+the levels, slices, times and shifts are real, so each factor and
+coupling is a rational function, power or exponential of z with real
+coefficients, and the principal logarithm is conjugate-symmetric off its
+cut at z <= 0, on which no node lies.  Every contour is mapped onto
+itself by conjugation: circles and arcs centred at the origin, wedges
+with a real apex and the chord across one.  So every engine call passes
+real=True and sums over the upper half of its z contour: half the node
+pairs, the same level pairs, a real value (contours module docstring).
+
 Each coupling writes into the engine's tile buffers (contours.pair_buffers)
 with out= ufuncs and in-place operators, in the operation order of its
 plain expression, so its values are bit-identical to that expression and
@@ -232,14 +242,38 @@ def _geo_b(q, c, N, level, M):
     return lambda w: 1.0 / ((w - c) * _geo_lambda(w, q, N, level, M))
 
 
+# a circle of the exact kernel may pass no closer to a singularity of its
+# integrand than this fraction of its radius (_geo_clear)
+_GEO_CLEARANCE = 1e-3
+
+
+def _geo_clear(circles):
+    """Raise ContourPlacementError unless each (name, radius, radii to avoid)
+    circle keeps _GEO_CLEARANCE times its radius from every radius it must
+    avoid.  The trapezoid rule cannot resolve a pole that close: at (q, c)
+    = (0.4, 0.7), N = 3, a K12 w circle at distance d from w = c converged
+    at d = 3e-3 of its radius, raised QuadratureError at its maximum level
+    for every d from 1e-8 to 1e-3, and through c (d = 0) returned the
+    principal value, K12 = 0.1279966 with err 1.1e-13 against 0.1251487."""
+    for name, r, avoid in circles:
+        d = min(abs(r - a) for a in avoid)
+        if d < _GEO_CLEARANCE * r:
+            raise ContourPlacementError(
+                f"{name} circle of radius {r:.6g} passes {d:.2e} from a singularity "
+                f"of its integrand (clearance {_GEO_CLEARANCE:g} of the radius)")
+
+
 def _geo_k12(u, x, v, y, params, N, M_u, M_v, tol, radii):
     """K12(u, x; v, y) of the exact kernel and its error, on the nested
-    circles r1, rw of the radii (geo_default_radii when None)."""
+    circles r1, rw of the radii (geo_default_radii when None): the z
+    factor is singular at z = 0, +-1, 1/q, the w factor at w = 0, q, c, and
+    the coupling at |z| = |w|."""
     q, c = params.q, params.c
     r1, rw, _ = geo_default_radii(q, c, u >= v) if radii is None else radii
+    _geo_clear((("K12 z", r1, (0.0, 1.0, 1.0 / q)), ("K12 w", rw, (0.0, q, c, r1))))
     return integrate_double(_k12_coupling, Contour([Circle(0.0, r1)]),
                             Contour([Circle(0.0, rw)]), tol,
-                            _geo_a(q, c, N, x, M_u), _geo_b(q, c, N, y, M_v))
+                            _geo_a(q, c, N, x, M_u), _geo_b(q, c, N, y, M_v), real=True)
 
 
 def _as_params(params):
@@ -256,20 +290,27 @@ def kernel_geo(u, x, v, y, params, N, M_u, M_v, tol=DEFAULT_TOL, radii=None):
     rule).  K21(u, x; v, y) = -K12(v, y; u, x), the swapped slice order
     flipping the nesting of the K12 circles.  radii, when given, is an
     (r1, rw, r2) triple used in place of geo_default_radii for both slice
-    orders.
+    orders.  A circle that passes within _GEO_CLEARANCE of its radius of a
+    singularity of its integrand raises ContourPlacementError (_geo_clear):
+    K11's two circles avoid |z| = 0, 1, 1/q and |z| |w| = 1, K22's avoid
+    |w| = 0, q, c and |z| |w| = 1, and K12's those of _geo_k12.
     """
     params = _as_params(params)
     q, c = params.q, params.c
     r1, _, r2 = geo_default_radii(q, c, u >= v) if radii is None else radii
     # the second circle of K11 and K22 avoids the z = w diagonal exactly
+    s1, s2 = r1 * 1.0000003, r2 * 1.0000003
+    z_poles, w_poles = (0.0, 1.0, 1.0 / q), (0.0, q, c)
+    _geo_clear((("K11 z", r1, z_poles), ("K11 w", s1, z_poles + (1.0 / r1,)),
+                ("K22 z", r2, w_poles), ("K22 w", s2, w_poles + (1.0 / r2,))))
     k11, e11 = integrate_double(_k11_coupling, Contour([Circle(0.0, r1)]),
-                                Contour([Circle(0.0, r1 * 1.0000003)]), tol,
-                                _geo_a(q, c, N, x, M_u), _geo_a(q, c, N, y, M_v))
+                                Contour([Circle(0.0, s1)]), tol,
+                                _geo_a(q, c, N, x, M_u), _geo_a(q, c, N, y, M_v), real=True)
     k12, e12 = _geo_k12(u, x, v, y, params, N, M_u, M_v, tol, radii)
     k21m, e21 = _geo_k12(v, y, u, x, params, N, M_v, M_u, tol, radii)
     k22, e22 = integrate_double(_k11_coupling, Contour([Circle(0.0, r2)]),
-                                Contour([Circle(0.0, r2 * 1.0000003)]), tol,
-                                _geo_b(q, c, N, x, M_u), _geo_b(q, c, N, y, M_v))
+                                Contour([Circle(0.0, s2)]), tol,
+                                _geo_b(q, c, N, x, M_u), _geo_b(q, c, N, y, M_v), real=True)
     return KernelValue2x2(
         k11=k11, k12=k12, k21=-k21m, k22=k22, err=max(e11, e12, e21, e22)
     )
@@ -278,7 +319,7 @@ def kernel_geo(u, x, v, y, params, N, M_u, M_v, tol=DEFAULT_TOL, radii=None):
 def rho1_geo(x, params, N, M_slice, tol=DEFAULT_TOL):
     """One-point function rho_1(x) = K12(x, x) on a single slice."""
     k12, err = _geo_k12(1, x, 1, x, _as_params(params), N, M_slice, M_slice, tol, None)
-    return k12.real, err
+    return k12, err
 
 
 def rho_k_geo(points, params, N, tol=DEFAULT_TOL):
@@ -390,17 +431,17 @@ class _Window:
         """I12 and R12 (heat-kernel part for s < t plus residue) at (s, x; t, y)."""
         zs = self.z_contour(s)
         i12, err = integrate_double(_k12_coupling, zs, self.w_contour(t, levels=(y,)), tol,
-                                    *self.k12_factors(s, x, t, y))
-        r12 = 0.0 + 0.0j
+                                    *self.k12_factors(s, x, t, y), real=True)
+        r12 = 0.0
         if s < t:
 
             def heat(z):
                 return -self.scale * np.exp(self.expo(z, s, x) - self.expo(z, t, y)) / z
 
-            v, e = integrate_single(heat, self.heat_contour(), tol)
+            v, e = integrate_single(heat, self.heat_contour(), tol, real=True)
             r12, err = r12 + v, max(err, e)
         if self.has_residue:
-            v, e = integrate_single(self.residue_integrand(s, x, t, y), zs, tol)
+            v, e = integrate_single(self.residue_integrand(s, x, t, y), zs, tol, real=True)
             r12, err = r12 + v, max(err, e)
         return i12, r12, err
 
@@ -410,13 +451,13 @@ class _Window:
         i11, e11 = integrate_double(
             _k11_coupling, self.z_contour(s), self.z_contour(t, shifted=True), tol,
             lambda z: self.k11_scale * self.z_factor(z, s, x),
-            lambda w: self.z_factor(w, t, y))
+            lambda w: self.z_factor(w, t, y), real=True)
         ws, wt = self.w_contour(s, levels=(x,)), self.w_contour(t, levels=(y,))
         i22, e22 = integrate_double(
             _k11_coupling, ws, self.w_contour(t, shifted=True, levels=(y,)), tol,
             lambda z: self.k22_scale * self.w_factor(z, s, x),
-            lambda w: self.w_factor(w, t, y))
-        r22, e_r22 = 0.0 + 0.0j, 0.0
+            lambda w: self.w_factor(w, t, y), real=True)
+        r22, e_r22 = 0.0, 0.0
         if self.has_residue:
             cc = np.asarray(c, dtype=complex)
 
@@ -428,8 +469,8 @@ class _Window:
                 return self.k22_scale * np.exp(
                     -self.expo(cc, s, x) - self.expo(w, t, y)) / (c * w - 1.0)
 
-            va, ea = integrate_single(f_a, ws, tol)
-            vb, eb = integrate_single(f_b, wt, tol)
+            va, ea = integrate_single(f_a, ws, tol, real=True)
+            vb, eb = integrate_single(f_b, wt, tol, real=True)
             r22, e_r22 = va - vb, max(ea, eb)
         return i11, i22, r22, max(e11, e22, e_r22)
 
@@ -462,13 +503,14 @@ class _Window:
         zc, c = self.z_contour(v), self.c
         U, eU = integrate_double(
             _tail_coupling, self.count_contour(v), self.w_contour(v, levels=(aN,)), tol,
-            lambda z: z * self.z_factor(z, v, aN), lambda w: self.w_factor(w, v, aN))
+            lambda z: z * self.z_factor(z, v, aN), lambda w: self.w_factor(w, v, aN),
+            real=True)
         V, eV = 0.0, 0.0
         if self.has_residue:
             res = self.residue_integrand(v, aN, v, aN)
             V, eV = integrate_single(lambda z: res(z) / (self.scale * (1.0 - c / z)),
-                                     zc, tol)
-        return U.real + V.real + self.tail_offset, max(eU, eV)
+                                     zc, tol, real=True)
+        return U + V + self.tail_offset, max(eU, eV)
 
 
 def bulk_contour(a, N, sign):
@@ -557,7 +599,7 @@ class _BulkWindow(_Window):
                 - Tt * g1_bulk(w, q)
             )
 
-        v, e = integrate_single(f_r22c, self.w_contour(s, levels=(x, y)), tol)
+        v, e = integrate_single(f_r22c, self.w_contour(s, levels=(x, y)), tol, real=True)
         return i11, i22, r22 + v, max(err, e)
 
 
@@ -760,7 +802,8 @@ def _hs_e(z, x):
 def _hs_k12(s, x, t, y, tol):
     cz, cw = _hs_wedges(s, x, t, y)
     i12, err = integrate_double(_mobius(s, -t), cz, cw, tol,
-                                lambda z: _hs_e(z, x) / (2.0 * (z + s)), lambda w: _hs_e(w, y))
+                                lambda z: _hs_e(z, x) / (2.0 * (z + s)), lambda w: _hs_e(w, y),
+                                real=True)
     if s < t:
         r12 = -1.0 / math.sqrt(4.0 * math.pi * (t - s)) * math.exp(
             (-((s - t) ** 4) + 6.0 * (x + y) * (s - t) ** 2 + 3.0 * (x - y) ** 2)
@@ -775,9 +818,9 @@ def _hs_k11_k22(s, x, t, y, tol):
     cz, cw = _hs_wedges(s, x, t, y)
     i11, e1 = integrate_double(_mobius(s, t), cz, cw, tol,
                                lambda z: _hs_e(z, x) / (4.0 * (z + s)),
-                               lambda w: _hs_e(w, y) / (w + t))
+                               lambda w: _hs_e(w, y) / (w + t), real=True)
     i22, e3 = integrate_double(_mobius(-s, -t), cz, cw, tol,
-                               lambda z: _hs_e(z, x), lambda w: _hs_e(w, y))
+                               lambda z: _hs_e(z, x), lambda w: _hs_e(w, y), real=True)
     h_st = cmath.exp(s ** 3 / 3.0 + t ** 3 / 3.0 - x * s - y * t).real
     pref = y - t * t - x + s * s
     r22 = (
@@ -818,7 +861,7 @@ def _limit_k12(s, x, t, y, consts, tol):
         _limit_wedge(+1.0, s, x, t, y, consts),
         _limit_wedge(-1.0, s, x, t, y, consts), tol,
         lambda z: np.exp(_limit_expo(z, f1, s, x)) / (2.0 * z),
-        lambda w: np.exp(-_limit_expo(w, f1, t, y)))
+        lambda w: np.exp(-_limit_expo(w, f1, t, y)), real=True)
     if s < t:
         r12 = -1.0 / math.sqrt(4.0 * math.pi * f1 * (t - s)) * math.exp(
             -((y - x) ** 2) / (4.0 * f1 * (t - s))
@@ -835,12 +878,12 @@ def _limit_k11_k22(s, x, t, y, consts, tol):
         _mobius(0.0, 0.0), _limit_wedge(+1.0, s, x, t, y, consts),
         _limit_wedge(+1.0, s, x, t, y, consts, shift=1.0000003), tol,
         lambda z: np.exp(_limit_expo(z, f1, s, x)) / z,
-        lambda w: np.exp(_limit_expo(w, f1, t, y)) / w)
+        lambda w: np.exp(_limit_expo(w, f1, t, y)) / w, real=True)
     i22, e3 = integrate_double(
         _mobius(0.0, 0.0), _limit_wedge(-1.0, s, x, t, y, consts),
         _limit_wedge(-1.0, s, x, t, y, consts, shift=1.0000003), tol,
         lambda z: np.exp(-_limit_expo(z, f1, s, x)) / 4.0,
-        lambda w: np.exp(-_limit_expo(w, f1, t, y)))
+        lambda w: np.exp(-_limit_expo(w, f1, t, y)), real=True)
 
     def f_r22(w):
         return w * np.exp(f1 * (s + t) * w * w + w * (y - x))
@@ -858,7 +901,7 @@ def _limit_k11_k22(s, x, t, y, consts, tol):
                            start=8.0 + 4.0 * (1.0 + abs(y - x)) / (f1 * (s + t))),
         )
     )
-    vr22, e4 = integrate_single(f_r22, r22_wedge, tol)
+    vr22, e4 = integrate_single(f_r22, r22_wedge, tol, real=True)
     return i11, i22, -0.5 * vr22, max(e1, e3, e4)
 
 
@@ -1041,13 +1084,14 @@ def _diag_batch_eval(F, factors, phases, cz, cw, xs, tol):
             return np.multiply(f(z)[:, None], np.exp(e, out=e), out=e)
         return factor
 
-    return _pair_walk(F, (cz, cw), tol, tuple(map(batched, factors, phases)))
+    return _pair_walk(F, (cz, cw), tol, tuple(map(batched, factors, phases)), real=True)
 
 
 def _diag_batch_single(F, phase, contour, xs, tol):
     """(1/2 pi i) * integral of F(z) e^{phase(z) x} per x, level-doubled."""
     xs = np.asarray(xs, dtype=float)
-    return _single_walk(F, contour, tol, lambda z: np.exp(np.multiply.outer(phase(z), xs)))
+    return _single_walk(F, contour, tol, lambda z: np.exp(np.multiply.outer(phase(z), xs)),
+                        real=True)
 
 
 def edge_k12_diag_batch(xs, params, N, kappa, tol=1e-8):

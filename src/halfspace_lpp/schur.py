@@ -247,10 +247,7 @@ def partition_fn_series(T1, y, params, tol=1e-12):
     while True:
         lg = _lgamma_upto(lg, T1 + delta + n + 2)
         _, lw, p1, p2, rho = _pair_block(T1, delta, n, q, c, lg)
-        block = 0.0
-        for v in lw.tolist():
-            block += math.exp(v)
-        total += block
+        total += float(np.exp(lw).sum())
         if rho < 1.0:
             log_tail = float(np.logaddexp(p1, p2)) - math.log1p(-rho)
             if log_tail <= math.log(tol * max(total, 1e-300)):

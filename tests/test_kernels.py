@@ -100,6 +100,19 @@ def test_kernel_geo_contour_independence_at_random_radii():
                 q, c, N, M, x, y, radii, block)
 
 
+@pytest.mark.parametrize("radii, circle", [
+    ((1.7, 0.7, 2.0), "K12 w"),  # the w circle through the pole at w = c
+    ((1.7, 1.7, 2.0), "K12 w"),  # |z| = |w|
+    ((1.0, 0.9, 2.0), "K11 z"),  # through z = +-1
+    ((1.7, 0.9, 0.4), "K22 z"),  # through w = q
+])
+def test_kernel_geo_refuses_circles_through_singularities(radii, circle):
+    # through c the trapezoid rule returned the principal value, K12 =
+    # 0.1279966 with err 1.1e-13 against 0.1251487 on admissible circles
+    with pytest.raises(ContourPlacementError, match=circle):
+        kernels.kernel_geo(1, 1, 0, 2, ModelParams(0.4, 0.7), 3, 1, 0, radii=radii)
+
+
 def test_kernel_geo_sum_rule_and_positivity():
     # expected number of points at levels >= -N equals N exactly, and the
     # density is nonnegative up to the reported quadrature error
