@@ -40,6 +40,21 @@ mass stays sum_ij |dz_i a_i| |F_ij| |b_j dw_j|, the L1 mass of the whole
 integrand, so the split moves no threshold.  A factor with one column per
 point batches integrals over the same nodes, accepted over all points.
 
+A factored walk then drops each node whose weight |dz_i a_i| is at most
+_NEGLIGIBLE = 2^-133 (about 1e-40, the cut of truncate_wedge) of the
+largest on its axis and level; with (n, P) weights a node stays while it
+is above that fraction of the largest in any column.  Steepest-descent
+factors e^{N S} fall by hundreds of orders of magnitude along a contour,
+so most node pairs of such an integral go.  Per point, the dropped part
+of the sum and of the mass is at most 2^-133 (n_z + n_w) K times the
+mass, K being the ratio of the largest to the smallest |F| over the node
+pairs: below the 1e-13 * mass floor unless |F| varies by more than about
+1e20, which takes a contour almost on a pole of the coupling.  n, the
+threshold, the floor (over the whole rules' nodes) and the maximum
+levels keep their meaning.  Every node stays when a weight is not finite,
+so the walk raises at once, and when all are zero.  Unfactored integrands
+and single walks, whose F carries the exponentials, keep every node.
+
 An integrand with real coefficients (real=True: a(conj z) = conj(a(z)),
 likewise F and b) on contours that conjugation maps onto themselves, as
 circles and arcs centred at the origin and wedges with a real apex are,
@@ -57,7 +72,8 @@ closed under conjugation: as many nodes above the real axis as below,
 none on it, and the conjugated nodes below, sorted, matching those above
 with weights -conj(dz) to roundoff (_CONJ_TOL); a rule that fails raises
 ContourPlacementError.  The z contour then keeps its nodes above the
-axis, the w contour all of its nodes.
+axis, the w contour all of its nodes, before any node of negligible
+weight is dropped.
 
 The pair sums run in tiles of whole rows: at most 2^15 node pairs for
 scalar weights, whose two complex and one real tile buffers (about 1.25
@@ -65,9 +81,10 @@ MB) stay in a core's L2 cache, and 2^17 for batched weights, whose matrix
 product packs the w weights once per tile.  A GEMM row's result does not
 depend on the tile it sits in as long as the tile holds at least 2 rows
 (on OpenBLAS, measured: only 1-row tiles change bits), so the batched
-tile size moves no value.  Each thread keeps its tile buffers from sum to
-sum, so a sum allocates and page-faults no tile memory; a sum started
-inside a coupling gets buffers of its own.  A coupling that calls
+tile size moves no value.  Each thread keeps its tile buffers, sized to
+a whole tile, from sum to sum, so a sum over rules of any length
+allocates and page-faults no tile memory; a sum started inside a
+coupling gets buffers of its own.  A coupling that calls
 pair_buffers(z, w) writes into them: the first such call in a tile gets
 that tile's buffers, any other call (outside the engine, or a second
 coupling in the same tile) gets fresh arrays, so no result aliases
@@ -431,12 +448,13 @@ _BATCH_TILE_PAIRS = 1 << 17  # (n, P) weights, per thread: GEMM-bound, larger ti
 # elementwise pass over a tile about 3x slower
 _UFUNC_BUFSIZE = 256
 # a walk step whose doublings have at most _SERIAL_PAIRS evaluated node
-# pairs each stays serial.  Measured on 2 CPUs, one step's two doublings
-# (weights of the new level and pair sums) serial against concurrent: 2^15
-# pairs 0.9 vs 1.1 ms, 2^16 1.4-1.5 vs 1.5 ms, 2^17 2.6-3.4 vs 2.7 ms, 2^18
-# 5.1-6.3 vs 4.3-5.0 ms, 2^19 11.6-11.8 vs 7.5-7.7 ms.  The exact kernel's 256-node
-# circles, the z circle halved (real=True), give doublings of 2^16
-# evaluated pairs, which stay serial.
+# pairs each, counted over the kept nodes, stays serial.  Measured on 2
+# CPUs, one step's two doublings (weights of the new level and pair sums)
+# serial against concurrent: 2^15 pairs 0.9 vs 1.1 ms, 2^16 1.4-1.5 vs 1.5
+# ms, 2^17 2.6-3.4 vs 2.7 ms, 2^18 5.1-6.3 vs 4.3-5.0 ms, 2^19 11.6-11.8 vs
+# 7.5-7.7 ms.  The exact kernel's level-0 circles, 128 z nodes (the upper
+# half, real=True) against 256 w nodes, give doublings of at most 2^16
+# kept pairs, which stay serial.
 _SERIAL_PAIRS = 1 << 17
 # the conjugation check of a real-symmetric rule (_upper): nodes are sorted
 # by Re z + _CONJ_KEY Im z, an irrational slope along which no two of a
@@ -445,6 +463,9 @@ _SERIAL_PAIRS = 1 << 17
 # width of 1/1088 carries the rounding of breaks near 1)
 _CONJ_KEY = 0.5 * (math.sqrt(5.0) - 1.0)
 _CONJ_TOL = 1e-10
+# a factored double walk drops the nodes of an axis whose weight is at
+# most this fraction of the axis' largest (about 1e-40, truncate_wedge's cut)
+_NEGLIGIBLE = 2.0 ** -133
 _DOUBLE_MAX_LEVEL = 6
 _SINGLE_MAX_LEVEL = 9
 _EPS = float(np.finfo(float).eps)
@@ -502,6 +523,23 @@ def _weights(contour, level, factor, real=False, half=True):
     return z, np.multiply(wz[:, None], f, out=f if f.dtype == complex else None), n
 
 
+def _drop_negligible(z, U):
+    """The nodes z and weights U without the nodes whose weight is at most
+    _NEGLIGIBLE of the largest, per column for (n, P) weights (a node
+    stays while any column keeps it); every node when a weight is not
+    finite or all are zero."""
+    mag = np.abs(U)
+    top = mag.max(axis=0)
+    if not np.all(np.isfinite(top)):
+        return z, U
+    keep = mag > _NEGLIGIBLE * top
+    if keep.ndim == 2:
+        keep = keep.any(axis=1)
+    if keep.all() or not keep.any():
+        return z, U
+    return z[keep], U[keep]
+
+
 def pair_buffers(z, w):
     """Two arrays (out, tmp) of the broadcast shape of z and w for a
     coupling to write into, complex for the engine's nodes.  While
@@ -529,8 +567,9 @@ def _block_sums(F, z, U, w, V):
     held = getattr(_tile, "held", None)  # None while a sum of this thread runs
     _tile.held = None
     if held is None or len(held[2]) < pairs:
-        held = (np.empty(pairs, dtype=complex), np.empty(pairs, dtype=complex),
-                np.empty(pairs))
+        size = max(pairs, tile)  # a whole tile: rules of other lengths fit too
+        held = (np.empty(size, dtype=complex), np.empty(size, dtype=complex),
+                np.empty(size))
     out, tmp, mag = (b[:pairs].reshape(rows, len(w)) for b in held)
     row_vals = np.empty(U.shape[:1] + V.shape[1:], dtype=complex)
     row_mass = np.empty(row_vals.shape)
@@ -659,8 +698,10 @@ def _walk(F, contours, tol, factors, real, concurrent):
         if pair not in values:
             for axis, level in enumerate(pair):
                 if level not in weights[axis]:
-                    weights[axis][level] = _weights(contours[axis], level, factors[axis],
-                                                    real, axis == 0)
+                    z, U, n = _weights(contours[axis], level, factors[axis], real, axis == 0)
+                    if factors[axis] is not None:
+                        z, U = _drop_negligible(z, U)
+                    weights[axis][level] = z, U, n
             (z, U, _), (w, V, _) = weights[0][pair[0]], weights[1][pair[1]]
             values[pair] = _finite("double", pair, *_block_sums(F, z, U, w, V),
                                    pref, partial, part)
@@ -704,10 +745,12 @@ def integrate_double(F, contour_z, contour_w, tol=1e-9, z_factor=None, w_factor=
     buffers through pair_buffers; its result is consumed before the next
     tile, so it must not be kept (module docstring).
     The mass is sum_ij |dz_i a_i| |F_ij| |b_j dw_j|, that of the whole
-    integrand.  Each contour's level is doubled on its own, only while its
-    doubling moves the value by more than the threshold (up to level 6); the
-    error is the sum of the two one-axis changes at the accepted level pair,
-    floored at eps (sqrt(n_z) + sqrt(n_w)) * mass (module docstring).
+    integrand; on a factored axis the nodes of negligible weight are
+    dropped (module docstring).  Each contour's level is doubled on its
+    own, only while its doubling moves the value by more than the
+    threshold (up to level 6); the error is the sum of the two one-axis
+    changes at the accepted level pair, floored at eps (sqrt(n_z) +
+    sqrt(n_w)) * mass (module docstring).
 
     real=True promises an integrand with real coefficients, a(zbar) =
     conj(a(z)) and likewise for F and b, on contours closed under

@@ -180,25 +180,22 @@ def enumerate_schur_support(N, M, q, c, weight_cutoff):
 # interacting-pair partition function: series form
 # ---------------------------------------------------------------------------
 
-def _log_h(r, T1, lg):
-    """log h_r = log C(T1 + r - 1, r), the complete homogeneous sum in T1
-    unit variables, for an int array r (-inf where r < 0), read from the
-    table lg[k] = lgamma(k)."""
-    r = np.asarray(r)
-    rr = np.maximum(r, 0)
+def _log_h_upto(lh, T1, top):
+    """The table lh[r] = log h_r = log C(T1 + r - 1, r), r = 0, 1, ..., of
+    the complete homogeneous sums in T1 unit variables (lh[0] = 0, and
+    lh[r > 0] = -inf at T1 = 0), grown to reach index top: rebuilt from
+    math.lgamma values to twice the index asked for."""
+    if len(lh) > top:
+        return lh
+    r = np.arange(2 * top + 1)
+    lg = np.array([math.inf] + [math.lgamma(k) for k in range(1, T1 + 2 * top + 2)])
     with np.errstate(invalid="ignore"):
-        out = lg[T1 + rr] - lg[rr + 1] - lg[T1]
-    return np.where(r > 0, out, np.where(r == 0, 0.0, -np.inf))
+        lh = lg[T1 + r] - lg[r + 1] - lg[T1]
+    lh[0] = 0.0
+    return lh
 
 
-def _lgamma_upto(lg, top):
-    """The table lg[k] = lgamma(k) (lg[0] = inf), grown to reach index top."""
-    if len(lg) > top:
-        return lg
-    return np.append(lg, [math.lgamma(k) for k in range(max(len(lg), 1), 2 * top + 1)])
-
-
-def _pair_block(T1, delta, n, q, c, lg):
+def _pair_block(T1, delta, n, q, c, lh):
     """Block n of the interacting-pair sum and the envelope of the rest.
 
     Returns (d, log w, log p1, log p2, rho).  The terms have x2 = y2 - n,
@@ -206,13 +203,14 @@ def _pair_block(T1, delta, n, q, c, lg):
     path count, and log w = (delta+2n-d) log q + d log c + log(h_a h_b -
     h_ap h_bp), a = delta+n-d, b = n, ap = delta+n+1, bp = n-d-1.  The
     blocks past n sum to at most (p1 + p2) / (1 - rho) when rho < 1.  The
-    table lg must reach T1 + delta + n + 2.
+    log h table lh (_log_h_upto) must reach index delta + n + 1.
     """
     lq, lc = math.log(q), (math.log(c) if c > 0 else -math.inf)
     d = np.arange(delta + n + 1 if c > 0 else 1)
-    h_n, h_ap = _log_h([n, delta + n + 1], T1, lg)
-    la = _log_h(delta + n - d, T1, lg) + h_n
-    lb = h_ap + _log_h(n - d - 1, T1, lg)
+    h_n, h_ap = lh[n], lh[delta + n + 1]
+    la = lh[delta + n - d] + h_n
+    lb = np.full(len(d), -np.inf)  # log h_{n-d-1}, h_r = 0 for r < 0
+    lb[:n] = h_ap + lh[n - 1 - d[:n]]
     with np.errstate(divide="ignore", invalid="ignore"):
         diff = -np.expm1(lb - la)
         lw = (delta + 2 * n - d) * lq + (d * lc if c > 0 else 0.0) + (la + np.log(diff))
@@ -241,12 +239,12 @@ def partition_fn_series(T1, y, params, tol=1e-12):
     if y1 < y2:
         raise ParameterError("need y1 >= y2")
     delta = y1 - y2
-    lg = np.array([math.inf])
+    lh = np.zeros(0)
     total = 0.0
     n = 0
     while True:
-        lg = _lgamma_upto(lg, T1 + delta + n + 2)
-        _, lw, p1, p2, rho = _pair_block(T1, delta, n, q, c, lg)
+        lh = _log_h_upto(lh, T1, delta + n + 1)
+        _, lw, p1, p2, rho = _pair_block(T1, delta, n, q, c, lh)
         total += float(np.exp(lw).sum())
         if rho < 1.0:
             log_tail = float(np.logaddexp(p1, p2)) - math.log1p(-rho)
@@ -380,7 +378,7 @@ def origin_law(T1, y, params):
     given by the 2x2 Jacobi-Trudi determinant.  Returns (x1, x2, p) arrays
     with sum(p) >= 1 - 1e-10 of the true mass, ordered by n = y2 - x2,
     then by d = x1 - x2.  Each n contributes its whole d-row at once, with
-    the log-gamma terms read from a table of math.lgamma values.  Raises
+    the log h terms read from one table (_log_h_upto).  Raises
     AccuracyError at the first row whose tail envelope is zero while the
     total is still zero: then no configuration has mass; and past 200000
     rows.
@@ -390,13 +388,13 @@ def origin_law(T1, y, params):
     q, c = params.q, params.c
     y1, y2 = y
     delta = y1 - y2
-    lg = np.array([math.inf])
+    lh = np.zeros(0)
     ns, ds, lws = [], [], []
     log_total = -math.inf
     n = 0
     while True:
-        lg = _lgamma_upto(lg, T1 + delta + n + 2)
-        d, lw, p1, p2, rho = _pair_block(T1, delta, n, q, c, lg)
+        lh = _log_h_upto(lh, T1, delta + n + 1)
+        d, lw, p1, p2, rho = _pair_block(T1, delta, n, q, c, lh)
         if lw.size:
             log_total = np.logaddexp(log_total, np.logaddexp.reduce(lw))
         ns.append(np.full(lw.size, n))

@@ -2,6 +2,7 @@
 one-block evaluation, couplings writing into the engine's tile buffers,
 and the memory a pair sum takes."""
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -147,3 +148,29 @@ def test_pair_sum_memory_stays_tile_sized():
     finally:
         tracemalloc.stop()
     assert peak < 16e6
+
+
+def test_tile_buffers_fit_rules_of_other_lengths():
+    # 32, 29 and 27 rows of 1000, 1100 and 1200 pairs fill a tile to 32000,
+    # 31900 and 32400 pairs: the first sum's buffers must hold the third's
+    peaks = []
+
+    def sums():
+        tracemalloc.start()
+        try:
+            for nw in (1000, 1100, 1200):
+                z, U, w, V = _grid(100, nw, None, seed=nw)
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                ct._block_sums(kernels._k12_coupling, z, U, w, V)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+
+    # a fresh thread holds no tile buffers yet
+    thread = threading.Thread(target=sums, daemon=True)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive() and len(peaks) == 3
+    buffer = 16 * ct._TILE_PAIRS // 2  # half a complex tile buffer
+    assert peaks[0] > 2 * buffer and max(peaks[1:]) < buffer

@@ -170,3 +170,23 @@ def test_every_defaulted_parameter_is_set_somewhere():
             unset.append(key)
     assert set(UNSET_ALLOWED) <= found, "allow-list names a parameter that is gone"
     assert not unset, f"defaulted parameters no src or perfbench call sets: {unset}"
+
+
+# the names through which a module reads the process environment
+ENV_READS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_only_the_cli_reads_the_environment():
+    # settings come in as parameters; cli.load_config is the one place that
+    # maps HSLPP_<KEY> variables onto them, so no module grows a hidden knob
+    readers = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in ENV_READS:
+                readers.append(f"{path.name}:{node.lineno} .{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                readers += [f"{path.name}:{node.lineno} from os import {a.name}"
+                            for a in node.names if a.name in ENV_READS | {"*"}]
+    assert not readers, f"modules other than cli.py read the environment: {readers}"
