@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, ParameterError
+from .model import ParameterError
 from .schur import origin_gap_tv, sample_origin_exact
 
 
@@ -171,8 +171,6 @@ def discrete_to_pinned_check(T_values, b, y_scaled, params, rng, n_samples=10000
     (Q1 + Q2)/2 at time 0 is Gaussian with mean (y1+y2)/2 and variance b/2.
     Reports total-variation and Kolmogorov-Smirnov distances per T.
     """
-    if not isinstance(params, ModelParams):
-        params = ModelParams(*params)
     q, c = params.q, params.c
     if c >= 1.0:
         raise ParameterError("discrete-to-pinned comparison needs c < 1")

@@ -96,17 +96,17 @@ small (_UFUNC_BUFSIZE), which results do not depend on.
 
 The two one-axis doublings of a walk step share only the read-only
 weights of the current levels, and each builds its own new level, so they
-run concurrently: the z-doubling on one persistent worker thread (started
-by the first such step, in the caller's numpy context), the w-doubling in
-the calling thread, each with its own tile buffers.  Each computes what
-the serial walk computes, in the same order, so every value, error and
-level is bit-identical; when both raise, the z-doubling's error is
-raised, as the serial walk raises it first.  A walk stays serial on a
-host with one usable CPU (lpp._usable_cpus), when its doublings have
-at most _SERIAL_PAIRS evaluated node pairs each, and when it starts on
-the worker or inside another walk (in a coupling or a factor), so nested
-sums never wait on the worker.  While numpy holds the GIL (ufunc calls
-on small arrays, the Python between them) the two threads take turns.
+run concurrently by lpp._run_jobs, the package's one thread runner: the
+z-doubling on a pool thread in a copy of the caller's context, the
+w-doubling in the calling thread, each with its own tile buffers.  Each
+computes what the serial walk computes, in the same order, so every
+value, error and level is bit-identical; when both raise, the
+z-doubling's error is raised, as the serial walk raises it first.  A step
+with at most _SERIAL_PAIRS evaluated node pairs per doubling stays
+serial, and _run_jobs runs the pair in order on one usable CPU and on a
+pool thread (a walk nested in the z-doubling), so no walk waits on the
+pool.  While numpy holds the GIL (ufunc calls on small arrays, the
+Python between them) the two threads take turns.
 
 Segments carry an optional geometric panel grading toward one endpoint,
 for integrands with a short internal scale (steepest-descent wedges near a
@@ -124,9 +124,7 @@ is kept as an independent reference for tests; it is the one routine that
 rejects a pole on the contour.
 """
 
-import contextvars
 import math
-import os
 import threading
 from dataclasses import dataclass
 
@@ -471,12 +469,8 @@ _SINGLE_MAX_LEVEL = 9
 _EPS = float(np.finfo(float).eps)
 
 # per thread: .held, the flat (out, tmp, mag) tile buffers kept between sums,
-# .lent, the current tile's (out, tmp) until a coupling takes them, and
-# .walking, true while a double walk runs in the thread (always on the
-# worker), so that a walk started then stays serial
+# and .lent, the current tile's (out, tmp) until a coupling takes them
 _tile = threading.local()
-_worker = None  # executor of the one worker thread, made by the first concurrent step
-_worker_lock = threading.Lock()
 
 
 def _upper(z, dz):
@@ -639,54 +633,13 @@ def _single_walk(F, contour, tol, factor=None, real=False):
                           levels=(_SINGLE_MAX_LEVEL,), changes=(change,), threshold=thr)
 
 
-def _mark_worker():
-    _tile.walking = True
-
-
-def _forget_worker():
-    global _worker
-    _worker = None
-
-
-os.register_at_fork(after_in_child=_forget_worker)  # a forked child has no worker
-
-
-def _both(at, zpair, wpair):
-    """(at(zpair), at(wpair)), the first on the worker thread in the
-    caller's context; at(zpair)'s error is raised first, as in serial
-    order."""
-    global _worker
-    with _worker_lock:
-        if _worker is None:
-            from concurrent.futures import ThreadPoolExecutor
-            _worker = ThreadPoolExecutor(1, "pair-walk", initializer=_mark_worker)
-    future = _worker.submit(contextvars.copy_context().run, at, zpair)
-    try:
-        vw = at(wpair)
-    except BaseException:
-        future.result()
-        raise
-    return future.result(), vw
-
-
-def _pair_walk(F, contours, tol, factors=(None, None), real=False):
+def _walk(F, contours, tol, factors=(None, None), real=False):
     """(1/(2 pi i))^2 times the integral of a(z) F(z, w) b(w) over two
     contours, (a, b) = factors, by the per-axis walk over level pairs of the
     module docstring, the two doublings of a step concurrent where the
     module docstring says; only the weights of the levels in use are kept.
     (n, P) factors batch, and real halves the z contour, as in
     _single_walk."""
-    if getattr(_tile, "walking", False) or lpp._usable_cpus() < 2:
-        return _walk(F, contours, tol, factors, real, False)
-    _tile.walking = True
-    try:
-        return _walk(F, contours, tol, factors, real, True)
-    finally:
-        _tile.walking = False
-
-
-def _walk(F, contours, tol, factors, real, concurrent):
-    """_pair_walk, with the doublings of large steps concurrent if asked."""
     pref, part = -1.0 / (4.0 * math.pi * math.pi), None
     if real:  # pref 2 Re S_up
         pref, part = 2.0 * pref, np.real
@@ -713,8 +666,8 @@ def _walk(F, contours, tol, factors, real, concurrent):
         thr = _threshold(partial, mass, tol)
         zpair, wpair = (pair[0] + 1, pair[1]), (pair[0], pair[1] + 1)
         pairs = 2 * len(weights[0][pair[0]][0]) * len(weights[1][pair[1]][0])
-        if concurrent and pairs > _SERIAL_PAIRS:
-            (vz, _), (vw, _) = _both(at, zpair, wpair)
+        if pairs > _SERIAL_PAIRS:
+            (vz, _), (vw, _) = lpp._run_jobs([lambda: at(zpair), lambda: at(wpair)])
         else:
             vz, vw = at(zpair)[0], at(wpair)[0]
         changes = (_change(vz, partial), _change(vw, partial))
@@ -758,7 +711,7 @@ def integrate_double(F, contour_z, contour_w, tol=1e-9, z_factor=None, w_factor=
     axis only and the value is real (module docstring).  A rule that is not
     closed under conjugation raises ContourPlacementError.
     """
-    return _pair_walk(F, (contour_z, contour_w), tol, (z_factor, w_factor), real)
+    return _walk(F, (contour_z, contour_w), tol, (z_factor, w_factor), real)
 
 
 def integrate_single(F, contour, tol=1e-10, real=False):

@@ -51,15 +51,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, ParameterError, ScalingConstantsBulk, ScalingConstantsEdge
+from .model import ParameterError, ScalingConstantsBulk, ScalingConstantsEdge
 from .contours import (
     Arc,
     Circle,
     Contour,
     ContourPlacementError,
     Segment,
-    _pair_walk,
     _single_walk,
+    _walk,
     full_circle,
     integrate_double,
     integrate_single,
@@ -276,8 +276,39 @@ def _geo_k12(u, x, v, y, params, N, M_u, M_v, tol, radii):
                             _geo_a(q, c, N, x, M_u), _geo_b(q, c, N, y, M_v), real=True)
 
 
-def _as_params(params):
-    return params if isinstance(params, ModelParams) else ModelParams(*params)
+def _geo_k11_k22_circles(params, u_ge_v, radii):
+    """The K11 circles (r1, s1) and the K22 circles (r2, s2) of the exact
+    kernel, s1 and s2 off the z = w diagonal, once _geo_clear has checked
+    them: K11's avoid |z| = 0, 1, 1/q and |z| |w| = 1, K22's |w| = 0, q, c
+    and |z| |w| = 1."""
+    q, c = params.q, params.c
+    r1, _, r2 = geo_default_radii(q, c, u_ge_v) if radii is None else radii
+    s1, s2 = r1 * 1.0000003, r2 * 1.0000003
+    z_poles, w_poles = (0.0, 1.0, 1.0 / q), (0.0, q, c)
+    _geo_clear((("K11 z", r1, z_poles), ("K11 w", s1, z_poles + (1.0 / r1,)),
+                ("K22 z", r2, w_poles), ("K22 w", s2, w_poles + (1.0 / r2,))))
+    return r1, s1, r2, s2
+
+
+def _geo_k12_pieces(s, x, t, y, params, N, tol, radii):
+    """(I12, R12 = 0, err) of the exact kernel at slices s = (u, M_u), t =
+    (v, M_v)."""
+    k12, err = _geo_k12(s[0], x, t[0], y, params, N, s[1], t[1], tol, radii)
+    return k12, 0.0, err
+
+
+def _geo_k11_k22_pieces(s, x, t, y, params, N, tol, radii):
+    """(I11, I22, R22 = 0, err) of the exact kernel at slices s = (u, M_u),
+    t = (v, M_v)."""
+    q, c = params.q, params.c
+    r1, s1, r2, s2 = _geo_k11_k22_circles(params, s[0] >= t[0], radii)
+    k11, e11 = integrate_double(_k11_coupling, Contour([Circle(0.0, r1)]),
+                                Contour([Circle(0.0, s1)]), tol,
+                                _geo_a(q, c, N, x, s[1]), _geo_a(q, c, N, y, t[1]), real=True)
+    k22, e22 = integrate_double(_k11_coupling, Contour([Circle(0.0, r2)]),
+                                Contour([Circle(0.0, s2)]), tol,
+                                _geo_b(q, c, N, x, s[1]), _geo_b(q, c, N, y, t[1]), real=True)
+    return k11, k22, 0.0, max(e11, e22)
 
 
 def kernel_geo(u, x, v, y, params, N, M_u, M_v, tol=DEFAULT_TOL, radii=None):
@@ -287,38 +318,23 @@ def kernel_geo(u, x, v, y, params, N, M_u, M_v, tol=DEFAULT_TOL, radii=None):
     levels of the point process {lambda_i - i}.  The integrands carry
     integer powers only, so they are single-valued on every circle, and all
     four blocks integrate over Circle contours (the periodic trapezoid
-    rule).  K21(u, x; v, y) = -K12(v, y; u, x), the swapped slice order
-    flipping the nesting of the K12 circles.  radii, when given, is an
+    rule).  The block is assembled by _assemble_2x2 from the slices (u, M_u)
+    and (v, M_v): K21(u, x; v, y) = -K12(v, y; u, x), the swapped slice
+    order flipping the nesting of the K12 circles.  radii, when given, is an
     (r1, rw, r2) triple used in place of geo_default_radii for both slice
     orders.  A circle that passes within _GEO_CLEARANCE of its radius of a
     singularity of its integrand raises ContourPlacementError (_geo_clear):
-    K11's two circles avoid |z| = 0, 1, 1/q and |z| |w| = 1, K22's avoid
-    |w| = 0, q, c and |z| |w| = 1, and K12's those of _geo_k12.
+    those of K11 and K22 (_geo_k11_k22_circles) are checked before any
+    integral, and K12's (_geo_k12) before its own.
     """
-    params = _as_params(params)
-    q, c = params.q, params.c
-    r1, _, r2 = geo_default_radii(q, c, u >= v) if radii is None else radii
-    # the second circle of K11 and K22 avoids the z = w diagonal exactly
-    s1, s2 = r1 * 1.0000003, r2 * 1.0000003
-    z_poles, w_poles = (0.0, 1.0, 1.0 / q), (0.0, q, c)
-    _geo_clear((("K11 z", r1, z_poles), ("K11 w", s1, z_poles + (1.0 / r1,)),
-                ("K22 z", r2, w_poles), ("K22 w", s2, w_poles + (1.0 / r2,))))
-    k11, e11 = integrate_double(_k11_coupling, Contour([Circle(0.0, r1)]),
-                                Contour([Circle(0.0, s1)]), tol,
-                                _geo_a(q, c, N, x, M_u), _geo_a(q, c, N, y, M_v), real=True)
-    k12, e12 = _geo_k12(u, x, v, y, params, N, M_u, M_v, tol, radii)
-    k21m, e21 = _geo_k12(v, y, u, x, params, N, M_v, M_u, tol, radii)
-    k22, e22 = integrate_double(_k11_coupling, Contour([Circle(0.0, r2)]),
-                                Contour([Circle(0.0, s2)]), tol,
-                                _geo_b(q, c, N, x, M_u), _geo_b(q, c, N, y, M_v), real=True)
-    return KernelValue2x2(
-        k11=k11, k12=k12, k21=-k21m, k22=k22, err=max(e11, e12, e21, e22)
-    )
+    _geo_k11_k22_circles(params, u >= v, radii)
+    return _assemble_2x2(_geo_k12_pieces, _geo_k11_k22_pieces, (u, M_u), x, (v, M_v), y,
+                         params, N, tol, radii)
 
 
 def rho1_geo(x, params, N, M_slice, tol=DEFAULT_TOL):
     """One-point function rho_1(x) = K12(x, x) on a single slice."""
-    k12, err = _geo_k12(1, x, 1, x, _as_params(params), N, M_slice, M_slice, tol, None)
+    k12, err = _geo_k12(1, x, 1, x, params, N, M_slice, M_slice, tol, None)
     return k12, err
 
 
@@ -329,7 +345,6 @@ def rho_k_geo(points, params, N, tol=DEFAULT_TOL):
     is [[0, K12], [-K12, 0]]: K11 and K22 are antisymmetric and K21 = -K12
     there, so only K12 is integrated.
     """
-    params = _as_params(params)
 
     def block(a, b):
         if a == b:
@@ -392,7 +407,6 @@ class _Window:
     """
 
     def __init__(self, params, N):
-        params = _as_params(params)
         self.q, self.c, self.N = params.q, params.c, N
 
     def count_contour(self, v):
@@ -1084,7 +1098,7 @@ def _diag_batch_eval(F, factors, phases, cz, cw, xs, tol):
             return np.multiply(f(z)[:, None], np.exp(e, out=e), out=e)
         return factor
 
-    return _pair_walk(F, (cz, cw), tol, tuple(map(batched, factors, phases)), real=True)
+    return _walk(F, (cz, cw), tol, tuple(map(batched, factors, phases)), real=True)
 
 
 def _diag_batch_single(F, phase, contour, xs, tol):

@@ -20,9 +20,14 @@ from a copy of the caller's generator moved by advance() to the offsets that
 the serial draw gives its samples, and the caller's generator is then moved
 past the whole stream: every output and the caller's next draw are those of
 the serial draw.  sample_weights_batch gathers one bounded range at a time
-into its output; sample_top_curves runs the ranges of a chunk on threads, one
+into its output; sample_top_curves runs the ranges of a chunk at once, one
 per usable CPU.  Any other bit generator runs the same code as one range,
 read in order.
+
+_run_jobs is the package's one thread runner, on a pool of worker threads
+made at first use (never at import) and dropped in a forked child: the
+top-curve ranges of a chunk run on it, and so do the two one-axis
+doublings of a large double-contour walk step (contours).
 
 One loop feeds a batched tableau a stream of letter-count words and reads
 its shape: at one corner, along the line ensemble of an environment array,
@@ -33,13 +38,14 @@ batch-wide pass per letter, so no scan runs along a sample row.  The top
 curves draw every word into buffers reused from word to word.
 """
 
+import contextvars
 import itertools
 import os
 import threading
 
 import numpy as np
 
-from .model import ModelParams, ParameterError
+from .model import ParameterError
 
 
 class BoundsError(IndexError):
@@ -55,7 +61,8 @@ BRUTE_FORCE_CELL_CAP = 16
 _DRAW_SLAB = 1 << 16  # uniforms drawn per slab by _symmetric_draws
 _RANGE_WEIGHTS = 1 << 20  # weights per sample range of sample_weights_batch
 _INT32_MAX = int(np.iinfo(np.int32).max)
-# Top-curve chunks split into at most _MAX_RANGES sample ranges of at least
+# Top-curve chunks split into at most _MAX_RANGES sample ranges (the jobs of
+# _run_jobs, whose pool has _MAX_RANGES - 1 threads at most) of at least
 # _MIN_PART samples and _MIN_RANGE_WEIGHTS weights per word each.  numpy
 # releases the GIL only in ufunc calls of more than 500 elements, so ranges
 # of few samples serialise on their RSK rows, and a small word costs less
@@ -214,31 +221,48 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def _run_ranges(run, parts):
-    """run(p) for every range p < parts: range 0 in the calling thread, each
-    other range on a thread of its own.  Every thread is joined before this
-    returns or raises; the error of the first failing range is raised."""
-    errors = [None] * parts
+_pool = None  # the worker threads of _run_jobs, made at first use
+_pool_lock = threading.Lock()
+_pool_thread = threading.local()  # .on is set in the pool's threads
 
-    def guarded(p):
-        try:
-            run(p)
-        except BaseException as exc:  # re-raised in the calling thread
-            errors[p] = exc
 
-    threads = []
+def _mark_pool_thread():
+    _pool_thread.on = True
+
+
+def _forget_pool():
+    global _pool
+    _pool = None
+
+
+os.register_at_fork(after_in_child=_forget_pool)  # a forked child has no pool
+
+
+def _run_jobs(jobs):
+    """Run the callables in `jobs` and return their results in order:
+    jobs[:-1] on the persistent pool of max(1, min(usable CPUs,
+    _MAX_RANGES) - 1) worker threads, each in a copy of the caller's
+    context, and jobs[-1] in the calling thread.  Every job has finished
+    before this returns or raises; the error of the first failing job in
+    list order is raised.  A job set started on a worker, or on a host with
+    one usable CPU, runs in order in its own thread, so a job never waits on
+    the pool."""
+    global _pool
+    if len(jobs) < 2 or getattr(_pool_thread, "on", False) or _usable_cpus() < 2:
+        return [job() for job in jobs]
+    from concurrent.futures import Future, ThreadPoolExecutor, wait
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max(1, min(_usable_cpus(), _MAX_RANGES) - 1),
+                                       "hslpp-job", initializer=_mark_pool_thread)
+    futures = [_pool.submit(contextvars.copy_context().run, job) for job in jobs[:-1]]
+    futures.append(Future())
     try:
-        for p in range(1, parts):
-            t = threading.Thread(target=guarded, args=(p,))
-            t.start()
-            threads.append(t)
-        guarded(0)
-    finally:
-        for t in threads:
-            t.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
+        futures[-1].set_result(jobs[-1]())
+    except BaseException as exc:  # raised once every job has finished
+        futures[-1].set_exception(exc)
+    wait(futures)
+    return [f.result() for f in futures]
 
 
 def sample_weights_batch(m, n, params, rng, size):
@@ -248,8 +272,6 @@ def sample_weights_batch(m, n, params, rng, size):
     time, so the packed int32 draws beside the output never hold more than
     one range; a bit generator that cannot seek draws them as one range.
     """
-    if not isinstance(params, ModelParams):
-        params = ModelParams(*params)
     P = _packed_rows(m, n)
     w = np.empty((size, m, n), dtype=np.int64)
     part = max(1, _RANGE_WEIGHTS // (m * n))
@@ -517,7 +539,7 @@ def sample_top_curves(N, M, params, rng, size, n_curves=2):
 
     A chunk of `size` samples runs as contiguous sample ranges, one per
     usable CPU (at most _MAX_RANGES, each of at least _MIN_PART samples and
-    _MIN_RANGE_WEIGHTS weights per word), on threads of their own.  Each
+    _MIN_RANGE_WEIGHTS weights per word), run at once by _run_jobs.  Each
     range seeks its doubles of the chunk's stream by the offsets of the
     serial draw: sample b reads its block cells from b N^2, its diagonal
     from size N^2 + b N and row N + t from size N^2 + size N + t size N + b N;
@@ -526,8 +548,6 @@ def sample_top_curves(N, M, params, rng, size, n_curves=2):
     generator that cannot seek (not PCG64) runs each chunk as one range,
     read in order.
     """
-    if not isinstance(params, ModelParams):
-        params = ModelParams(*params)
     P = _packed_rows(N, N)
     out = np.empty((size, n_curves, M + 1), dtype=np.int64)
     chunk = max(1, (1 << 25) // (N * N))
@@ -538,7 +558,7 @@ def sample_top_curves(N, M, params, rng, size, n_curves=2):
 
 def _top_curve_chunk(N, M, params, rng, P, out):
     """Fill `out` with the top curves of a chunk of len(out) samples, run as
-    sample ranges on threads of their own; P = N (N + 1) / 2 packed cells."""
+    sample ranges run by _run_jobs; P = N (N + 1) / 2 packed cells."""
     size = len(out)
     parts = 1
     if isinstance(rng.bit_generator, _SEEKABLE):
@@ -560,7 +580,7 @@ def _top_curve_chunk(N, M, params, rng, P, out):
                            blocks[p].pop())
         _shapes(words, N, N - 1, out[b0:b1])
 
-    _run_ranges(run, parts)
+    _run_jobs([lambda p=p: run(p) for p in range(parts)])
     if parts > 1:
         _skip(rng, size * N * (N + 1 + M))
 

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .contours import CIRCLE_MAX_NODES, ContourPlacementError, integrate_circle
-from .model import ModelParams, ParameterError
+from .model import ParameterError
 from .lpp import sample_weights_batch, lambda_process_batch
 
 
@@ -101,8 +101,6 @@ def sample_schur_process_batch(N, M, params, rng, size):
     Exact sampler through the LPP identity: rsk shapes of the symmetrized
     environment at corners (N+j, N).
     """
-    if not isinstance(params, ModelParams):
-        params = ModelParams(*params)
     W = sample_weights_batch(N + M, N, params, rng, size)
     return lambda_process_batch(W, N, M)
 
@@ -225,6 +223,19 @@ def _pair_block(T1, delta, n, q, c, lh):
     return d[keep], lw[keep], p1, p2, rho
 
 
+def _pair_blocks(T1, delta, q, c, cap):
+    """The blocks n = 0, 1, ..., cap of the interacting-pair sum, each as
+    (n, d, log w, log tail) with d and log w those of _pair_block and log
+    tail the log of the envelope (p1 + p2) / (1 - rho) of the blocks past
+    n, None when rho >= 1; the log h table is grown as the blocks need it."""
+    lh = np.zeros(0)
+    for n in range(cap + 1):
+        lh = _log_h_upto(lh, T1, delta + n + 1)
+        d, lw, p1, p2, rho = _pair_block(T1, delta, n, q, c, lh)
+        tail = float(np.logaddexp(p1, p2)) - math.log1p(-rho) if rho < 1.0 else None
+        yield n, d, lw, tail
+
+
 def partition_fn_series(T1, y, params, tol=1e-12):
     """Interacting-pair normalization Z(T1, y; q, c) by direct summation.
 
@@ -232,29 +243,17 @@ def partition_fn_series(T1, y, params, tol=1e-12):
     domination of the term envelope.  Raises AccuracyError when tol is not
     reached within 100000 blocks.
     """
-    if not isinstance(params, ModelParams):
-        params = ModelParams(*params)
-    q, c = params.q, params.c
     y1, y2 = y
     if y1 < y2:
         raise ParameterError("need y1 >= y2")
-    delta = y1 - y2
-    lh = np.zeros(0)
     total = 0.0
-    n = 0
-    while True:
-        lh = _log_h_upto(lh, T1, delta + n + 1)
-        _, lw, p1, p2, rho = _pair_block(T1, delta, n, q, c, lh)
+    for _, _, lw, log_tail in _pair_blocks(T1, y1 - y2, params.q, params.c, 100000):
         total += float(np.exp(lw).sum())
-        if rho < 1.0:
-            log_tail = float(np.logaddexp(p1, p2)) - math.log1p(-rho)
-            if log_tail <= math.log(tol * max(total, 1e-300)):
-                return total, math.exp(log_tail)
-        n += 1
-        if n > 100000:
-            raise AccuracyError(
-                f"series for Z({T1},{y}) did not reach tol={tol} within 100000 terms"
-            )
+        if log_tail is not None and log_tail <= math.log(tol * max(total, 1e-300)):
+            return total, math.exp(log_tail)
+    raise AccuracyError(
+        f"series for Z({T1},{y}) did not reach tol={tol} within 100000 terms"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +350,6 @@ def characteristic_ratio(T_n, y, params, s, t, b=1.0):
 
     Its large-n limit is e^{-b s^2} (1-c)^2 / (1 - c e^{it})^2.
     """
-    if not isinstance(params, ModelParams):
-        params = ModelParams(*params)
     q, c = params.q, params.c
     d_n = T_n / b
     p = q / (1.0 - q)
@@ -383,32 +380,22 @@ def origin_law(T1, y, params):
     total is still zero: then no configuration has mass; and past 200000
     rows.
     """
-    if not isinstance(params, ModelParams):
-        params = ModelParams(*params)
-    q, c = params.q, params.c
     y1, y2 = y
-    delta = y1 - y2
-    lh = np.zeros(0)
     ns, ds, lws = [], [], []
     log_total = -math.inf
-    n = 0
-    while True:
-        lh = _log_h_upto(lh, T1, delta + n + 1)
-        d, lw, p1, p2, rho = _pair_block(T1, delta, n, q, c, lh)
+    for n, d, lw, ltail in _pair_blocks(T1, y1 - y2, params.q, params.c, 200000):
         if lw.size:
             log_total = np.logaddexp(log_total, np.logaddexp.reduce(lw))
         ns.append(np.full(lw.size, n))
         ds.append(d)
         lws.append(lw)
-        if rho < 1.0 and n > 0:
-            ltail = np.logaddexp(p1, p2) - math.log1p(-rho)
+        if ltail is not None and n > 0:
             if ltail == log_total == -math.inf:
                 raise AccuracyError("origin law: no configuration has mass")
             if ltail < log_total + math.log(1e-10):
                 break
-        n += 1
-        if n > 200000:
-            raise AccuracyError("origin law truncation did not converge")
+    else:
+        raise AccuracyError("origin law truncation did not converge")
 
     p = np.exp(np.concatenate(lws) - log_total)
     x2 = y2 - np.concatenate(ns)

@@ -167,18 +167,35 @@ def write_curve_archive(path, samples):
 
 
 def read_curve_archive(path):
+    """(B, K, T) int64 array of a write_curve_archive CSV, in any row order.
+
+    Raises InputError unless every row has four integers, sample ids and
+    times are non-negative, indices are at least 1, and the rows fill each
+    (sample, index, time) cell of the (B, K, T) grid exactly once.
+    """
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2)
     except (ValueError, OSError) as exc:
         raise InputError(f"cannot parse curve archive {path}: {exc}") from exc
     if data.size == 0:
         return np.zeros((0, 0, 0), dtype=np.int64)
-    B = int(data[:, 0].max()) + 1
-    K = int(data[:, 1].max())
-    T = int(data[:, 2].max()) + 1
-    out = np.zeros((B, K, T), dtype=np.int64)
-    out[data[:, 0], data[:, 1] - 1, data[:, 2]] = data[:, 3]
-    return out
+    if data.shape[1] != 4:
+        raise InputError(f"curve archive {path}: {data.shape[1]} columns, expected 4")
+    b, i, t = data[:, 0], data[:, 1] - 1, data[:, 2]
+    if min(b.min(), i.min(), t.min()) < 0:
+        raise InputError(f"curve archive {path}: a negative sample id or time, "
+                         "or an index below 1")
+    B, K, T = int(b.max()) + 1, int(i.max()) + 1, int(t.max()) + 1
+    if len(data) != B * K * T:
+        raise InputError(f"curve archive {path}: {len(data)} rows for the "
+                         f"{B} x {K} x {T} cells")
+    cell = (b * K + i) * T + t
+    if np.bincount(cell).max() > 1:
+        raise InputError(f"curve archive {path}: a (sample id, index, time) cell "
+                         "listed twice, another missing")
+    out = np.empty(B * K * T, dtype=np.int64)
+    out[cell] = data[:, 3]
+    return out.reshape(B, K, T)
 
 
 def write_stats_csv(path, rows):

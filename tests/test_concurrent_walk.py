@@ -1,11 +1,13 @@
-"""The double-contour walk with its two one-axis doublings on two threads:
-bit-identical to the serial walk, the same errors, serial when nested or
-on one CPU, and no more memory per pair sum."""
+"""The double-contour walk with its two one-axis doublings run at once by
+lpp._run_jobs: bit-identical to the serial walk, the same errors, serial
+when nested on a worker or on one CPU, no more memory per pair sum, and on
+the same worker threads as the top-curve sample ranges."""
 
 import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -43,7 +45,7 @@ def _serial_and_concurrent(monkeypatch, fn, serial_pairs=0):
     both, both_names = _run(monkeypatch, 2, fn, serial_pairs)
     main = threading.current_thread().name
     assert set(serial_names) == {main}
-    assert main in both_names and len(set(both_names)) == 2  # the worker ran doublings
+    assert main in both_names and len(set(both_names)) > 1  # a worker ran doublings
     return serial, both
 
 
@@ -95,6 +97,8 @@ def _inner():
 
 @pytest.mark.parametrize("inside", ["coupling", "factor"])
 def test_walk_inside_a_walk_finishes_serial(monkeypatch, inside):
+    # inner walks run in the caller (inside the w-doubling) and on a worker
+    # (inside the z-doubling); those on a worker run in order in its thread
     nest = [False]
 
     def coupling(z, w):
@@ -107,13 +111,24 @@ def test_walk_inside_a_walk_finishes_serial(monkeypatch, inside):
             _inner()
         return np.exp(z)
 
-    steps = []
-    both = ct._both
-    monkeypatch.setattr(ct, "_both", lambda *args: steps.append(args[1:]) or both(*args))
+    sets = []  # per job set: the thread that started it, those its jobs ran on
+    run_jobs = lpp._run_jobs
+
+    def recorded(jobs):
+        ran = [None] * len(jobs)
+
+        def job_at(i):
+            ran[i] = threading.current_thread()
+            return jobs[i]()
+
+        out = run_jobs([lambda i=i: job_at(i) for i in range(len(jobs))])
+        sets.append((threading.current_thread(), ran))
+        return out
+
+    monkeypatch.setattr(lpp, "_run_jobs", recorded)
     outer = lambda: ct.integrate_double(coupling, ct.Contour([ct.full_circle(0.0, 1.0)]),
                                         ct.Contour([ct.Circle(0.0, 0.5)]), 1e-9, z_factor)
     plain = _run(monkeypatch, 2, outer)[0]
-    plain_steps = list(steps)
     nest[0] = True
     out = []
     caller = threading.Thread(target=lambda: out.append(_run(monkeypatch, 2, outer)),
@@ -121,8 +136,11 @@ def test_walk_inside_a_walk_finishes_serial(monkeypatch, inside):
     caller.start()
     caller.join(timeout=120)
     assert not caller.is_alive()
-    # the outer walk's steps went to the worker again; no inner walk's did
-    assert plain_steps and steps == 2 * plain_steps
+    nested = [(starter, ran) for starter, ran in sets if starter is not caller]
+    assert any(starter is not threading.main_thread() for starter, _ in nested)
+    assert all(ran == [starter] * len(ran) for starter, ran in nested
+               if starter is not threading.main_thread())
+    assert any(ran[0] is not caller for starter, ran in sets if starter is caller)
     assert out[0][0] == plain == _run(monkeypatch, 1, outer)[0]
 
 
@@ -178,11 +196,53 @@ def test_callers_on_many_threads_share_the_worker(monkeypatch):
 
 
 def test_one_cpu_starts_no_worker(monkeypatch):
-    monkeypatch.setattr(ct, "_worker", None)
+    monkeypatch.setattr(lpp, "_pool", None)
     before = threading.active_count()
     serial, names = _run(monkeypatch, 1, _inner)
-    assert ct._worker is None and threading.active_count() == before
+    assert lpp._pool is None and threading.active_count() == before
     assert set(names) == {threading.current_thread().name}
+
+
+def test_run_jobs_raises_the_first_error_in_list_order(monkeypatch):
+    # the failing worker job is slower than the failing caller job
+    monkeypatch.setattr(lpp, "_usable_cpus", lambda: 2)
+
+    def fail(msg, delay):
+        def job():
+            time.sleep(delay)
+            raise RuntimeError(msg)
+        return job
+
+    assert lpp._run_jobs([lambda: 1, lambda: 2]) == [1, 2]
+    with pytest.raises(RuntimeError, match="worker"):
+        lpp._run_jobs([fail("worker", 0.2), fail("caller", 0.0)])
+    with pytest.raises(RuntimeError, match="caller"):
+        lpp._run_jobs([lambda: 1, fail("caller", 0.0)])
+
+
+def test_walk_and_top_curve_range_share_a_worker(monkeypatch):
+    # one pool of one worker on two CPUs: the z-doublings of a concurrent
+    # walk and the first sample range of a top-curve chunk run on it
+    monkeypatch.setattr(lpp, "_pool", None)
+    monkeypatch.setattr(lpp, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(ct, "_SERIAL_PAIRS", 0)
+    threads = {"walk": [], "range": []}
+    block_sums, shapes = ct._block_sums, lpp._shapes
+    monkeypatch.setattr(ct, "_block_sums", lambda *args: (
+        threads["walk"].append(threading.current_thread()) or block_sums(*args)))
+    monkeypatch.setattr(lpp, "_shapes", lambda *args: (
+        threads["range"].append(threading.current_thread()) or shapes(*args)))
+    try:
+        _inner()
+        lpp.sample_top_curves(20, 2, ModelParams(0.5, 1.4), np.random.default_rng(3), 5000)
+        pool = lpp._pool
+    finally:
+        if lpp._pool is not None:
+            lpp._pool.shutdown()
+    main = threading.main_thread()
+    workers = {t for ts in threads.values() for t in ts if t is not main}
+    assert pool is not None and len(workers) == 1
+    assert all(main in ts and workers <= set(ts) for ts in threads.values())
 
 
 def test_import_starts_no_thread():

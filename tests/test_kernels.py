@@ -129,7 +129,7 @@ def test_kernel_geo_sum_rule_and_positivity():
 def test_kernel_geo_infeasible_parameters():
     # c >= 1/q leaves no admissible contour family (rejected at the domain)
     with pytest.raises((kernels.ContourPlacementError, ParameterError)):
-        kernels.kernel_geo(1, 0, 1, 0, (0.5, 2.5), 3, 1, 1)
+        kernels.kernel_geo(1, 0, 1, 0, ModelParams(0.5, 2.5), 3, 1, 1)
 
 
 def test_quadrature_self_consistency():

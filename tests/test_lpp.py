@@ -1,5 +1,6 @@
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -394,7 +395,7 @@ def test_weights_batch_holds_one_sample_range_beside_its_output():
     assert peak - w.nbytes < 0.1 * w.nbytes, (peak - w.nbytes) / 1e6
 
 
-_RUN_RANGES = lpp._run_ranges
+_RUN_JOBS = lpp._run_jobs
 
 
 def _ranged_run(monkeypatch, sampler, cpus, bit_generator=np.random.PCG64):
@@ -402,12 +403,12 @@ def _ranged_run(monkeypatch, sampler, cpus, bit_generator=np.random.PCG64):
     of every top-curve chunk, and the caller's next draws."""
     parts = []
 
-    def counted(run, n):
-        parts.append(n)
-        return _RUN_RANGES(run, n)
+    def counted(jobs):
+        parts.append(len(jobs))
+        return _RUN_JOBS(jobs)
 
     monkeypatch.setattr(lpp, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(lpp, "_run_ranges", counted)
+    monkeypatch.setattr(lpp, "_run_jobs", counted)
     rng = np.random.Generator(bit_generator(11))
     rng.integers(0, 100, dtype=np.int32)  # leaves a buffered 32-bit half
     out = sampler(rng)
@@ -465,20 +466,35 @@ def test_top_curves_without_exact_advance_run_as_one_range(monkeypatch, bit_gene
 
 
 def test_top_curve_range_error_propagates_and_joins(monkeypatch):
-    int32_weights = lpp._int32_weights
+    # two ranges: the one in the calling thread fails at once, the one on
+    # the worker takes 0.3 s longer; the error surfaces after both are done
+    int32_weights, shapes = lpp._int32_weights, lpp._shapes
+    running, finished = set(), []
 
     def failing(u, alpha, out):
-        if threading.current_thread() is not threading.main_thread():
-            raise lpp.ResourceError("geometric weight in a later range")
+        if threading.current_thread() is threading.main_thread():
+            raise lpp.ResourceError("geometric weight in the last range")
         return int32_weights(u, alpha, out)
+
+    def slow(words, n, first, out):
+        me = threading.current_thread()
+        running.add(me)
+        try:
+            if me is not threading.main_thread():
+                time.sleep(0.3)
+            shapes(words, n, first, out)
+            finished.append(me)
+        finally:
+            running.discard(me)
 
     monkeypatch.setattr(lpp, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(lpp, "_int32_weights", failing)
-    before = threading.active_count()
-    with pytest.raises(lpp.ResourceError, match="later range"):
+    monkeypatch.setattr(lpp, "_shapes", slow)
+    with pytest.raises(lpp.ResourceError, match="last range"):
         lpp.sample_top_curves(50, 3, ModelParams(0.5, 1.4), np.random.default_rng(4),
                               2000)
-    assert threading.active_count() == before
+    assert not running
+    assert len(finished) == 1 and finished[0] is not threading.main_thread()
 
 
 def _loop_rsk_shape_batch(W_batch, m, n):

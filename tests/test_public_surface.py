@@ -190,3 +190,25 @@ def test_only_the_cli_reads_the_environment():
                 readers += [f"{path.name}:{node.lineno} from os import {a.name}"
                             for a in node.names if a.name in ENV_READS | {"*"}]
     assert not readers, f"modules other than cli.py read the environment: {readers}"
+
+
+def test_only_lpp_starts_threads():
+    # lpp._run_jobs is the one thread runner: no other module imports
+    # concurrent.futures or constructs a threading.Thread (thread-local
+    # state is allowed)
+    starters = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "lpp.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                starters += [f"{path.name}:{node.lineno} import {a.name}"
+                             for a in node.names if a.name.split(".")[0] == "concurrent"]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                if node.module.split(".")[0] == "concurrent" or (
+                        node.module == "threading"
+                        and any(a.name in ("Thread", "*") for a in node.names)):
+                    starters.append(f"{path.name}:{node.lineno} from {node.module} import")
+            elif isinstance(node, ast.Attribute) and node.attr == "Thread":
+                starters.append(f"{path.name}:{node.lineno} .Thread")
+    assert not starters, f"modules other than lpp.py start threads: {starters}"

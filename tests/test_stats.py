@@ -74,6 +74,27 @@ def test_corrupted_archive_errors(tmp_path):
     assert str(path) in str(ei.value)
 
 
+# rows of a 2 x 2 x 2 archive (sample_id, index, time, value) with one row
+# replaced: before the fix an index 0 row landed in curve 2, a sample -1
+# row was overwritten by sample 1, and duplicates or gaps passed unseen
+@pytest.mark.parametrize("row, bad", [
+    (0, "0,0,0,7"),       # index below 1
+    (0, "-1,1,0,5"),      # negative sample id
+    (1, "0,1,-1,5"),      # negative time
+    (1, "0,1,0,5"),       # cell (0, 1, 0) twice, (0, 1, 1) missing
+    (7, ""),              # cell (1, 2, 1) missing
+])
+def test_archive_with_misplaced_rows_errors(tmp_path, row, bad):
+    path = tmp_path / "arch.csv"
+    stats.write_curve_archive(path, np.arange(8).reshape(2, 2, 2))
+    lines = path.read_text().splitlines()
+    lines[1 + row] = bad
+    path.write_text("\n".join(line for line in lines if line) + "\n")
+    with pytest.raises(stats.InputError) as ei:
+        stats.read_curve_archive(path)
+    assert str(path) in str(ei.value)
+
+
 def test_stats_csv_schema(tmp_path):
     path = tmp_path / "stats.csv"
     stats.write_stats_csv(path, [("t=1", 0.0, 1.25, 0.01, 1.24, 1.0)])

@@ -78,8 +78,8 @@ def test_double_half_sum_equals_full_sum(case):
     _, cz, cw, F, a, b = case
     _agree(ct.integrate_double(F, cz, cw, 1e-9, a, b, real=True),
            ct.integrate_double(F, cz, cw, 1e-9, a, b))
-    _agree(ct._pair_walk(F, (cz, cw), 1e-9, (_batched(a), b), real=True),
-           ct._pair_walk(F, (cz, cw), 1e-9, (_batched(a), b)))
+    _agree(ct._walk(F, (cz, cw), 1e-9, (_batched(a), b), real=True),
+           ct._walk(F, (cz, cw), 1e-9, (_batched(a), b)))
 
 
 @pytest.mark.parametrize("piece", [ct.Circle(0.1j, 1.0), ct.Arc(0.0, 1.0, 0.0, np.pi)],
