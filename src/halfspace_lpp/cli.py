@@ -1,13 +1,14 @@
 """Experiment runner: config-driven subcommands with reproducible seeds.
 
-Configuration is a flat JSON object; any key can be overridden by a
---set key=value flag or an HSLPP_<KEY> environment variable (flags beat env,
-env beats file; both values are read as JSON, falling back to the raw
-string).  Every run writes a manifest JSON recording the resolved config,
-its hash, the seed, wall-clock time, and per-check numbers.  Identical
-(config, seed) pairs produce byte-identical archives: every sampling
-command draws all its replicas, in order, from the one stream
-replica_rng(seed, 0), and verify-all gives check i the stream [seed, i].
+Configuration is a flat JSON object; any key a command reads (DEFAULTS and
+OPTIONAL_KEYS) can be overridden by a --set key=value flag or an
+HSLPP_<KEY> environment variable (flags beat env, env beats file; both
+values are read as JSON, falling back to the raw string).  Every run
+writes a manifest JSON recording the resolved config, its hash, the seed,
+wall-clock time, and per-check numbers.  Identical (config, seed) pairs
+produce byte-identical archives: every sampling command draws all its
+replicas, in order, from the one stream replica_rng(seed, 0), and
+verify-all gives check i the stream [seed, i].
 """
 
 import argparse
@@ -35,12 +36,14 @@ DEFAULTS = {
     "samples": 200,
     "n_curves": 2,
     "t_grid": [0.0, 1.0, 2.0],
-    "kappa": 0.5,
     "points": [],
     "tol": 1e-8,
     "seed": 20260810,
     "out": "runs",
 }
+# keys a command reads with a default of its own; unset, they stay out of
+# the resolved config
+OPTIONAL_KEYS = ("gap", "regime", "N_sweep", "T_sweep", "b", "y_scaled", "checks")
 
 
 def _parse_value(text):
@@ -54,7 +57,8 @@ def _parse_value(text):
 def load_config(path, overrides, env=None):
     """Resolve the run configuration: defaults < file < env < flags.
 
-    An empty HSLPP_<KEY> variable leaves the key as it is.
+    HSLPP_<KEY> is looked up for each key of DEFAULTS, OPTIONAL_KEYS and
+    the file; an empty one leaves the key as it is.
     """
     cfg = dict(DEFAULTS)
     if path:
@@ -64,7 +68,7 @@ def load_config(path, overrides, env=None):
             raise ValueError("config file must hold a JSON object")
         cfg.update(file_cfg)
     env = os.environ if env is None else env
-    for key in list(cfg):
+    for key in dict.fromkeys([*cfg, *OPTIONAL_KEYS]):
         ev = env.get(ENV_PREFIX + key.upper())
         if ev:
             cfg[key] = _parse_value(ev)

@@ -112,16 +112,9 @@ Segments carry an optional geometric panel grading toward one endpoint,
 for integrands with a short internal scale (steepest-descent wedges near a
 critical point).
 
-integrate_circle, the partition-function circles' rule, is a separate
-doubling trapezoid rule on an origin-centered circle: 64, 128, ... nodes
-from theta = 0 up to CIRCLE_MAX_NODES, accepted on a relative change of
-tol, with no mass floor.  At long times the partition function's circle
-integrals cancel far below their integrands' magnitude (about 1e-25 of it
-at T1 = 100), where the level engine's 1e-13 * mass floor accepts a wrong
-value without error; this rule raises there instead, so the partition
-function stays on it.  The adaptive Gauss-Kronrod integrate_contour
-is kept as an independent reference for tests; it is the one routine that
-rejects a pole on the contour.
+The adaptive Gauss-Kronrod integrate_contour is kept as an independent
+reference for tests; it is the one routine that rejects a pole on the
+contour.
 """
 
 import math
@@ -413,31 +406,6 @@ def integrate_contour(f, contour, tol=1e-10, poles=(), max_depth=40,
     return total, err_total
 
 
-CIRCLE_MAX_NODES = 1 << 17  # the last doubling of integrate_circle
-
-
-def integrate_circle(f, radius, tol=1e-12):
-    """(1/2pi i) * integral over the circle |u| = radius by the trapezoid
-    rule on n = 64, 128, ... nodes from theta = 0, accepted when a doubling
-    changes the value by at most tol * |value|; QuadratureError past
-    CIRCLE_MAX_NODES nodes.
-
-    Spectrally accurate for integrands analytic near the circle; f must take
-    ndarray input.
-    """
-    n = 64
-    prev = None
-    while n <= CIRCLE_MAX_NODES:
-        u = radius * np.exp(2j * np.pi * np.arange(n) / n)
-        val = np.mean(f(u) * u)
-        if prev is not None and abs(val - prev) <= tol * max(abs(val), 1e-300):
-            return val, abs(val - prev)
-        prev = val
-        n *= 2
-    raise QuadratureError(f"circle trapezoid not converged at {CIRCLE_MAX_NODES} points",
-                          partial=prev)
-
-
 _TILE_PAIRS = 1 << 15  # scalar weights: a tile's three buffers fit in L2
 _BATCH_TILE_PAIRS = 1 << 17  # (n, P) weights, per thread: GEMM-bound, larger tiles pack V less
 # numpy's ufunc buffer while a tile is evaluated: under the default 8192
@@ -718,3 +686,12 @@ def integrate_single(F, contour, tol=1e-10, real=False):
     """(1/2 pi i) * contour integral by the same level-doubling engine, on
     each piece's node rule; real as in integrate_double."""
     return _single_walk(F, contour, tol, real=real)
+
+
+CIRCLE_MAX_NODES = _CIRCLE_LEVEL0_NODES << _SINGLE_MAX_LEVEL  # the last Circle level
+
+
+def integrate_circle(f, radius, tol=1e-12):
+    """(1/2pi i) * integral over the origin-centered Circle |u| = radius by
+    integrate_single, at most CIRCLE_MAX_NODES nodes; returns (value, error)."""
+    return integrate_single(f, Contour([Circle(0.0, radius)]), tol)

@@ -11,7 +11,8 @@ import math
 
 import numpy as np
 
-from .contours import CIRCLE_MAX_NODES, ContourPlacementError, integrate_circle
+from .contours import (CIRCLE_MAX_NODES, ContourPlacementError, QuadratureError,
+                       integrate_circle)
 from .model import ParameterError
 from .lpp import sample_weights_batch, lambda_process_batch
 
@@ -260,81 +261,88 @@ def partition_fn_series(T1, y, params, tol=1e-12):
 # interacting-pair partition function: contour form
 # ---------------------------------------------------------------------------
 
-def _contour_Z_scaled(T1, y, qhat, chat, r1, r2, tol):
-    """Z via the two-circle formula, returned as (log_scale, scaled_value)."""
+_CONTOUR_TOL = 1e-11  # the circle integrals of the contour partition function
+_RADIUS_MARGIN = 0.1  # of an annulus' log width, kept clear at each end
+
+
+def _log_peak(T1, k, q, r):
+    """log |(1 - u)^-T1 (1 - qhat^2/u)^-T1 u^-k| at u = r, |qhat| = q: its
+    largest value on |u| = r, reached at u = r for real qhat."""
+    return -T1 * (math.log1p(-r) + math.log1p(-q * q / r)) - k * math.log(r)
+
+
+def _contour_Z_scaled(T1, y, qhat, chat, r1, r2):
+    """Z via the two-circle formula, returned as (log_scale, scaled_value),
+    the scale the larger _log_peak of the circles.  QuadratureError, with
+    the integral's value, when a circle's returned error is above
+    _CONTOUR_TOL of |value|: the engine accepted on an absolute floor, or
+    its roundoff floor is above the tolerance."""
     delta = y[0] - y[1]
+    k1, k2 = delta + 1, delta + 3
+    scale = max(_log_peak(T1, k1, abs(qhat), r1), _log_peak(T1, k2, abs(qhat), r2))
 
-    def make_f(extra_pow, pole_fn, scale_out):
+    def circle(k, pole_fn, r):
         def f(u):
-            L = (
-                -T1 * (np.log(1.0 - u) + np.log(1.0 - qhat * qhat / u))
-                - extra_pow * np.log(u)
-                - np.log(pole_fn(u))
-                - scale_out
-            )
-            return np.exp(L)
+            return np.exp(-T1 * (np.log(1.0 - u) + np.log(1.0 - qhat * qhat / u))
+                          - k * np.log(u) - np.log(pole_fn(u)) - scale)
 
-        return f
+        val, err = integrate_circle(f, r, tol=_CONTOUR_TOL)
+        if not err <= _CONTOUR_TOL * abs(val):
+            raise QuadratureError(
+                f"partition-function circle |u| = {r:.6g}: error {err:.3e} above "
+                f"{_CONTOUR_TOL:g} of |value| {abs(val):.3e}", partial=val)
+        return val
 
-    # common scale from the integrand magnitude at a probe set
-    probes = r1 * np.exp(1j * np.linspace(0, 2 * np.pi, 64, endpoint=False))
-    L1 = np.max(
-        -T1 * (np.log(np.abs(1.0 - probes)) + np.log(np.abs(1.0 - qhat * qhat / probes)))
-        - (delta + 1) * math.log(r1)
-    )
-    probes2 = r2 * np.exp(1j * np.linspace(0, 2 * np.pi, 64, endpoint=False))
-    L2 = np.max(
-        -T1 * (np.log(np.abs(1.0 - probes2)) + np.log(np.abs(1.0 - qhat * qhat / probes2)))
-        - (delta + 3) * math.log(r2)
-    )
-    scale = max(L1, L2)
-
-    f1 = make_f(delta + 1, lambda u: 1.0 - u * chat / qhat, scale)
-    f2 = make_f(delta + 3, lambda u: 1.0 - qhat * chat / u, scale)
-    i1, _ = integrate_circle(f1, r1, tol=tol)
-    i2, _ = integrate_circle(f2, r2, tol=tol)
-    val = qhat ** delta * i1 - qhat ** (delta + 2) * i2
-    return scale, val
+    i1 = circle(k1, lambda u: 1.0 - u * chat / qhat, r1)
+    i2 = circle(k2, lambda u: 1.0 - qhat * chat / u, r2)
+    return scale, qhat ** delta * i1 - qhat ** (delta + 2) * i2
 
 
-def _mid_radius(lo, hi, tol):
-    """Radius mid-way, in log scale, across the annulus lo < |u| < hi where
-    an integrand is analytic.  There the doubling trapezoid rule's error
-    falls like (lo/hi)^(n/2) with n nodes; ContourPlacementError when the
-    annulus is too thin for that to reach tol before the last doubling."""
-    if 0.25 * CIRCLE_MAX_NODES * math.log(hi / lo) < -math.log(tol):
+def _saddle_radius(T1, k, q, lo, hi):
+    """Radius of a circle integrand (1 - u)^-T1 (1 - q^2/u)^-T1 u^-k times a
+    pole factor, analytic on the annulus lo < |u| < hi: the r in (q^2, 1)
+    that minimises its modulus at u = r, the positive root of
+    (T1 + k) r^2 - k (1 + q^2) r - (T1 - k) q^2, clamped to keep
+    _RADIUS_MARGIN of the annulus' log width W clear of each end.  There the
+    trapezoid rule's error on n nodes falls at least like
+    e^(-n _RADIUS_MARGIN W); ContourPlacementError when half that rate does
+    not reach _CONTOUR_TOL by CIRCLE_MAX_NODES nodes."""
+    width = math.log(hi / lo)
+    if 0.5 * _RADIUS_MARGIN * CIRCLE_MAX_NODES * width < -math.log(_CONTOUR_TOL):
         raise ContourPlacementError(
-            f"annulus ({lo:.6g}, {hi:.6g}) too thin for tol {tol:g} within "
+            f"annulus ({lo:.6g}, {hi:.6g}) too thin for tol {_CONTOUR_TOL:g} within "
             f"{CIRCLE_MAX_NODES} trapezoid nodes")
-    return math.sqrt(lo * hi)
+    root = (k * (1.0 + q * q) + math.hypot(k * (1.0 - q * q), 2.0 * T1 * q)) / (2.0 * (T1 + k))
+    edge = _RADIUS_MARGIN * width
+    return math.exp(min(max(math.log(root), math.log(lo) + edge), math.log(hi) - edge))
 
 
-def default_contour_radii(q, c, tol):
-    """(r1, r2) mid-way across the annuli r1 in (q^2, min(1, q/c)) and r2 in
-    (max(q^2, qc), 1), whose ends are the integrands' nearest singularities;
-    tol is that of the integrals to be taken on them."""
+def default_contour_radii(T1, delta, q, c):
+    """(r1, r2) of the two circles of Z(T1, (y2 + delta, y2); q, c): each near
+    the saddle of its integrand (k = delta + 1 for r1, delta + 3 for r2),
+    inside the annuli r1 in (q^2, min(1, q/c)) and r2 in (max(q^2, qc), 1),
+    whose ends are the integrands' nearest singularities (_saddle_radius)."""
     hi1 = min(1.0, q / c) if c > 0 else 1.0
     if hi1 <= q * q:
         raise ParameterError("no admissible r1: need q^2 < q/c")
     lo2 = max(q * q, q * c)
     if lo2 >= 1.0:
         raise ParameterError("no admissible r2: need max(q^2, qc) < 1")
-    return _mid_radius(q * q, hi1, tol), _mid_radius(lo2, 1.0, tol)
-
-
-_CONTOUR_TOL = 1e-11  # the circle integrals of the contour partition function
+    return (_saddle_radius(T1, delta + 1, q, q * q, hi1),
+            _saddle_radius(T1, delta + 3, q, lo2, 1.0))
 
 
 def partition_fn_contour(T1, y, qhat, chat):
     """Z(T1, y; qhat, chat) by the two-circle contour formula.
 
     qhat, chat may be complex with |qhat| < 1; the circles are those of
-    default_contour_radii(|qhat|, |chat|), each integral taken to a relative
-    1e-11.
+    default_contour_radii(T1, y1 - y2, |qhat|, |chat|), each integral taken
+    to a relative 1e-11 on the level engine.  Raises QuadratureError when an
+    integral's returned error is above that (_contour_Z_scaled), and
+    AccuracyError when Z overflows a float.
     """
-    r1, r2 = default_contour_radii(abs(qhat), abs(chat), _CONTOUR_TOL)
-    scale, val = _contour_Z_scaled(T1, y, complex(qhat), complex(chat), r1, r2,
-                                   _CONTOUR_TOL)
+    r1, r2 = default_contour_radii(T1, y[0] - y[1], abs(qhat), abs(chat))
+    scale, val = _contour_Z_scaled(T1, y, complex(qhat), complex(chat), r1, r2)
     if scale > 700.0:
         raise AccuracyError(
             f"partition function magnitude e^{scale:.1f} overflows float; "
@@ -347,6 +355,9 @@ def characteristic_ratio(T_n, y, params, s, t, b=1.0):
     """Joint characteristic function of the centered origin statistics of an
     interacting pair, e^{2 i p T_n s / (sigma sqrt(d_n))} Z(qhat, chat)/Z(q, c),
     with qhat = q e^{-i s/(sigma sqrt(d_n))}, chat = c e^{i t}, d_n = T_n / b.
+    Both Z are taken on the circles of default_contour_radii(T_n, y1 - y2,
+    q, c) and raise as in partition_fn_contour: at T_n = 300, c = 1.5 the
+    first circle integral of Z(qhat, chat) is 1e-16 of its scale.
 
     Its large-n limit is e^{-b s^2} (1-c)^2 / (1 - c e^{it})^2.
     """
@@ -356,9 +367,9 @@ def characteristic_ratio(T_n, y, params, s, t, b=1.0):
     sigma = math.sqrt(p * (1.0 + p))
     qhat = q * cmath.exp(-1j * s / (sigma * math.sqrt(d_n)))
     chat = c * cmath.exp(1j * t)
-    r1, r2 = default_contour_radii(q, c, _CONTOUR_TOL)
-    sc_num, num = _contour_Z_scaled(T_n, y, qhat, chat, r1, r2, _CONTOUR_TOL)
-    sc_den, den = _contour_Z_scaled(T_n, y, complex(q), complex(c), r1, r2, _CONTOUR_TOL)
+    r1, r2 = default_contour_radii(T_n, y[0] - y[1], q, c)
+    sc_num, num = _contour_Z_scaled(T_n, y, qhat, chat, r1, r2)
+    sc_den, den = _contour_Z_scaled(T_n, y, complex(q), complex(c), r1, r2)
     phase = cmath.exp(2j * p * T_n * s / (sigma * math.sqrt(d_n)))
     return phase * math.exp(sc_num - sc_den) * num / den
 

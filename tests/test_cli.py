@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -73,6 +74,33 @@ def test_partition_fn_command(tmp_path):
     rec = json.loads((tmp_path / "partition_fn.json").read_text())
     assert rec["series"] == pytest.approx(13.0 / 6.0, abs=1e-8)
     assert rec["rel_dev"] < 1e-8
+
+
+def test_env_reaches_an_optional_key(tmp_path, monkeypatch):
+    # gap is not in DEFAULTS; HSLPP_GAP must still reach partition-fn
+    monkeypatch.setenv("HSLPP_GAP", "3")
+    rc = run(["partition-fn", "--out", str(tmp_path), "--set", "T1=1"])
+    assert rc == 0
+    rec = json.loads((tmp_path / "partition_fn.json").read_text())
+    assert rec["y"] == [3, 0]
+    assert "gap" not in cli.load_config(None, [], env={})
+
+
+def test_config_keys_read_are_listed_and_listed_keys_read():
+    # every key cli.py reads from a config is in DEFAULTS or OPTIONAL_KEYS,
+    # so an HSLPP_<KEY> variable reaches it, and every listed key is read
+    tree = ast.parse(Path(cli.__file__).read_text())
+    read = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "cfg"
+                and isinstance(node.ctx, ast.Load) and isinstance(node.slice, ast.Constant)):
+            read.add(node.slice.value)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "get" and getattr(node.func.value, "id", None) == "cfg"):
+            read.add(node.args[0].value)
+    listed = set(cli.DEFAULTS) | set(cli.OPTIONAL_KEYS)
+    assert read <= listed, f"read but not listed: {sorted(read - listed)}"
+    assert listed <= read, f"listed but never read: {sorted(listed - read)}"
 
 
 def test_kernel_eval_records(tmp_path):

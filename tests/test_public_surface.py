@@ -212,3 +212,30 @@ def test_only_lpp_starts_threads():
             elif isinstance(node, ast.Attribute) and node.attr == "Thread":
                 starters.append(f"{path.name}:{node.lineno} .Thread")
     assert not starters, f"modules other than lpp.py start threads: {starters}"
+
+
+# the quadrature entry points and loops, each returning (value, error)
+INTEGRATORS = {"integrate_single", "integrate_double", "integrate_circle",
+               "_single_walk", "_walk"}
+
+
+def _integrator_call(node):
+    return isinstance(node, ast.Call) and getattr(
+        node.func, "id", getattr(node.func, "attr", None)) in INTEGRATORS
+
+
+def test_no_src_call_discards_an_integrator_error():
+    # every number comes with its error: a call that unpacks the error into
+    # `_` or keeps only [0] drops the one sign of a floor accept
+    dropped = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Assign) and _integrator_call(node.value):
+                for target in node.targets:
+                    if (isinstance(target, ast.Tuple) and len(target.elts) == 2
+                            and getattr(target.elts[1], "id", None) == "_"):
+                        dropped.append(f"{path.name}:{node.lineno} unpacked into _")
+            elif (isinstance(node, ast.Subscript) and _integrator_call(node.value)
+                  and isinstance(node.slice, ast.Constant) and node.slice.value == 0):
+                dropped.append(f"{path.name}:{node.lineno} indexed [0]")
+    assert not dropped, f"src calls that discard an integrator's error: {dropped}"

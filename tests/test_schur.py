@@ -142,10 +142,10 @@ def test_partition_fn_contour_examples():
 
 
 def test_partition_fn_contour_raises_or_agrees_at_long_times():
-    # at T1 = 100 the circle integrals cancel to about 1e-25 of the
-    # integrands' magnitude (Z ~ 4e77 against |f u| ~ 1e103), below the
-    # roundoff of the sum: the doubling trapezoid raises, where the level
-    # engine's 1e-13 * mass floor accepted a value 1e9 off with no error
+    # at T1 = 100 the circles mid-way across their annuli made the integrals
+    # cancel to about 1e-25 of the integrands' magnitude (Z ~ 4e77 against
+    # |f u| ~ 1e103), below the roundoff of the sum, and the contour form
+    # raised; circles near the integrands' saddles agree with the series
     T1, y, q, c = 100, (0, 0), 0.5, 1.5
     vs, _ = schur.partition_fn_series(T1, y, ModelParams(q, c), tol=1e-12)
     try:
@@ -159,19 +159,55 @@ def test_default_radii_clear_poles_near_c_one():
     # perfbench ensemble-sampling seed 3401 draws this input; with r1 = q the
     # pole at q/c lay 1.3e-4 off the circle and the trapezoid never converged
     T1, gap, q, c = 4, 4, 0.6050901780565486, 0.9997860673188714
-    r1, r2 = schur.default_contour_radii(q, c, 1e-11)
-    assert r1 == pytest.approx(math.sqrt(q * q * q / c))
-    assert r2 == pytest.approx(math.sqrt(q * c))
+    r1, r2 = schur.default_contour_radii(T1, gap, q, c)
+    # each radius keeps 1/10 of its annulus' log width from both ends
+    for r, lo, hi in ((r1, q * q, q / c), (r2, q * c, 1.0)):
+        edge = 0.1 * math.log(hi / lo)
+        assert math.log(r / lo) >= edge * (1.0 - 1e-9)
+        assert math.log(hi / r) >= edge * (1.0 - 1e-9)
     vs, _ = schur.partition_fn_series(T1, (gap, 0), ModelParams(q, c), tol=1e-12)
     vc = schur.partition_fn_contour(T1, (gap, 0), q, c)
     assert abs(vc - vs) / abs(vs) < 1e-10
+
+
+def test_partition_fn_contour_agrees_at_long_times():
+    # circles near the integrands' saddles; circles mid-way across the
+    # annuli raised here at T1 = 100 for c = 0.9 and c = 1.5
+    for T1, cs in ((100, (0.5, 0.9, 1.5)), (300, (0.5, 0.9))):
+        for q in (0.2, 0.5):
+            for c in cs:
+                for gap in (0, 10):
+                    vs, _ = schur.partition_fn_series(T1, (gap, 0), ModelParams(q, c),
+                                                      tol=1e-12)
+                    vc = schur.partition_fn_contour(T1, (gap, 0), q, c)
+                    assert abs(vc - vs) / abs(vs) < 1e-10, (T1, q, c, gap)
+
+
+def test_partition_fn_contour_raises_or_agrees_at_t300_c_above_one():
+    for q in (0.2, 0.5):
+        for gap in (0, 10):
+            try:
+                vc = schur.partition_fn_contour(300, (gap, 0), q, 1.5)
+            except QuadratureError:
+                continue
+            vs, _ = schur.partition_fn_series(300, (gap, 0), ModelParams(q, 1.5),
+                                              tol=1e-12)
+            assert abs(vc - vs) / abs(vs) < 1e-10, (q, gap)
+
+
+def test_characteristic_ratio_raises_on_a_floor_accept():
+    # the circle integral of Z(qhat, chat) is about 1e-16 of its scale here;
+    # the engine accepted it on an absolute floor, and the ratio came out of
+    # modulus 1.118 with no error
+    with pytest.raises(QuadratureError):
+        schur.characteristic_ratio(300, (0, 0), ModelParams(0.5, 1.5), 0.1, 0.2)
 
 
 def test_default_radii_refuse_thin_annuli():
     # q/c within 1e-4 of q^2 (r1), and qc within 5e-5 of 1 (r2)
     for q, c in ((0.5, 1.0 / (0.5 * (1.0 + 1e-4))), (0.5, 1.9999)):
         with pytest.raises(ContourPlacementError):
-            schur.default_contour_radii(q, c, 1e-11)
+            schur.default_contour_radii(1, 1, q, c)
         with pytest.raises(ContourPlacementError):
             schur.partition_fn_contour(1, (1, 0), q, c)
 
