@@ -48,6 +48,40 @@ def test_phase_function_identities():
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
+@pytest.mark.parametrize("regime, c, N, v", [
+    ("edge", 1.4, 100, 0.5), ("edge", 1.4, 400, 0.9), ("edge", 1.4, 100, 2.37),
+    ("bulk", 0.8, 200, 1.0), ("bulk", 1.3, 60, 0.77),
+])
+def test_window_exponents_equal_the_phase_functions(regime, c, N, v):
+    # each window's expo takes every logarithm once per node, and is
+    # bit-identical to its sum of the public phase functions
+    P = ModelParams(0.5, c)
+    if regime == "edge":
+        win = kernels._EdgeWindow(P, N, v)
+        frac = math.floor(v * N) - v * N
+
+        def whole(z, a):
+            s2 = kernels.s2_edge(z, v, P.q, c) - kernels.s2_edge(complex(c), v, P.q, c)
+            return N * s2 + frac * (np.log(1.0 - P.q / z) - win._lq_c) + a * win.phase(z)
+    else:
+        win = kernels._BulkWindow(P, N)
+
+        def whole(z, a):
+            return (N * kernels.s1_bulk(z, P.q) + win.slice_index(v) * kernels.g1_bulk(z, P.q)
+                    + a * win.phase(z))
+
+    contours = [win.z_contour(v), win.z_contour(v, shifted=True),
+                win.w_contour(v, levels=(0.0,)), win.w_contour(v, levels=(0.123,)),
+                win.heat_contour(), win.count_contour(v)]
+    for contour in contours:
+        for level in range(6):
+            z, _ = contour.nodes(level)
+            for a in (0.0, -1.3, 2.71):
+                assert np.array_equal(win.expo(z, v, a), whole(z, a))
+    cc = np.asarray(c, dtype=complex)
+    assert np.array_equal(win.expo(cc, v, 0.5), whole(cc, 0.5))
+
+
 def test_phase_diagnostics_single():
     rep = kernels.phase_diagnostics(0.5, 1.4, [0.0, 4.0])
     assert rep["ok"], [c for c in rep["checks"] if not c["ok"]]
