@@ -125,14 +125,15 @@ def check_partition_function(rng):
                 for gap in (0, 2, 5):
                     P = ModelParams(q, c)
                     vs, _ = schur.partition_fn_series(T1, (gap, 0), P, tol=1e-12)
-                    vc = schur.partition_fn_contour(T1, (gap, 0), q, c)
+                    vc = schur.partition_fn_contour(T1, (gap, 0), P)
                     worst = max(worst, abs(vc - vs) / abs(vs))
                     count += 1
     # enumeration oracle at T1 = 1: summing the geometric series over the
     # left endpoints gives Z = (q + c)/(1 - qc) = 13/6 at q=.5, c=.8
     z_exact = (0.5 + 0.8) / (1.0 - 0.4)
-    vs, _ = schur.partition_fn_series(1, (1, 0), ModelParams(0.5, 0.8))
-    vc = schur.partition_fn_contour(1, (1, 0), 0.5, 0.8)
+    P = ModelParams(0.5, 0.8)
+    vs, _ = schur.partition_fn_series(1, (1, 0), P)
+    vc = schur.partition_fn_contour(1, (1, 0), P)
     dev = max(abs(vs - z_exact), abs(vc - z_exact), abs(z_exact - 13.0 / 6.0))
     passed = worst < 1e-8 and dev < 1e-8
     return CheckResult(

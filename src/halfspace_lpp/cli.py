@@ -212,10 +212,10 @@ def cmd_partition_fn(cfg):
     T1 = int(cfg["T1"])
     gap = int(cfg.get("gap", 1))
     vs, tail = schur.partition_fn_series(T1, (gap, 0), P, tol=cfg["tol"])
-    vc = schur.partition_fn_contour(T1, (gap, 0), P.q, P.c)
+    vc = schur.partition_fn_contour(T1, (gap, 0), P)
     rec = {
         "T1": T1, "y": [gap, 0], "series": vs, "series_tail_bound": tail,
-        "contour_re": vc.real, "contour_im": vc.imag,
+        "contour_re": vc, "contour_im": 0.0,
         "rel_dev": abs(vc - vs) / abs(vs),
     }
     out = _outdir(cfg)

@@ -691,7 +691,9 @@ def integrate_single(F, contour, tol=1e-10, real=False):
 CIRCLE_MAX_NODES = _CIRCLE_LEVEL0_NODES << _SINGLE_MAX_LEVEL  # the last Circle level
 
 
-def integrate_circle(f, radius, tol=1e-12):
+def integrate_circle(f, radius):
     """(1/2pi i) * integral over the origin-centered Circle |u| = radius by
-    integrate_single, at most CIRCLE_MAX_NODES nodes; returns (value, error)."""
-    return integrate_single(f, Contour([Circle(0.0, radius)]), tol)
+    integrate_single to tol 1e-12, at most CIRCLE_MAX_NODES nodes; returns
+    (value, error).  No module of the package calls it: perfbench's tracing
+    targets still name it."""
+    return integrate_single(f, Contour([Circle(0.0, radius)]), 1e-12)

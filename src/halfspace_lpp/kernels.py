@@ -57,6 +57,7 @@ from .contours import (
     Circle,
     Contour,
     ContourPlacementError,
+    QuadratureError,
     Segment,
     _EPS,
     _single_walk,
@@ -266,6 +267,30 @@ def _geo_clear(circles):
                 f"of its integrand (clearance {_GEO_CLEARANCE:g} of the radius)")
 
 
+# the largest returned error of an exact-kernel integral that is handed
+# back (_geo_integral); each entry is a correlation density, which may be
+# 0, so the bound is absolute.  rho1_geo at q = 0.5, tol = 1e-9 returned,
+# at c = 1.3, N = 40, M = 10, values from -3283 to 6280 on levels 40 to 60
+# with errors of 1.5e6 to 4.5e6; at c = 1.3, N = 20, M = 5 errors of 1e-7
+# (level 60) to 3.2e-4 (level -10), above 1e-4 on levels 0 and below; at
+# c = 0.8, N = 40, M = 10 errors falling from 7.3 (level -10) to 1.2e-5
+# (level 40).  The package's own calls (N <= 6, in the tests and the
+# battery) return errors below 1e-10
+_GEO_MAX_ERR = 1e-4
+
+
+def _geo_integral(name, coupling, r_z, r_w, tol, a, b):
+    """(value, error) of the exact-kernel double integral of a(z) F(z, w)
+    b(w), F the coupling, over the circles |z| = r_z and |w| = r_w;
+    QuadratureError, with the value, when the error is above _GEO_MAX_ERR."""
+    val, err = integrate_double(coupling, Contour([Circle(0.0, r_z)]),
+                                Contour([Circle(0.0, r_w)]), tol, a, b, real=True)
+    if not err <= _GEO_MAX_ERR:
+        raise QuadratureError(f"exact kernel {name}: error {err:.3e} above "
+                              f"{_GEO_MAX_ERR:g}", partial=val)
+    return val, err
+
+
 def _geo_k12(u, x, v, y, params, N, M_u, M_v, tol, radii):
     """K12(u, x; v, y) of the exact kernel and its error, on the nested
     circles r1, rw of the radii (geo_default_radii when None): the z
@@ -274,9 +299,8 @@ def _geo_k12(u, x, v, y, params, N, M_u, M_v, tol, radii):
     q, c = params.q, params.c
     r1, rw, _ = geo_default_radii(q, c, u >= v) if radii is None else radii
     _geo_clear((("K12 z", r1, (0.0, 1.0, 1.0 / q)), ("K12 w", rw, (0.0, q, c, r1))))
-    return integrate_double(_k12_coupling, Contour([Circle(0.0, r1)]),
-                            Contour([Circle(0.0, rw)]), tol,
-                            _geo_a(q, c, N, x, M_u), _geo_b(q, c, N, y, M_v), real=True)
+    return _geo_integral("K12", _k12_coupling, r1, rw, tol,
+                         _geo_a(q, c, N, x, M_u), _geo_b(q, c, N, y, M_v))
 
 
 def _geo_k11_k22_circles(params, u_ge_v, radii):
@@ -305,12 +329,10 @@ def _geo_k11_k22_pieces(s, x, t, y, params, N, tol, radii):
     t = (v, M_v)."""
     q, c = params.q, params.c
     r1, s1, r2, s2 = _geo_k11_k22_circles(params, s[0] >= t[0], radii)
-    k11, e11 = integrate_double(_k11_coupling, Contour([Circle(0.0, r1)]),
-                                Contour([Circle(0.0, s1)]), tol,
-                                _geo_a(q, c, N, x, s[1]), _geo_a(q, c, N, y, t[1]), real=True)
-    k22, e22 = integrate_double(_k11_coupling, Contour([Circle(0.0, r2)]),
-                                Contour([Circle(0.0, s2)]), tol,
-                                _geo_b(q, c, N, x, s[1]), _geo_b(q, c, N, y, t[1]), real=True)
+    k11, e11 = _geo_integral("K11", _k11_coupling, r1, s1, tol,
+                             _geo_a(q, c, N, x, s[1]), _geo_a(q, c, N, y, t[1]))
+    k22, e22 = _geo_integral("K22", _k11_coupling, r2, s2, tol,
+                             _geo_b(q, c, N, x, s[1]), _geo_b(q, c, N, y, t[1]))
     return k11, k22, 0.0, max(e11, e22)
 
 

@@ -6,13 +6,12 @@ Partitions are tuples of non-negative ints, weakly decreasing, trailing
 zeros optional.
 """
 
-import cmath
 import math
 
 import numpy as np
 
-from .contours import (CIRCLE_MAX_NODES, ContourPlacementError, QuadratureError,
-                       integrate_circle)
+from .contours import (CIRCLE_MAX_NODES, Circle, Contour, ContourPlacementError,
+                       QuadratureError, integrate_single)
 from .model import ParameterError
 from .lpp import sample_weights_batch, lambda_process_batch
 
@@ -148,10 +147,10 @@ def interlacing_below(lam):
 def enumerate_schur_support(N, M, q, c, weight_cutoff):
     """All sequences with |lambda^M| <= cutoff, with float weights.
 
-    Returns (sequences, weights, tail_bound_on_missing_mass) where the tail
-    bound covers sequences with |lambda^M| > cutoff, via the exact
-    normalization Z minus the enumerated mass... the bound reported is the
-    residual Z - sum(weights), which is exact up to float arithmetic.
+    Returns (sequences, weights, tail), tail = max(Z - sum(weights), 0) the
+    mass of the sequences with |lambda^M| > cutoff, Z the exact
+    normalization exp(schur_normalization_log(q, c, N, M)); it is exact up
+    to float rounding.
     """
     seqs, weights = [], []
 
@@ -241,15 +240,19 @@ def partition_fn_series(T1, y, params, tol=1e-12):
     """Interacting-pair normalization Z(T1, y; q, c) by direct summation.
 
     Returns (value, tail_bound); the tail bound is rigorous, from geometric
-    domination of the term envelope.  Raises AccuracyError when tol is not
-    reached within 100000 blocks.
+    domination of the term envelope.  Raises AccuracyError at the first block
+    whose running total overflows a float, and when tol is not reached
+    within 100000 blocks.
     """
     y1, y2 = y
     if y1 < y2:
         raise ParameterError("need y1 >= y2")
     total = 0.0
-    for _, _, lw, log_tail in _pair_blocks(T1, y1 - y2, params.q, params.c, 100000):
-        total += float(np.exp(lw).sum())
+    for n, _, lw, log_tail in _pair_blocks(T1, y1 - y2, params.q, params.c, 100000):
+        with np.errstate(over="ignore"):
+            total += float(np.exp(lw).sum())
+        if not math.isfinite(total):
+            raise AccuracyError(f"series for Z({T1},{y}) overflows float at block {n}")
         if log_tail is not None and log_tail <= math.log(tol * max(total, 1e-300)):
             return total, math.exp(log_tail)
     raise AccuracyError(
@@ -266,36 +269,9 @@ _RADIUS_MARGIN = 0.1  # of an annulus' log width, kept clear at each end
 
 
 def _log_peak(T1, k, q, r):
-    """log |(1 - u)^-T1 (1 - qhat^2/u)^-T1 u^-k| at u = r, |qhat| = q: its
-    largest value on |u| = r, reached at u = r for real qhat."""
+    """log |(1 - u)^-T1 (1 - q^2/u)^-T1 u^-k| at u = r: its largest value on
+    |u| = r, reached at u = r."""
     return -T1 * (math.log1p(-r) + math.log1p(-q * q / r)) - k * math.log(r)
-
-
-def _contour_Z_scaled(T1, y, qhat, chat, r1, r2):
-    """Z via the two-circle formula, returned as (log_scale, scaled_value),
-    the scale the larger _log_peak of the circles.  QuadratureError, with
-    the integral's value, when a circle's returned error is above
-    _CONTOUR_TOL of |value|: the engine accepted on an absolute floor, or
-    its roundoff floor is above the tolerance."""
-    delta = y[0] - y[1]
-    k1, k2 = delta + 1, delta + 3
-    scale = max(_log_peak(T1, k1, abs(qhat), r1), _log_peak(T1, k2, abs(qhat), r2))
-
-    def circle(k, pole_fn, r):
-        def f(u):
-            return np.exp(-T1 * (np.log(1.0 - u) + np.log(1.0 - qhat * qhat / u))
-                          - k * np.log(u) - np.log(pole_fn(u)) - scale)
-
-        val, err = integrate_circle(f, r, tol=_CONTOUR_TOL)
-        if not err <= _CONTOUR_TOL * abs(val):
-            raise QuadratureError(
-                f"partition-function circle |u| = {r:.6g}: error {err:.3e} above "
-                f"{_CONTOUR_TOL:g} of |value| {abs(val):.3e}", partial=val)
-        return val
-
-    i1 = circle(k1, lambda u: 1.0 - u * chat / qhat, r1)
-    i2 = circle(k2, lambda u: 1.0 - qhat * chat / u, r2)
-    return scale, qhat ** delta * i1 - qhat ** (delta + 2) * i2
 
 
 def _saddle_radius(T1, k, q, lo, hi):
@@ -332,46 +308,40 @@ def default_contour_radii(T1, delta, q, c):
             _saddle_radius(T1, delta + 3, q, lo2, 1.0))
 
 
-def partition_fn_contour(T1, y, qhat, chat):
-    """Z(T1, y; qhat, chat) by the two-circle contour formula.
-
-    qhat, chat may be complex with |qhat| < 1; the circles are those of
-    default_contour_radii(T1, y1 - y2, |qhat|, |chat|), each integral taken
-    to a relative 1e-11 on the level engine.  Raises QuadratureError when an
-    integral's returned error is above that (_contour_Z_scaled), and
+def partition_fn_contour(T1, y, params):
+    """Z(T1, y; q, c) by the two-circle contour formula, on the circles of
+    default_contour_radii, each integral taken to a relative _CONTOUR_TOL
+    on the level engine, scaled by the larger _log_peak, and summed over
+    the circle's upper half: no Circle node is real, so every logarithm
+    stays off its cut and the integrands are real-symmetric.  Raises
+    QuadratureError, with the integral's value, when a circle's returned
+    error is above _CONTOUR_TOL of |value| (the engine accepted on an
+    absolute floor, or its roundoff floor is above the tolerance), and
     AccuracyError when Z overflows a float.
     """
-    r1, r2 = default_contour_radii(T1, y[0] - y[1], abs(qhat), abs(chat))
-    scale, val = _contour_Z_scaled(T1, y, complex(qhat), complex(chat), r1, r2)
-    if scale > 700.0:
-        raise AccuracyError(
-            f"partition function magnitude e^{scale:.1f} overflows float; "
-            "use characteristic_ratio for scale-free quantities"
-        )
-    return val * math.exp(scale)
-
-
-def characteristic_ratio(T_n, y, params, s, t, b=1.0):
-    """Joint characteristic function of the centered origin statistics of an
-    interacting pair, e^{2 i p T_n s / (sigma sqrt(d_n))} Z(qhat, chat)/Z(q, c),
-    with qhat = q e^{-i s/(sigma sqrt(d_n))}, chat = c e^{i t}, d_n = T_n / b.
-    Both Z are taken on the circles of default_contour_radii(T_n, y1 - y2,
-    q, c) and raise as in partition_fn_contour: at T_n = 300, c = 1.5 the
-    first circle integral of Z(qhat, chat) is 1e-16 of its scale.
-
-    Its large-n limit is e^{-b s^2} (1-c)^2 / (1 - c e^{it})^2.
-    """
     q, c = params.q, params.c
-    d_n = T_n / b
-    p = q / (1.0 - q)
-    sigma = math.sqrt(p * (1.0 + p))
-    qhat = q * cmath.exp(-1j * s / (sigma * math.sqrt(d_n)))
-    chat = c * cmath.exp(1j * t)
-    r1, r2 = default_contour_radii(T_n, y[0] - y[1], q, c)
-    sc_num, num = _contour_Z_scaled(T_n, y, qhat, chat, r1, r2)
-    sc_den, den = _contour_Z_scaled(T_n, y, complex(q), complex(c), r1, r2)
-    phase = cmath.exp(2j * p * T_n * s / (sigma * math.sqrt(d_n)))
-    return phase * math.exp(sc_num - sc_den) * num / den
+    delta = y[0] - y[1]
+    k1, k2 = delta + 1, delta + 3
+    r1, r2 = default_contour_radii(T1, delta, q, c)
+    scale = max(_log_peak(T1, k1, q, r1), _log_peak(T1, k2, q, r2))
+
+    def circle(k, pole_fn, r):
+        def f(u):
+            return np.exp(-T1 * (np.log(1.0 - u) + np.log(1.0 - q * q / u))
+                          - k * np.log(u) - np.log(pole_fn(u)) - scale)
+
+        val, err = integrate_single(f, Contour([Circle(0.0, r)]), _CONTOUR_TOL, real=True)
+        if not err <= _CONTOUR_TOL * abs(val):
+            raise QuadratureError(
+                f"partition-function circle |u| = {r:.6g}: error {err:.3e} above "
+                f"{_CONTOUR_TOL:g} of |value| {abs(val):.3e}", partial=val)
+        return val
+
+    i1 = circle(k1, lambda u: 1.0 - u * c / q, r1)
+    i2 = circle(k2, lambda u: 1.0 - q * c / u, r2)
+    if scale > 700.0:
+        raise AccuracyError(f"partition function magnitude e^{scale:.1f} overflows float")
+    return float((q ** delta * i1 - q ** (delta + 2) * i2) * math.exp(scale))
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,7 @@ def test_partition_fn_command(tmp_path):
     rec = json.loads((tmp_path / "partition_fn.json").read_text())
     assert rec["series"] == pytest.approx(13.0 / 6.0, abs=1e-8)
     assert rec["rel_dev"] < 1e-8
+    assert rec["contour_im"] == 0.0
 
 
 def test_env_reaches_an_optional_key(tmp_path, monkeypatch):

@@ -160,6 +160,23 @@ def test_kernel_geo_sum_rule_and_positivity():
     assert total == pytest.approx(N, abs=1e-6)
 
 
+def test_kernel_geo_refuses_useless_values():
+    # at c > 1 and N = 40 the circles sit far from the integrands' saddles:
+    # rho1_geo on level 40 returned 6280, with err 4.5e6, for a density
+    P = ModelParams(0.5, 1.3)
+    with pytest.raises(QuadratureError, match="above 0.0001") as info:
+        kernels.rho1_geo(40, P, 40, 10, tol=1e-9)
+    assert abs(info.value.partial) > 1.0
+    # kernel_geo and rho_k_geo get their integrals from the same place
+    with pytest.raises(QuadratureError, match="above 0.0001"):
+        kernels.kernel_geo(1, 40, 1, 50, P, 40, 10, 10, tol=1e-9)
+    with pytest.raises(QuadratureError, match="above 0.0001"):
+        kernels.rho_k_geo([(0, 10, 40), (1, 10, 50)], P, 40, tol=1e-9)
+    # at N = 20 level 20 keeps its value, with err 1.1e-5
+    rho, err = kernels.rho1_geo(20, P, 20, 5, tol=1e-9)
+    assert 0.0 < rho < 1.0 and err < 1e-4
+
+
 def test_kernel_geo_infeasible_parameters():
     # c >= 1/q leaves no admissible contour family (rejected at the domain)
     with pytest.raises((kernels.ContourPlacementError, ParameterError)):

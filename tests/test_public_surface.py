@@ -11,10 +11,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "halfspace_lpp"
 
 # public names kept although only tests call them, each with its reason
-ALLOWED = {
-    "characteristic_ratio": "the only check of the origin characteristic-"
-                            "function limit (tests/test_schur.py)",
-}
+ALLOWED = {}
 
 
 def _perfbench_targets():
@@ -59,8 +56,6 @@ def test_no_public_name_is_test_only():
 UNSET_ALLOWED = {
     "acceptance.CheckResult.seconds": "filled in by acceptance._timed once the "
                                       "check has returned",
-    "schur.characteristic_ratio.b": "a model parameter (d_n = T_n / b) of the "
-                                    "characteristic-function limit",
     "bridges.discrete_to_pinned_check.n_cont": "the size of the pinned-pair "
                                                "reference sample, which "
                                                "tests/test_bridges.py matches "

@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -129,13 +130,23 @@ def test_partition_fn_series_past_the_envelope_overflow():
     assert 0.0 < tail <= 1e-12 * v
 
 
+def test_partition_fn_series_raises_typed_on_overflow():
+    # Z(300, (1, 0); 0.8, 0.5) is past the float range: the running total
+    # overflows at block 328, where math.exp of the tail envelope raised a
+    # bare OverflowError after an overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(schur.AccuracyError, match="overflows float"):
+            schur.partition_fn_series(300, (1, 0), ModelParams(0.8, 0.5))
+
+
 def test_partition_fn_contour_examples():
-    z = schur.partition_fn_contour(1, (1, 0), 0.5, 0.8)
+    z = schur.partition_fn_contour(1, (1, 0), ModelParams(0.5, 0.8))
+    assert type(z) is float
     assert abs(z - 13.0 / 6.0) < 1e-9
-    assert abs(z.imag) < 1e-10
     # equal exit values, c = 0: interlacing pins B1(0) = 1 and then c = 0
     # pins B2(0) = 1, leaving the single unit-weight configuration
-    z2 = schur.partition_fn_contour(1, (1, 1), 0.5, 0.0)
+    z2 = schur.partition_fn_contour(1, (1, 1), ModelParams(0.5, 0.0))
     assert abs(z2 - 1.0) < 1e-9
     v2, _ = schur.partition_fn_series(1, (1, 1), ModelParams(0.5, 0.0))
     assert v2 == pytest.approx(1.0, abs=1e-10)
@@ -149,7 +160,7 @@ def test_partition_fn_contour_raises_or_agrees_at_long_times():
     T1, y, q, c = 100, (0, 0), 0.5, 1.5
     vs, _ = schur.partition_fn_series(T1, y, ModelParams(q, c), tol=1e-12)
     try:
-        vc = schur.partition_fn_contour(T1, y, q, c)
+        vc = schur.partition_fn_contour(T1, y, ModelParams(q, c))
     except QuadratureError:
         return
     assert abs(vc - vs) / abs(vs) < 1e-8
@@ -166,7 +177,7 @@ def test_default_radii_clear_poles_near_c_one():
         assert math.log(r / lo) >= edge * (1.0 - 1e-9)
         assert math.log(hi / r) >= edge * (1.0 - 1e-9)
     vs, _ = schur.partition_fn_series(T1, (gap, 0), ModelParams(q, c), tol=1e-12)
-    vc = schur.partition_fn_contour(T1, (gap, 0), q, c)
+    vc = schur.partition_fn_contour(T1, (gap, 0), ModelParams(q, c))
     assert abs(vc - vs) / abs(vs) < 1e-10
 
 
@@ -179,7 +190,7 @@ def test_partition_fn_contour_agrees_at_long_times():
                 for gap in (0, 10):
                     vs, _ = schur.partition_fn_series(T1, (gap, 0), ModelParams(q, c),
                                                       tol=1e-12)
-                    vc = schur.partition_fn_contour(T1, (gap, 0), q, c)
+                    vc = schur.partition_fn_contour(T1, (gap, 0), ModelParams(q, c))
                     assert abs(vc - vs) / abs(vs) < 1e-10, (T1, q, c, gap)
 
 
@@ -187,7 +198,7 @@ def test_partition_fn_contour_raises_or_agrees_at_t300_c_above_one():
     for q in (0.2, 0.5):
         for gap in (0, 10):
             try:
-                vc = schur.partition_fn_contour(300, (gap, 0), q, 1.5)
+                vc = schur.partition_fn_contour(300, (gap, 0), ModelParams(q, 1.5))
             except QuadratureError:
                 continue
             vs, _ = schur.partition_fn_series(300, (gap, 0), ModelParams(q, 1.5),
@@ -195,12 +206,13 @@ def test_partition_fn_contour_raises_or_agrees_at_t300_c_above_one():
             assert abs(vc - vs) / abs(vs) < 1e-10, (q, gap)
 
 
-def test_characteristic_ratio_raises_on_a_floor_accept():
-    # the circle integral of Z(qhat, chat) is about 1e-16 of its scale here;
-    # the engine accepted it on an absolute floor, and the ratio came out of
-    # modulus 1.118 with no error
-    with pytest.raises(QuadratureError):
-        schur.characteristic_ratio(300, (0, 0), ModelParams(0.5, 1.5), 0.1, 0.2)
+def test_partition_fn_contour_raises_on_a_floor_accept():
+    # at T1 = 300, c > 1 a circle integral is far below its scale, and the
+    # engine accepts it on the roundoff floor of the integrand's mass; the
+    # half sums return that error and it is refused
+    for gap in (0, 10):
+        with pytest.raises(QuadratureError, match=r"above 1e-11 of \|value\|"):
+            schur.partition_fn_contour(300, (gap, 0), ModelParams(0.5, 1.2))
 
 
 def test_default_radii_refuse_thin_annuli():
@@ -209,7 +221,7 @@ def test_default_radii_refuse_thin_annuli():
         with pytest.raises(ContourPlacementError):
             schur.default_contour_radii(1, 1, q, c)
         with pytest.raises(ContourPlacementError):
-            schur.partition_fn_contour(1, (1, 0), q, c)
+            schur.partition_fn_contour(1, (1, 0), ModelParams(q, c))
 
 
 def _brute_path_count(T1, y, x):
@@ -248,32 +260,44 @@ def test_origin_law_weights_match_brute_path_count():
             assert law.get(x, 0.0) * Z == pytest.approx(w * count, rel=1e-9)
 
 
-def test_characteristic_ratio_trivia():
+def _origin_characteristic(T_n, y, params, s, t, b=1.0):
+    """Joint characteristic function of the centered origin statistics of an
+    interacting pair, e^{2 i p T_n theta} E[e^{i t (x1 - x2) - i theta (y1 +
+    y2 - x1 - x2)}] under schur.origin_law, theta = s / (sigma sqrt(d_n)),
+    d_n = T_n / b: the ratio Z(q e^{-i theta}, c e^{i t}) / Z(q, c)."""
+    q = params.q
+    p = q / (1.0 - q)
+    theta = s / (math.sqrt(p * (1.0 + p)) * math.sqrt(T_n / b))
+    x1, x2, prob = schur.origin_law(T_n, y, params)
+    phase = np.exp(1j * (t * (x1 - x2) - theta * (y[0] + y[1] - x1 - x2)))
+    return cmath.exp(2j * p * T_n * theta) * complex(prob @ phase)
+
+
+def test_origin_characteristic_trivia():
     P = ModelParams(0.5, 0.3)
-    r = schur.characteristic_ratio(60, (20, 0), P, 0.0, 0.0)
+    r = _origin_characteristic(60, (20, 0), P, 0.0, 0.0)
     assert abs(r - 1.0) < 1e-12
     # c = 0, s = 0: gap degenerate at 0, ratio 1 for all t
     P0 = ModelParams(0.5, 0.0)
     for t in (0.5, 1.5):
-        r = schur.characteristic_ratio(40, (10, 0), P0, 0.0, t)
+        r = _origin_characteristic(40, (10, 0), P0, 0.0, t)
         assert abs(r - 1.0) < 1e-9
 
 
-def characteristic_ratio_limit(c, s, t, b=1.0):
+def origin_characteristic_limit(c, s, t, b=1.0):
     """Limit target e^{-b s^2} (1-c)^2 / (1 - c e^{it})^2 of
-    schur.characteristic_ratio."""
+    _origin_characteristic."""
     return math.exp(-b * s * s) * (1.0 - c) ** 2 / (1.0 - c * cmath.exp(1j * t)) ** 2
 
 
-def test_characteristic_ratio_converges():
+def test_origin_characteristic_converges():
     P = ModelParams(0.5, 0.3)
-    p = 1.0
     sigma = math.sqrt(2.0)
-    lim = characteristic_ratio_limit(0.3, 1.0, 1.0)
+    lim = origin_characteristic_limit(0.3, 1.0, 1.0)
     errs = []
     for Tn in (100, 400, 1600):
         gap = round(2.0 * sigma * math.sqrt(Tn))
-        r = schur.characteristic_ratio(Tn, (gap, 0), P, 1.0, 1.0)
+        r = _origin_characteristic(Tn, (gap, 0), P, 1.0, 1.0)
         errs.append(abs(r - lim))
     assert errs[0] > errs[1] > errs[2]
 
