@@ -234,8 +234,8 @@ def cmd_kernel_eval(cfg):
     records = []
     for pt in cfg["points"]:
         s, x, t, y = (float(v) for v in pt)
-        if regime == "geo":
-            kv = kernels.kernel_geo(1, int(x), 1, int(y), P, int(cfg["N"]),
+        if regime == "geo":  # s, t are the time offsets M_u, M_v and order the slices
+            kv = kernels.kernel_geo(int(s), int(x), int(t), int(y), P, int(cfg["N"]),
                                     int(s), int(t), tol=cfg["tol"])
         elif regime == "bulk":
             kv = kernels.kernel_N_bulk(s, x, t, y, P, int(cfg["N"]), tol=cfg["tol"])
@@ -253,7 +253,7 @@ def cmd_kernel_eval(cfg):
             records.append({
                 "regime": regime, "params": {"q": P.q, "c": P.c},
                 "points": [s, x, t, y], "tol": cfg["tol"], "entry": name,
-                "value_re": complex(v).real, "value_im": complex(v).imag,
+                "value_re": float(v), "value_im": 0.0,
                 "err": kv.err,
             })
     out = _outdir(cfg)
@@ -307,9 +307,11 @@ def cmd_brownian_limit(cfg):
     cst = ScalingConstantsEdge(P.q, P.c)
     N, B = int(cfg["N"]), int(cfg["samples"])
     t_grid = np.asarray(cfg["t_grid"], dtype=float)
-    in_window = t_grid < cst.kappa_bar
+    in_window = (t_grid >= 0.0) & (t_grid < cst.kappa_bar)
     skipped = t_grid[~in_window].tolist()
     t_grid = t_grid[in_window]
+    if not t_grid.size:
+        raise ValueError(f"no t of t_grid lies in [0, kappa_bar = {cst.kappa_bar:g})")
     U, moments = acceptance.brownian_limit_stats(P, N, B, t_grid,
                                                  replica_rng(cfg["seed"], 0))
     rows = []

@@ -55,25 +55,27 @@ levels keep their meaning.  Every node stays when a weight is not finite,
 so the walk raises at once, and when all are zero.  Unfactored integrands
 and single walks, whose F carries the exponentials, keep every node.
 
-An integrand with real coefficients (real=True: a(conj z) = conj(a(z)),
-likewise F and b) on contours that conjugation maps onto themselves, as
-circles and arcs centred at the origin and wedges with a real apex are,
-is summed over half the z contour.  Node conj(z_i) then carries the
-weight -conj(dz_i), so the pairs (i, j) and (conj i, conj j) add
-conjugate terms: the full sum S is 2 Re S_up for a double integral and
-2i Im S_up for a single one, S_up being the sum over the z nodes above
-the real axis (against every w node), and the value, the prefactor
-times that, is real.  The mass is twice that of S_up, the whole
-contour's; the floor counts the whole rules' nodes, so the threshold,
-the floor and the maximum levels mean what they mean for the full sum,
-and the walk reaches the same level pairs on half the node pairs.
-Before a level of either contour is used, its rule is checked to be
-closed under conjugation: as many nodes above the real axis as below,
-none on it, and the conjugated nodes below, sorted, matching those above
-with weights -conj(dz) to roundoff (_CONJ_TOL); a rule that fails raises
+Every integrand has real coefficients, a(conj z) = conj(a(z)) and
+likewise F and b, on contours that conjugation maps onto themselves, as
+circles and arcs centred at the origin and wedges with a real apex are:
+the package's kernels and partition functions have real parameters.  The
+engine sums over half the z contour.  Node conj(z_i) carries the weight
+-conj(dz_i), so the pairs (i, j) and (conj i, conj j) add conjugate
+terms: the full sum S is 2 Re S_up for a double integral and 2i Im S_up
+for a single one, S_up being the sum over the z nodes above the real
+axis (against every w node), and the value, the prefactor times that, is
+real.  The mass is twice that of S_up, the whole contour's; the floor
+counts the whole rules' nodes, so the threshold, the floor and the
+maximum levels mean what they mean for the full sum, and the walk
+reaches the same level pairs on half the node pairs.  Before a level of
+either contour is used, its rule is checked to be closed under
+conjugation: as many nodes above the real axis as below, none on it, and
+the conjugated nodes below, sorted, matching those above with weights
+-conj(dz) to roundoff (_CONJ_TOL); a rule that fails raises
 ContourPlacementError.  The z contour then keeps its nodes above the
 axis, the w contour all of its nodes, before any node of negligible
-weight is dropped.
+weight is dropped.  The engine checks the contours, not the integrand:
+an integrand without real coefficients gets a wrong value.
 
 The pair sums run in tiles of whole rows: at most 2^15 node pairs for
 scalar weights, whose two complex and one real tile buffers (about 1.25
@@ -419,11 +421,11 @@ _UFUNC_BUFSIZE = 256
 # serial against concurrent: 2^15 pairs 0.9 vs 1.1 ms, 2^16 1.4-1.5 vs 1.5
 # ms, 2^17 2.6-3.4 vs 2.7 ms, 2^18 5.1-6.3 vs 4.3-5.0 ms, 2^19 11.6-11.8 vs
 # 7.5-7.7 ms.  The exact kernel's level-0 circles, 128 z nodes (the upper
-# half, real=True) against 256 w nodes, give doublings of at most 2^16
-# kept pairs, which stay serial.
+# half) against 256 w nodes, give doublings of at most 2^16 kept pairs,
+# which stay serial.
 _SERIAL_PAIRS = 1 << 17
-# the conjugation check of a real-symmetric rule (_upper): nodes are sorted
-# by Re z + _CONJ_KEY Im z, an irrational slope along which no two of a
+# the conjugation check of every rule (_upper): nodes are sorted by
+# Re z + _CONJ_KEY Im z, an irrational slope along which no two of a
 # contour's nodes lie, and must match to _CONJ_TOL relative.  The kernels'
 # contours match to 1.1e-13 at level 6 (the bulk arc's weights: a panel
 # width of 1/1088 carries the rounding of breaks near 1)
@@ -466,19 +468,18 @@ def _upper(z, dz):
     return up
 
 
-def _weights(contour, level, factor, real=False, half=True):
+def _weights(contour, level, factor, half=True):
     """Nodes z of `contour` at `level`, the weights dz_i factor(z_i) and the
     node count n of the level's rule.  The weights are one per node, or
     (n, P) for a factor that returns one column per point p; a complex
-    (n, P) factor is new from its call and takes dz in place.  With real
-    set the rule is checked to be closed under conjugation (_upper), and
-    with half set only its nodes above the real axis are kept."""
+    (n, P) factor is new from its call and takes dz in place.  The rule is
+    checked to be closed under conjugation (_upper), and with half set only
+    its nodes above the real axis are kept."""
     z, wz = contour.nodes(level)
     n = len(z)
-    if real:
-        up = _upper(z, wz)
-        if half:
-            z, wz = z[up], wz[up]
+    up = _upper(z, wz)
+    if half:
+        z, wz = z[up], wz[up]
     f = 1.0 if factor is None else factor(z)
     if np.ndim(f) < 2:
         return z, wz * f, n
@@ -553,11 +554,11 @@ def _block_sums(F, z, U, w, V):
             np.einsum("i...,i...->...", np.abs(U), row_mass))
 
 
-def _finite(kind, levels, raw, mass, pref, partial, part=None):
-    """The prefactor times the raw sums (a scalar or one value per point),
-    or times part(raw sums) when a part is given, and the mass, the largest
-    over the points; raises on a non-finite result."""
-    val = pref * (raw if part is None else part(raw))
+def _finite(kind, levels, raw, mass, pref, partial, part):
+    """The prefactor times part(raw sums) (a scalar or one value per point)
+    and the mass, the largest over the points; raises on a non-finite
+    result."""
+    val = pref * part(raw)
     mass = abs(pref) * float(np.max(mass))
     if not (np.all(np.isfinite(val)) and math.isfinite(mass)):
         raise QuadratureError(f"{kind}-contour integrand not finite", partial=partial,
@@ -573,25 +574,21 @@ def _change(a, b):
     return float(np.max(np.abs(a - b)))
 
 
-def _single_walk(F, contour, tol, factor=None, real=False):
-    """(1/(2 pi i)) times the integral of factor(z) F(z) over one contour:
-    accept level l when its change from level l - 1 is below the threshold.
+def _single_walk(F, contour, tol, factor=None):
+    """(1/(2 pi i)) times the integral of factor(z) F(z) over one contour,
+    (1/pi) Im S_up over its upper half (module docstring): accept level l
+    when its change from level l - 1 is below the threshold.
 
     The factor is folded into the quadrature weights; an (n, P) factor gives
     one value per column, with the acceptance rule and the error taken over
-    all of them.  With real set the integrand is real-symmetric and the sum
-    runs over the upper half of the contour (module docstring).  Returns
-    (value or values, error).
+    all of them.  Returns (value or values, error).
     """
-    pref, part = 1.0 / (2j * math.pi), None
-    if real:  # (1/(2 pi i)) 2i Im S_up
-        pref, part = 1.0 / math.pi, np.imag
     prev = change = thr = None
     for level in range(_SINGLE_MAX_LEVEL + 1):
-        z, U, n = _weights(contour, level, factor, real)
+        z, U, n = _weights(contour, level, factor)
         vals = F(z)
         val, mass = _finite("single", (level,), vals @ U, np.abs(vals) @ np.abs(U),
-                            pref, prev, part)
+                            1.0 / math.pi, prev, np.imag)
         if prev is not None:
             change, thr = _change(val, prev), _threshold(val, mass, tol)
             if change <= thr:
@@ -601,16 +598,14 @@ def _single_walk(F, contour, tol, factor=None, real=False):
                           levels=(_SINGLE_MAX_LEVEL,), changes=(change,), threshold=thr)
 
 
-def _walk(F, contours, tol, factors=(None, None), real=False):
+def _walk(F, contours, tol, factors=(None, None)):
     """(1/(2 pi i))^2 times the integral of a(z) F(z, w) b(w) over two
-    contours, (a, b) = factors, by the per-axis walk over level pairs of the
-    module docstring, the two doublings of a step concurrent where the
-    module docstring says; only the weights of the levels in use are kept.
-    (n, P) factors batch, and real halves the z contour, as in
-    _single_walk."""
-    pref, part = -1.0 / (4.0 * math.pi * math.pi), None
-    if real:  # pref 2 Re S_up
-        pref, part = 2.0 * pref, np.real
+    contours, (a, b) = factors, -(1/(2 pi^2)) Re S_up over the upper half of
+    the z contour, by the per-axis walk over level pairs of the module
+    docstring, the two doublings of a step concurrent where the module
+    docstring says; only the weights of the levels in use are kept.  (n, P)
+    factors batch, as in _single_walk."""
+    pref = -1.0 / (2.0 * math.pi * math.pi)  # 2 (1/(2 pi i))^2, times Re S_up
     weights = ({}, {})  # per contour: level -> (nodes, weights, count), levels in use only
     values = {}  # level pair -> (value, mass)
     partial = None
@@ -619,13 +614,13 @@ def _walk(F, contours, tol, factors=(None, None), real=False):
         if pair not in values:
             for axis, level in enumerate(pair):
                 if level not in weights[axis]:
-                    z, U, n = _weights(contours[axis], level, factors[axis], real, axis == 0)
+                    z, U, n = _weights(contours[axis], level, factors[axis], axis == 0)
                     if factors[axis] is not None:
                         z, U = _drop_negligible(z, U)
                     weights[axis][level] = z, U, n
             (z, U, _), (w, V, _) = weights[0][pair[0]], weights[1][pair[1]]
             values[pair] = _finite("double", pair, *_block_sums(F, z, U, w, V),
-                                   pref, partial, part)
+                                   pref, partial, np.real)
         return values[pair]
 
     pair = (0, 0)
@@ -653,8 +648,7 @@ def _walk(F, contours, tol, factors=(None, None), real=False):
             weights[axis].pop(pair[axis] - 1, None)
 
 
-def integrate_double(F, contour_z, contour_w, tol=1e-9, z_factor=None, w_factor=None,
-                     real=False):
+def integrate_double(F, contour_z, contour_w, tol=1e-9, z_factor=None, w_factor=None):
     """Tensor-product double contour integral (1/(2 pi i)^2) *
     iint z_factor(z) F(z, w) w_factor(w), a missing factor being 1.
 
@@ -673,27 +667,29 @@ def integrate_double(F, contour_z, contour_w, tol=1e-9, z_factor=None, w_factor=
     changes at the accepted level pair, floored at eps (sqrt(n_z) +
     sqrt(n_w)) * mass (module docstring).
 
-    real=True promises an integrand with real coefficients, a(zbar) =
-    conj(a(z)) and likewise for F and b, on contours closed under
-    conjugation; the pair sum then runs over the z nodes above the real
-    axis only and the value is real (module docstring).  A rule that is not
-    closed under conjugation raises ContourPlacementError.
+    The integrand must have real coefficients, a(zbar) = conj(a(z)) and
+    likewise for F and b, on contours closed under conjugation: the pair
+    sum runs over the z nodes above the real axis only and the value is
+    real (module docstring).  A rule that is not closed under conjugation
+    raises ContourPlacementError.
     """
-    return _walk(F, (contour_z, contour_w), tol, (z_factor, w_factor), real)
+    return _walk(F, (contour_z, contour_w), tol, (z_factor, w_factor))
 
 
-def integrate_single(F, contour, tol=1e-10, real=False):
+def integrate_single(F, contour, tol=1e-10):
     """(1/2 pi i) * contour integral by the same level-doubling engine, on
-    each piece's node rule; real as in integrate_double."""
-    return _single_walk(F, contour, tol, real=real)
+    each piece's node rule: F must have real coefficients on a contour
+    closed under conjugation, the sum runs over the nodes above the real
+    axis and the value is real, as in integrate_double."""
+    return _single_walk(F, contour, tol)
 
 
 CIRCLE_MAX_NODES = _CIRCLE_LEVEL0_NODES << _SINGLE_MAX_LEVEL  # the last Circle level
 
 
 def integrate_circle(f, radius):
-    """(1/2pi i) * integral over the origin-centered Circle |u| = radius by
-    integrate_single to tol 1e-12, at most CIRCLE_MAX_NODES nodes; returns
-    (value, error).  No module of the package calls it: perfbench's tracing
-    targets still name it."""
+    """(1/2pi i) * integral of a real-symmetric f over the origin-centered
+    Circle |u| = radius by integrate_single to tol 1e-12, at most
+    CIRCLE_MAX_NODES nodes; returns (value, error).  No module of the
+    package calls it: perfbench's tracing targets still name it."""
     return integrate_single(f, Contour([Circle(0.0, radius)]), 1e-12)

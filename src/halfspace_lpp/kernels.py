@@ -27,9 +27,10 @@ coupling is a rational function, power or exponential of z with real
 coefficients, and the principal logarithm is conjugate-symmetric off its
 cut at z <= 0, on which no node lies.  Every contour is mapped onto
 itself by conjugation: circles and arcs centred at the origin, wedges
-with a real apex and the chord across one.  So every engine call passes
-real=True and sums over the upper half of its z contour: half the node
-pairs, the same level pairs, a real value (contours module docstring).
+with a real apex and the chord across one.  That is the engine's
+contract: each call sums over the upper half of its z contour and
+returns a real value, so every kernel entry is a float (contours module
+docstring).
 
 Each coupling writes into the engine's tile buffers (contours.pair_buffers)
 with out= ufuncs and in-place operators, in the operation order of its
@@ -77,10 +78,10 @@ EDGE_THETA = 5.0 * math.pi / 16.0  # edge wedge half-angle, inside (pi/4, pi/2)
 
 @dataclass
 class KernelValue2x2:
-    k11: complex
-    k12: complex
-    k21: complex
-    k22: complex
+    k11: float
+    k12: float
+    k21: float
+    k22: float
     err: float
 
     def as_matrix(self):
@@ -284,7 +285,7 @@ def _geo_integral(name, coupling, r_z, r_w, tol, a, b):
     b(w), F the coupling, over the circles |z| = r_z and |w| = r_w;
     QuadratureError, with the value, when the error is above _GEO_MAX_ERR."""
     val, err = integrate_double(coupling, Contour([Circle(0.0, r_z)]),
-                                Contour([Circle(0.0, r_w)]), tol, a, b, real=True)
+                                Contour([Circle(0.0, r_w)]), tol, a, b)
     if not err <= _GEO_MAX_ERR:
         raise QuadratureError(f"exact kernel {name}: error {err:.3e} above "
                               f"{_GEO_MAX_ERR:g}", partial=val)
@@ -470,17 +471,17 @@ class _Window:
         """I12 and R12 (heat-kernel part for s < t plus residue) at (s, x; t, y)."""
         zs = self.z_contour(s)
         i12, err = integrate_double(_k12_coupling, zs, self.w_contour(t, levels=(y,)), tol,
-                                    *self.k12_factors(s, x, t, y), real=True)
+                                    *self.k12_factors(s, x, t, y))
         r12 = 0.0
         if s < t:
 
             def heat(z):
                 return -self.scale * np.exp(self.expo(z, s, x) - self.expo(z, t, y)) / z
 
-            v, e = integrate_single(heat, self.heat_contour(), tol, real=True)
+            v, e = integrate_single(heat, self.heat_contour(), tol)
             r12, err = r12 + v, max(err, e)
         if self.has_residue:
-            v, e = integrate_single(self.residue_integrand(s, x, t, y), zs, tol, real=True)
+            v, e = integrate_single(self.residue_integrand(s, x, t, y), zs, tol)
             r12, err = r12 + v, max(err, e)
         return i12, r12, err
 
@@ -490,12 +491,12 @@ class _Window:
         i11, e11 = integrate_double(
             _k11_coupling, self.z_contour(s), self.z_contour(t, shifted=True), tol,
             lambda z: self.k11_scale * self.z_factor(z, s, x),
-            lambda w: self.z_factor(w, t, y), real=True)
+            lambda w: self.z_factor(w, t, y))
         ws, wt = self.w_contour(s, levels=(x,)), self.w_contour(t, levels=(y,))
         i22, e22 = integrate_double(
             _k11_coupling, ws, self.w_contour(t, shifted=True, levels=(y,)), tol,
             lambda z: self.k22_scale * self.w_factor(z, s, x),
-            lambda w: self.w_factor(w, t, y), real=True)
+            lambda w: self.w_factor(w, t, y))
         r22, e_r22 = 0.0, 0.0
         if self.has_residue:
             cc = np.asarray(c, dtype=complex)
@@ -508,8 +509,8 @@ class _Window:
                 return self.k22_scale * np.exp(
                     -self.expo(cc, s, x) - self.expo(w, t, y)) / (c * w - 1.0)
 
-            va, ea = integrate_single(f_a, ws, tol, real=True)
-            vb, eb = integrate_single(f_b, wt, tol, real=True)
+            va, ea = integrate_single(f_a, ws, tol)
+            vb, eb = integrate_single(f_b, wt, tol)
             r22, e_r22 = va - vb, max(ea, eb)
         return i11, i22, r22, max(e11, e22, e_r22)
 
@@ -547,13 +548,12 @@ class _Window:
         zc, c = self.z_contour(v), self.c
         U, eU = integrate_double(
             _tail_coupling, self.count_contour(v), self.w_contour(v, levels=(aN,)), tol,
-            lambda z: z * self.z_factor(z, v, aN), lambda w: self.w_factor(w, v, aN),
-            real=True)
+            lambda z: z * self.z_factor(z, v, aN), lambda w: self.w_factor(w, v, aN))
         V, eV = 0.0, 0.0
         if self.has_residue:
             res = self.residue_integrand(v, aN, v, aN)
             V, eV = integrate_single(lambda z: res(z) / (self.scale * (1.0 - c / z)),
-                                     zc, tol, real=True)
+                                     zc, tol)
         return U + V + self.tail_offset, max(eU, eV)
 
 
@@ -647,7 +647,7 @@ class _BulkWindow(_Window):
                 - Tt * g1_bulk(w, q)
             )
 
-        v, e = integrate_single(f_r22c, self.w_contour(s, levels=(x, y)), tol, real=True)
+        v, e = integrate_single(f_r22c, self.w_contour(s, levels=(x, y)), tol)
         return i11, i22, r22 + v, max(err, e)
 
 
@@ -859,8 +859,7 @@ def _hs_e(z, x):
 def _hs_k12(s, x, t, y, tol):
     cz, cw = _hs_wedges(s, x, t, y)
     i12, err = integrate_double(_mobius(s, -t), cz, cw, tol,
-                                lambda z: _hs_e(z, x) / (2.0 * (z + s)), lambda w: _hs_e(w, y),
-                                real=True)
+                                lambda z: _hs_e(z, x) / (2.0 * (z + s)), lambda w: _hs_e(w, y))
     if s < t:
         r12 = -1.0 / math.sqrt(4.0 * math.pi * (t - s)) * math.exp(
             (-((s - t) ** 4) + 6.0 * (x + y) * (s - t) ** 2 + 3.0 * (x - y) ** 2)
@@ -875,9 +874,9 @@ def _hs_k11_k22(s, x, t, y, tol):
     cz, cw = _hs_wedges(s, x, t, y)
     i11, e1 = integrate_double(_mobius(s, t), cz, cw, tol,
                                lambda z: _hs_e(z, x) / (4.0 * (z + s)),
-                               lambda w: _hs_e(w, y) / (w + t), real=True)
+                               lambda w: _hs_e(w, y) / (w + t))
     i22, e3 = integrate_double(_mobius(-s, -t), cz, cw, tol,
-                               lambda z: _hs_e(z, x), lambda w: _hs_e(w, y), real=True)
+                               lambda z: _hs_e(z, x), lambda w: _hs_e(w, y))
     h_st = cmath.exp(s ** 3 / 3.0 + t ** 3 / 3.0 - x * s - y * t).real
     pref = y - t * t - x + s * s
     r22 = (
@@ -918,7 +917,7 @@ def _limit_k12(s, x, t, y, consts, tol):
         _limit_wedge(+1.0, s, x, t, y, consts),
         _limit_wedge(-1.0, s, x, t, y, consts), tol,
         lambda z: np.exp(_limit_expo(z, f1, s, x)) / (2.0 * z),
-        lambda w: np.exp(-_limit_expo(w, f1, t, y)), real=True)
+        lambda w: np.exp(-_limit_expo(w, f1, t, y)))
     if s < t:
         r12 = -1.0 / math.sqrt(4.0 * math.pi * f1 * (t - s)) * math.exp(
             -((y - x) ** 2) / (4.0 * f1 * (t - s))
@@ -935,12 +934,12 @@ def _limit_k11_k22(s, x, t, y, consts, tol):
         _mobius(0.0, 0.0), _limit_wedge(+1.0, s, x, t, y, consts),
         _limit_wedge(+1.0, s, x, t, y, consts, shift=1.0000003), tol,
         lambda z: np.exp(_limit_expo(z, f1, s, x)) / z,
-        lambda w: np.exp(_limit_expo(w, f1, t, y)) / w, real=True)
+        lambda w: np.exp(_limit_expo(w, f1, t, y)) / w)
     i22, e3 = integrate_double(
         _mobius(0.0, 0.0), _limit_wedge(-1.0, s, x, t, y, consts),
         _limit_wedge(-1.0, s, x, t, y, consts, shift=1.0000003), tol,
         lambda z: np.exp(-_limit_expo(z, f1, s, x)) / 4.0,
-        lambda w: np.exp(-_limit_expo(w, f1, t, y)), real=True)
+        lambda w: np.exp(-_limit_expo(w, f1, t, y)))
 
     def f_r22(w):
         return w * np.exp(f1 * (s + t) * w * w + w * (y - x))
@@ -958,7 +957,7 @@ def _limit_k11_k22(s, x, t, y, consts, tol):
                            start=8.0 + 4.0 * (1.0 + abs(y - x)) / (f1 * (s + t))),
         )
     )
-    vr22, e4 = integrate_single(f_r22, r22_wedge, tol, real=True)
+    vr22, e4 = integrate_single(f_r22, r22_wedge, tol)
     return i11, i22, -0.5 * vr22, max(e1, e3, e4)
 
 
@@ -1215,14 +1214,14 @@ def _diag_batch_eval(F, factors, phases, cz, cw, xs, tol):
     values move by far less than the returned error."""
     xs = np.asarray(xs, dtype=float)
     return _walk(F, (cz, cw), tol,
-                 tuple(_level_factor(f, p, xs) for f, p in zip(factors, phases)), real=True)
+                 tuple(_level_factor(f, p, xs) for f, p in zip(factors, phases)))
 
 
 def _diag_batch_single(F, phase, contour, xs, tol):
     """(1/2 pi i) * integral of F(z) e^{phase(z) x} per x, level-doubled,
     the exponentials built as in _diag_batch_eval."""
     xs = np.asarray(xs, dtype=float)
-    return _single_walk(F, contour, tol, _level_factor(None, phase, xs), real=True)
+    return _single_walk(F, contour, tol, _level_factor(None, phase, xs))
 
 
 def edge_k12_diag_batch(xs, params, N, kappa, tol=1e-8):

@@ -621,8 +621,8 @@ def rescale_top_batch(top_vals, N, consts, t_grid):
     """Top-curve fluctuation field on [0, kappa_bar), the N^{1/2} window, for
     a (B, M+1) array of top-curve values; the grid must hit integer times."""
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.size and t_grid.max() >= consts.kappa_bar:
-        raise ParameterError("t grid must stay below kappa_bar")
+    if not np.all((t_grid >= 0.0) & (t_grid < consts.kappa_bar)):
+        raise ParameterError(f"t grid must lie in [0, kappa_bar = {consts.kappa_bar:g})")
     times = t_grid * N
     idx = np.rint(times).astype(int)
     if np.max(np.abs(times - idx)) > 1e-9:

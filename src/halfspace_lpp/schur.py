@@ -330,7 +330,7 @@ def partition_fn_contour(T1, y, params):
             return np.exp(-T1 * (np.log(1.0 - u) + np.log(1.0 - q * q / u))
                           - k * np.log(u) - np.log(pole_fn(u)) - scale)
 
-        val, err = integrate_single(f, Contour([Circle(0.0, r)]), _CONTOUR_TOL, real=True)
+        val, err = integrate_single(f, Contour([Circle(0.0, r)]), _CONTOUR_TOL)
         if not err <= _CONTOUR_TOL * abs(val):
             raise QuadratureError(
                 f"partition-function circle |u| = {r:.6g}: error {err:.3e} above "

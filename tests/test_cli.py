@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from halfspace_lpp import cli
+from halfspace_lpp import cli, kernels
+from halfspace_lpp.model import ModelParams
 
 
 def run(args):
@@ -104,18 +106,44 @@ def test_config_keys_read_are_listed_and_listed_keys_read():
     assert listed <= read, f"listed but never read: {sorted(listed - read)}"
 
 
+# per regime: the --set items and one point [s, x, t, y]
+KERNEL_EVAL_REGIMES = {
+    "hs_limit": ([], [1.0, 0.0, 1.0, 0.0]),
+    "bulk_limit": ([], [1.0, 0.0, 1.5, 0.3]),
+    "bulk": (["c=1.3", "N=50"], [1.0, 0.0, 1.5, 0.3]),
+    "edge": (["c=1.4", "N=64"], [0.5, 0.1, 1.0, -0.2]),
+    "geo": (["q=0.4", "c=0.7", "N=3"], [1, 0, 2, 2]),
+}
+
+
 def test_kernel_eval_records(tmp_path):
-    rc = run([
-        "kernel-eval", "--out", str(tmp_path),
-        "--set", "regime=hs_limit",
-        "--set", "points=[[1.0, 0.0, 1.0, 0.0]]",
-    ])
+    for regime, (sets, point) in KERNEL_EVAL_REGIMES.items():
+        out = tmp_path / regime
+        argv = ["kernel-eval", "--out", str(out), "--set", f"regime={regime}",
+                "--set", f"points={json.dumps([point])}", "--tol", "1e-7"]
+        for item in sets:
+            argv += ["--set", item]
+        assert run(argv) == 0, regime
+        recs = json.loads((out / "kernel_values.json").read_text())
+        assert [r["entry"] for r in recs] == ["k11", "k12", "k21", "k22"], regime
+        for r in recs:
+            assert set(r) >= {"regime", "params", "points", "tol", "value_re",
+                              "value_im", "err"}
+            assert r["regime"] == regime and r["points"] == point
+            assert r["value_im"] == 0.0 and math.isfinite(r["value_re"])
+
+
+@pytest.mark.parametrize("s, x, t, y", [(1, 0, 2, 2), (2, 2, 1, 0), (1, 1, 2, 1)])
+def test_kernel_eval_geo_orders_the_slices_by_time(tmp_path, s, x, t, y):
+    # geo points are [M_u, x, M_v, y]: the earlier time is the earlier slice
+    P = ModelParams(0.4, 0.7)
+    rc = run(["kernel-eval", "--out", str(tmp_path), "--set", "regime=geo",
+              "--set", "q=0.4", "--set", "c=0.7", "--set", "N=3", "--tol", "1e-9",
+              "--set", f"points={json.dumps([[s, x, t, y]])}"])
     assert rc == 0
     recs = json.loads((tmp_path / "kernel_values.json").read_text())
-    assert {r["entry"] for r in recs} == {"k11", "k12", "k21", "k22"}
-    for r in recs:
-        assert set(r) >= {"regime", "params", "points", "tol", "value_re",
-                          "value_im", "err"}
+    kv = kernels.kernel_geo(int(s > t), x, int(s < t), y, P, 3, s, t, tol=1e-9)
+    assert [r["value_re"] for r in recs] == [kv.k11, kv.k12, kv.k21, kv.k22]
 
 
 def test_gibbs_verify_command(tmp_path):
@@ -184,6 +212,19 @@ def test_brownian_limit_small_run(tmp_path):
     assert "var_ratio_t0" in man["checks"]
 
 
+def test_brownian_limit_window_is_zero_to_kappa_bar(tmp_path):
+    base = ["brownian-limit", "--seed", "9", "--set", "q=0.5", "--set", "c=1.4",
+            "--set", "N=20", "--set", "samples=200"]
+    run(base + ["--out", str(tmp_path / "neg"), "--set", "t_grid=[-1.0, 2.0]"])
+    man = json.loads((tmp_path / "neg" / "brownian_limit_manifest.json").read_text())
+    assert man["checks"]["skipped_out_of_window"] == [-1.0]
+    assert [k for k in man["checks"] if k.startswith("var_ratio")] == ["var_ratio_t2"]
+    # kappa_bar = 8 at q = 0.5, c = 1.4: refused before any curve is sampled
+    with pytest.raises(ValueError, match="kappa_bar = 8"):
+        run(base + ["--out", str(tmp_path / "past"), "--set", "t_grid=[9.0]"])
+    assert not (tmp_path / "past").exists()
+
+
 def test_manifest_config_has_no_jobs(tmp_path):
     rc = run(["partition-fn", "--out", str(tmp_path), "--set", "T1=3"])
     assert rc == 0
@@ -231,7 +272,7 @@ def test_fixed_seed_archives_keep_their_digests(tmp_path):
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is most of a cold start; only the checks that need it load it
+    # scipy.stats is most of a cold start; the package never loads it
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -239,3 +280,12 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+    # the chi^2 checks take the tail from scipy.special and integrate the
+    # Bessel bins by Gauss-Legendre: neither scipy.stats nor scipy.integrate
+    code = ("import sys, numpy as np; from halfspace_lpp import acceptance as a\n"
+            "for fn in (a.check_monotone_coupling, a.check_continuum_samplers):\n"
+            "    assert fn(np.random.default_rng(1)).passed\n"
+            "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -76,9 +76,12 @@ def test_exact_kernel_bit_identical(monkeypatch):
 
 @pytest.mark.parametrize("bad, levels", [("z", (1, 0)), ("w", (0, 1)), ("zw", (1, 0))])
 def test_non_finite_doubling_raises_as_serial(monkeypatch, bad, levels):
-    # finite on the 256 nodes of level 0, NaN on the axes in `bad` above it
+    # finite on the nodes of level 0 (the z circle's upper 128, the w
+    # circle's 256), NaN on the axes in `bad` above it
+    level0 = {"z": 128, "w": 256}
+
     def factor(axis):
-        return lambda z: np.exp(z) if len(z) == 256 or axis not in bad else z * np.nan
+        return lambda z: np.exp(z) if len(z) == level0[axis] or axis not in bad else z * np.nan
 
     serial, both = _serial_and_concurrent(monkeypatch, lambda: ct.integrate_double(
         kernels._k12_coupling, ct.Contour([ct.Circle(0.0, 1.0)]),

@@ -180,6 +180,9 @@ def test_rescale_top_exact_line():
     assert np.max(np.abs(vals)) < 1.0 / np.sqrt(N)
     with pytest.raises(ParameterError):
         lpp.rescale_top_batch(tops, N, cst, [cst.kappa_bar])
+    # t = -1 would read tops[:, -N], a time from the far end of the curve
+    with pytest.raises(ParameterError, match=r"\[0, kappa_bar"):
+        lpp.rescale_top_batch(tops, N, cst, [-1.0, 1.0])
 
 
 def test_geometric_icdf_at_zero():

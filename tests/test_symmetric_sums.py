@@ -1,7 +1,11 @@
-"""Sums over the upper half of a conjugation-closed z contour (real=True):
-the same value as the full sum within the returned errors, exactly real,
-refused on a contour that is not closed under conjugation, and in the
-kernels half the z nodes at the same level pairs."""
+"""Sums over the upper half of a conjugation-closed z contour: equal to
+the full sum of an independent reference (adaptive Gauss-Kronrod over a
+single contour, a tensor-product sum over both whole contours) within the
+returned errors, exactly real, refused on a contour that is not closed
+under conjugation, and in the kernels half the z nodes of the full sum's
+level pairs."""
+
+import math
 
 import numpy as np
 import pytest
@@ -56,30 +60,48 @@ def _batched(f):
     return lambda z: np.exp(np.multiply.outer(z, XS)) * f(z)[:, None]
 
 
-def _agree(half, full):
-    (v, e), (v0, e0) = half, full
-    assert not np.iscomplexobj(v) and np.all(np.imag(v) == 0.0)
-    assert np.all(np.abs(v - v0) <= e + e0)
-    assert e <= 1.05 * e0 + 1e-14
+def _real(v):
+    return not np.iscomplexobj(v) and np.all(np.imag(v) == 0.0)
+
+
+def _contour_reference(F, contour):
+    """(1/(2 pi i)) * the integral of F by adaptive Gauss-Kronrod, and its
+    error estimate."""
+    val, err = ct.integrate_contour(F, contour, 1e-12)
+    return val / (2j * math.pi), err / (2.0 * math.pi)
+
+
+def _tensor_reference(F, cz, cw, a, b, level):
+    """(1/(2 pi i))^2 * the tensor-product sum over both whole contours'
+    rules at `level`; one value per column of an (n, P) z factor."""
+    z, dz = cz.nodes(level)
+    w, dw = cw.nodes(level)
+    U = a(z)
+    U = U * (dz[:, None] if U.ndim == 2 else dz)
+    return -(U.T @ (F(z[:, None], w[None, :]) @ (b(w) * dw))) / (4.0 * math.pi ** 2)
 
 
 @pytest.mark.parametrize("case", _single_cases(), ids=lambda c: c[0])
 def test_single_half_sum_equals_full_sum(case):
     _, contour, F = case
-    _agree(ct.integrate_single(F, contour, 1e-10, real=True),
-           ct.integrate_single(F, contour, 1e-10))
-    ones = _batched(np.ones_like)
-    _agree(ct._single_walk(F, contour, 1e-10, ones, real=True),
-           ct._single_walk(F, contour, 1e-10, ones))
+    v, e = ct.integrate_single(F, contour, 1e-10)
+    ref, e_ref = _contour_reference(F, contour)
+    assert _real(v) and abs(v - ref) <= e + e_ref
+    v, e = ct._single_walk(F, contour, 1e-10, _batched(np.ones_like))
+    assert _real(v)
+    for x, vx in zip(XS, v):
+        ref, e_ref = _contour_reference(lambda z: F(z) * np.exp(z * x), contour)
+        assert abs(vx - ref) <= e + e_ref
 
 
 @pytest.mark.parametrize("case", _double_cases(), ids=lambda c: c[0])
 def test_double_half_sum_equals_full_sum(case):
     _, cz, cw, F, a, b = case
-    _agree(ct.integrate_double(F, cz, cw, 1e-9, a, b, real=True),
-           ct.integrate_double(F, cz, cw, 1e-9, a, b))
-    _agree(ct._walk(F, (cz, cw), 1e-9, (_batched(a), b), real=True),
-           ct._walk(F, (cz, cw), 1e-9, (_batched(a), b)))
+    for got, za in ((ct.integrate_double(F, cz, cw, 1e-9, a, b), a),
+                    (ct._walk(F, (cz, cw), 1e-9, (_batched(a), b)), _batched(a))):
+        v, e = got
+        ref0, ref = (_tensor_reference(F, cz, cw, za, b, level) for level in (1, 2))
+        assert _real(v) and np.all(np.abs(v - ref) <= e + np.abs(ref - ref0))
 
 
 @pytest.mark.parametrize("piece", [ct.Circle(0.1j, 1.0), ct.Arc(0.0, 1.0, 0.0, np.pi)],
@@ -87,15 +109,39 @@ def test_double_half_sum_equals_full_sum(case):
 def test_rule_not_closed_under_conjugation_raises(piece):
     contour, circle = ct.Contour([piece]), ct.Contour([ct.Circle(0.0, 3.0)])
     with pytest.raises(ct.ContourPlacementError, match="conjugation"):
-        ct.integrate_single(np.exp, contour, real=True)
+        ct.integrate_single(np.exp, contour)
     for cz, cw in ((contour, circle), (circle, contour)):
         with pytest.raises(ct.ContourPlacementError, match="conjugation"):
-            ct.integrate_double(kernels._k12_coupling, cz, cw, real=True)
+            ct.integrate_double(kernels._k12_coupling, cz, cw)
 
 
-def _block_shapes(monkeypatch, fn, real):
-    """The (z nodes, w nodes) of every pair sum of fn(), on one thread; with
-    real False the kernels' double integrals run on the whole z contour."""
+# the (z nodes, w nodes) of every pair sum of the two kernel calls below, as
+# recorded when the full-sum mode still existed: the z counts are half the
+# z rules' and the level pairs are those of the full sums
+BLOCK_SHAPES = {
+    "kernel_N_edge": [
+        (68, 256), (134, 256), (68, 512), (134, 512), (68, 1024), (134, 1024), (68, 2048),
+        (68, 136), (134, 136), (68, 268), (128, 256), (256, 256), (128, 512), (256, 512),
+        (512, 512), (256, 1024), (512, 1024), (1024, 1024), (512, 2048), (68, 256),
+        (134, 256), (68, 512), (134, 512), (68, 1024), (134, 1024), (68, 2048)],
+    "bulk_prelimit_components": [
+        (168, 272), (336, 272), (168, 544), (336, 544), (168, 1088), (336, 1088),
+        (168, 2176), (168, 336), (336, 336), (168, 672), (136, 272), (272, 272),
+        (136, 544), (272, 544), (544, 544), (272, 1088), (544, 1088), (1088, 1088),
+        (544, 2176)],
+}
+
+
+KERNEL_CALLS = {
+    "kernel_N_edge":
+        lambda: kernels.kernel_N_edge(0.5, 0.1, 1.0, -0.2, ModelParams(0.5, 1.4), 64, tol=1e-7),
+    "bulk_prelimit_components":
+        lambda: kernels.bulk_prelimit_components(1.0, 0.0, 1.5, 0.3, ModelParams(0.5, 1.3), 50),
+}
+
+
+@pytest.mark.parametrize("name", list(KERNEL_CALLS))
+def test_kernels_sum_half_the_z_nodes_at_the_same_level_pairs(monkeypatch, name):
     shapes = []
     block_sums = ct._block_sums
 
@@ -103,20 +149,7 @@ def _block_shapes(monkeypatch, fn, real):
         shapes.append((len(z), len(w)))
         return block_sums(F, z, U, w, V)
 
-    with monkeypatch.context() as m:
-        m.setattr(lpp, "_usable_cpus", lambda: 1)
-        m.setattr(ct, "_block_sums", recorded)
-        if not real:
-            m.setattr(kernels, "integrate_double", lambda *a, real: ct.integrate_double(*a))
-        fn()
-    return shapes
-
-
-@pytest.mark.parametrize("fn", [
-    lambda: kernels.kernel_N_edge(0.5, 0.1, 1.0, -0.2, ModelParams(0.5, 1.4), 64, tol=1e-7),
-    lambda: kernels.bulk_prelimit_components(1.0, 0.0, 1.5, 0.3, ModelParams(0.5, 1.3), 50),
-], ids=["kernel_N_edge", "bulk_prelimit_components"])
-def test_kernels_sum_half_the_z_nodes_at_the_same_level_pairs(monkeypatch, fn):
-    half = _block_shapes(monkeypatch, fn, True)
-    full = _block_shapes(monkeypatch, fn, False)
-    assert half and half == [(nz // 2, nw) for nz, nw in full]
+    monkeypatch.setattr(lpp, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(ct, "_block_sums", recorded)
+    KERNEL_CALLS[name]()
+    assert shapes == BLOCK_SHAPES[name]
