@@ -509,10 +509,18 @@ def run_all(seed=DEFAULT_SEED, names=None):
 
     Seeds are derived per criterion from its position in the battery, so a
     run is reproducible and a filtered run executes the identical checks.
+    names (a string is one name) selects checks with or without their
+    check_ prefix; an unknown name raises ValueError before any check runs.
     """
+    valid = [fn.__name__.removeprefix("check_") for fn in ALL_CHECKS]
+    given = [names] if isinstance(names, str) else [str(n) for n in names or []]
+    unknown = [n for n in given if n.removeprefix("check_") not in valid]
+    if unknown:
+        raise ValueError(f"unknown checks {unknown}; valid checks: {valid}")
+    selected = {n.removeprefix("check_") for n in given} or set(valid)
     results = []
-    for index, fn in enumerate(ALL_CHECKS):
-        if names and fn.__name__ not in names and fn.__name__.replace("check_", "") not in names:
+    for index, (fn, name) in enumerate(zip(ALL_CHECKS, valid)):
+        if name not in selected:
             continue
         rng = np.random.default_rng([seed, index])
         res = fn(rng)

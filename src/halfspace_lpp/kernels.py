@@ -305,17 +305,15 @@ def _geo_k12(u, x, v, y, params, N, M_u, M_v, tol, radii):
 
 
 def _geo_k11_k22_circles(params, u_ge_v, radii):
-    """The K11 circles (r1, s1) and the K22 circles (r2, s2) of the exact
-    kernel, s1 and s2 off the z = w diagonal, once _geo_clear has checked
-    them: K11's avoid |z| = 0, 1, 1/q and |z| |w| = 1, K22's |w| = 0, q, c
-    and |z| |w| = 1."""
+    """The K11 circle r1 and the K22 circle r2 of the exact kernel, each
+    carrying both variables, once _geo_clear has checked them: K11's avoids
+    |z| = 0, 1, 1/q, K22's |w| = 0, q, c, and each r avoids 1/r, where the
+    coupling's poles |z| |w| = 1 would meet it."""
     q, c = params.q, params.c
     r1, _, r2 = geo_default_radii(q, c, u_ge_v) if radii is None else radii
-    s1, s2 = r1 * 1.0000003, r2 * 1.0000003
-    z_poles, w_poles = (0.0, 1.0, 1.0 / q), (0.0, q, c)
-    _geo_clear((("K11 z", r1, z_poles), ("K11 w", s1, z_poles + (1.0 / r1,)),
-                ("K22 z", r2, w_poles), ("K22 w", s2, w_poles + (1.0 / r2,))))
-    return r1, s1, r2, s2
+    _geo_clear((("K11 z", r1, (0.0, 1.0, 1.0 / q, 1.0 / r1)),
+                ("K22 z", r2, (0.0, q, c, 1.0 / r2))))
+    return r1, r2
 
 
 def _geo_k12_pieces(s, x, t, y, params, N, tol, radii):
@@ -329,10 +327,10 @@ def _geo_k11_k22_pieces(s, x, t, y, params, N, tol, radii):
     """(I11, I22, R22 = 0, err) of the exact kernel at slices s = (u, M_u),
     t = (v, M_v)."""
     q, c = params.q, params.c
-    r1, s1, r2, s2 = _geo_k11_k22_circles(params, s[0] >= t[0], radii)
-    k11, e11 = _geo_integral("K11", _k11_coupling, r1, s1, tol,
+    r1, r2 = _geo_k11_k22_circles(params, s[0] >= t[0], radii)
+    k11, e11 = _geo_integral("K11", _k11_coupling, r1, r1, tol,
                              _geo_a(q, c, N, x, s[1]), _geo_a(q, c, N, y, t[1]))
-    k22, e22 = _geo_integral("K22", _k11_coupling, r2, s2, tol,
+    k22, e22 = _geo_integral("K22", _k11_coupling, r2, r2, tol,
                              _geo_b(q, c, N, x, s[1]), _geo_b(q, c, N, y, t[1]))
     return k11, k22, 0.0, max(e11, e22)
 
@@ -419,24 +417,29 @@ def _assemble_2x2(k12_pieces, k11_k22_pieces, s, x, t, y, *args):
 class _Window:
     """A scaling window of the prelimit kernel at size N.
 
-    A subclass defines the window once: its contours z_contour(v) and
-    w_contour(v, shifted, levels) at slice v (shifted=True gives the copy
-    moved off the z = w diagonal; levels are the scaled levels of every
-    integrand taken over it), the exponent expo(z, v, a) of the z-factor at
-    scaled level a, its a-derivative phase(z), the lattice center(v), the heat
-    contour of the s < t part of R12, the z contour count_contour(v) of the
+    A subclass defines the window once: its z contour z_contour and heat
+    contour heat_contour (of the s < t part of R12), built once in its
+    constructor, the w contour w_contour(v, levels) at slice v (levels are
+    the scaled levels of every integrand taken over it), the exponent
+    expo(z, v, a) of the z-factor at scaled level a, its a-derivative
+    phase(z), the lattice center(v), the z contour count_contour(v) of the
     summed double integral in count_tail (z_contour unless overridden), and
     the scalars scale (the K12 and residue prefactor), k11_scale, k22_scale,
     has_residue (the pole at w = c leaves a residue) and tail_offset.  The
     integrands below are written once in these terms, the double ones as
     the per-axis factors z_factor and w_factor times a coupling.
+
+    K11 integrates both variables on z_contour, and K22 on the w contours
+    of its two slices: their coupling (z - w)/(zw - 1) vanishes on z = w,
+    and its poles zw = 1 straddle the unit circle, which none of these
+    contours crosses (README, Numerical notes).
     """
 
     def __init__(self, params, N):
         self.q, self.c, self.N = params.q, params.c, N
 
     def count_contour(self, v):
-        return self.z_contour(v)
+        return self.z_contour
 
     def z_factor(self, z, v, a):
         """(z - c) e^{expo(z, v, a)} / (z (z^2 - 1)): the z factor of K12 and
@@ -469,7 +472,7 @@ class _Window:
 
     def k12_pieces(self, s, x, t, y, tol):
         """I12 and R12 (heat-kernel part for s < t plus residue) at (s, x; t, y)."""
-        zs = self.z_contour(s)
+        zs = self.z_contour
         i12, err = integrate_double(_k12_coupling, zs, self.w_contour(t, levels=(y,)), tol,
                                     *self.k12_factors(s, x, t, y))
         r12 = 0.0
@@ -478,7 +481,7 @@ class _Window:
             def heat(z):
                 return -self.scale * np.exp(self.expo(z, s, x) - self.expo(z, t, y)) / z
 
-            v, e = integrate_single(heat, self.heat_contour(), tol)
+            v, e = integrate_single(heat, self.heat_contour, tol)
             r12, err = r12 + v, max(err, e)
         if self.has_residue:
             v, e = integrate_single(self.residue_integrand(s, x, t, y), zs, tol)
@@ -489,12 +492,12 @@ class _Window:
         """I11, I22 and the residue part of R22 at (s, x; t, y)."""
         c = self.c
         i11, e11 = integrate_double(
-            _k11_coupling, self.z_contour(s), self.z_contour(t, shifted=True), tol,
+            _k11_coupling, self.z_contour, self.z_contour, tol,
             lambda z: self.k11_scale * self.z_factor(z, s, x),
             lambda w: self.z_factor(w, t, y))
         ws, wt = self.w_contour(s, levels=(x,)), self.w_contour(t, levels=(y,))
         i22, e22 = integrate_double(
-            _k11_coupling, ws, self.w_contour(t, shifted=True, levels=(y,)), tol,
+            _k11_coupling, ws, wt, tol,
             lambda z: self.k22_scale * self.w_factor(z, s, x),
             lambda w: self.w_factor(w, t, y))
         r22, e_r22 = 0.0, 0.0
@@ -529,7 +532,7 @@ class _Window:
         e^{x_j phase(z)} every _ANCHOR_STRIDE-th level and products with
         e^{h phase(z)} between, within _RECURRENCE_ULPS eps (1 + |phase(z)|
         max |x|) of the exact factor, relative."""
-        zc = self.z_contour(v)
+        zc = self.z_contour
         i12, err = _diag_batch_eval(_k12_coupling, self.k12_factors(v, 0.0, v, 0.0),
                                     (self.phase, lambda w: -self.phase(w)),
                                     zc, self.w_contour(v, levels=xs), xs, tol)
@@ -545,7 +548,7 @@ class _Window:
         lattice levels from a (snapped up to the lattice) as geometric series."""
         center = self.center(v)
         aN = (math.ceil(a * self.scale + center - 1e-9) - center) / self.scale
-        zc, c = self.z_contour(v), self.c
+        zc, c = self.z_contour, self.c
         U, eU = integrate_double(
             _tail_coupling, self.count_contour(v), self.w_contour(v, levels=(aN,)), tol,
             lambda z: z * self.z_factor(z, v, aN), lambda w: self.w_factor(w, v, aN))
@@ -557,10 +560,11 @@ class _Window:
         return U + V + self.tail_offset, max(eU, eV)
 
 
-def bulk_contour(a, N, sign):
-    """gamma^+/-_N(a): wedge of angle pi/3 (resp. 2pi/3) at 1 + a N^{-1/3},
-    legs of euclidean length N^{-1/12}, closed by an origin-centered arc."""
-    apex = 1.0 + a * N ** (-1.0 / 3.0)
+def bulk_contour(N, sign):
+    """gamma^+/-_N: wedge of angle pi/3 (resp. 2pi/3) at 1 + sign N^{-1/3},
+    legs of euclidean length N^{-1/12} (the lower one ending at the apex),
+    closed by an origin-centered arc."""
+    apex = 1.0 + sign * N ** (-1.0 / 3.0)
     phi = math.pi / 3.0 if sign > 0 else 2.0 * math.pi / 3.0
     L = N ** (-1.0 / 12.0)
     grade = max(N ** (-0.25), 1e-3)
@@ -574,13 +578,13 @@ def bulk_contour(a, N, sign):
 
 def bulk_prelimit_feasible(q, c, N):
     """Contour-nesting conditions under which the prelimit formulas are the
-    genuine correlation kernel (they hold for all large N)."""
-    inv3 = N ** (-1.0 / 3.0)
-    hi = abs(1.0 + inv3 + N ** (-1.0 / 12.0) * cmath.exp(1j * math.pi / 3.0))
-    lo_apex = 1.0 - inv3
-    lo_rad = abs(1.0 - inv3 + N ** (-1.0 / 12.0) * cmath.exp(2j * math.pi / 3.0))
+    genuine correlation kernel (they hold for all large N), read off the
+    apexes and arc radii of gamma^+_N and gamma^-_N."""
+    (plus_leg, _, plus_arc), (minus_leg, _, minus_arc) = (
+        bulk_contour(N, sign).pieces for sign in (+1, -1))
+    hi, lo_apex, lo_rad = plus_arc.radius, minus_leg.b, minus_arc.radius
     checks = {
-        "gamma_plus_outside_unit": 1.0 + inv3 > 1.0,
+        "gamma_plus_outside_unit": plus_leg.b > 1.0,
         "gamma_minus_inside_unit": lo_rad < 1.0 and lo_apex < 1.0,
         "qinv_outside_gamma_plus": hi < 1.0 / q,
     }
@@ -605,19 +609,15 @@ class _BulkWindow(_Window):
         self.k22_scale = 0.25
         self.has_residue = self.c > 1.0
         self.tail_offset = 1.0 if self.has_residue else 0.0
+        self.z_contour = self.heat_contour = bulk_contour(N, +1)
+        self._gamma_minus = bulk_contour(N, -1)
 
     def slice_index(self, t):
         return math.floor(t * self.N ** (2.0 / 3.0))
 
-    def z_contour(self, t, shifted=False):
-        return bulk_contour(1.0 + 1e-7 if shifted else 1.0, self.N, +1)
-
-    def w_contour(self, t, shifted=False, *, levels):
-        """gamma^-_N, the same wedge at every level."""
-        return bulk_contour(-1.0 - 1e-7 if shifted else -1.0, self.N, -1)
-
-    def heat_contour(self):
-        return self.z_contour(0.0)
+    def w_contour(self, t, *, levels):
+        """gamma^-_N, the same wedge at every slice and level."""
+        return self._gamma_minus
 
     def phase(self, z):
         return -self.scale * np.log(z)
@@ -669,27 +669,6 @@ def bulk_lattice_point(a, params, N, t):
     return _BulkWindow(params, N).lattice_point(a, t)
 
 
-def edge_gamma_contour(c, theta, R, r, grade_scale):
-    """The wedge-plus-arc contour C(x, theta, R, r) around center x = c: rays
-    at angles +-theta from c, cut at distance r from c by a chord and closed
-    by the origin-centered arc through their points at radius R, the ray
-    segments graded toward the chord by grade_scale.  The edge window takes
-    theta = EDGE_THETA = 5 pi/16 and R = 2/q."""
-    zp = c + r * cmath.exp(1j * theta)
-    zm = c + r * cmath.exp(-1j * theta)
-    tplus = -c * math.cos(theta) + math.sqrt(R * R - c * c * math.sin(theta) ** 2)
-    zetap = c + tplus * cmath.exp(1j * theta)
-    zetam = c + tplus * cmath.exp(-1j * theta)
-    pieces = []
-    pieces.append(Segment(zetam, zm, grade="end", grade_scale=grade_scale))
-    if r > 0.0:
-        pieces.append(Segment(zm, zp))
-    pieces.append(Segment(zp, zetap, grade="start", grade_scale=grade_scale))
-    th = cmath.phase(zetap)
-    pieces.append(Arc(0.0, abs(zetap), th, 2.0 * math.pi - th))
-    return Contour(pieces)
-
-
 def edge_prelimit_feasible(q, c, N):
     """Contour-nesting conditions of the edge window at wedge angle
     EDGE_THETA."""
@@ -703,10 +682,10 @@ def edge_prelimit_feasible(q, c, N):
 class _EdgeWindow(_Window):
     """The N^{1/2} window at slices kappa in [0, kappa_bar), c in (1, 1/q).
 
-    Its z contours are edge_gamma_contour wedges of half-angle theta =
-    EDGE_THETA = 5 pi/16, closed by the arc through radius R = 2/q.  Every
-    entry point builds it with the slices it will use, and the constructor
-    raises ParameterError for a slice outside [0, kappa_bar).
+    Its z contours are wedges of half-angle theta = EDGE_THETA = 5 pi/16
+    (_wedge), closed by the arc through radius R = 2/q.  Every entry point
+    builds it with the slices it will use, and the constructor raises
+    ParameterError for a slice outside [0, kappa_bar).
     """
 
     def __init__(self, params, N, *kappas):
@@ -719,16 +698,29 @@ class _EdgeWindow(_Window):
         self.has_residue = True
         self.tail_offset = 0.0
         self._lq_c = cmath.log(1.0 - self.q / self.c)
+        self.z_contour = self._wedge(self.c, N ** -0.5 / math.cos(EDGE_THETA))
+        self.heat_contour = self._heat_contour()
 
     def _wedge(self, apex, r):
-        return edge_gamma_contour(apex, EDGE_THETA, 2.0 / self.q, r,
-                                  min(0.2, self.N ** -0.5))
+        """The contour C(apex, theta, R, r): rays at angles +-theta =
+        +-EDGE_THETA from the apex, cut at distance r > 0 from it by a chord
+        and closed by the origin-centered arc through their points at radius
+        R = 2/q, the ray segments graded toward the chord by min(0.2,
+        N^{-1/2})."""
+        theta, R, gs = EDGE_THETA, 2.0 / self.q, min(0.2, self.N ** -0.5)
+        zp = apex + r * cmath.exp(1j * theta)
+        zm = apex + r * cmath.exp(-1j * theta)
+        tplus = (-apex * math.cos(theta)
+                 + math.sqrt(R * R - apex * apex * math.sin(theta) ** 2))
+        zetap = apex + tplus * cmath.exp(1j * theta)
+        zetam = apex + tplus * cmath.exp(-1j * theta)
+        th = cmath.phase(zetap)
+        return Contour([Segment(zetam, zm, grade="end", grade_scale=gs),
+                        Segment(zm, zp),
+                        Segment(zp, zetap, grade="start", grade_scale=gs),
+                        Arc(0.0, abs(zetap), th, 2.0 * math.pi - th)])
 
-    def z_contour(self, kappa, shifted=False):
-        return self._wedge(self.c, self.N ** -0.5 / math.cos(EDGE_THETA)
-                           * (1.0000003 if shifted else 1.0))
-
-    def w_contour(self, kappa, shifted=False, *, levels):
+    def w_contour(self, kappa, *, levels):
         """The circle |w| = z_crit(kappa) + N^{-1/2} for integrands at the
         scaled levels `levels` of slice kappa.  At a lattice level every
         branched factor of e^{expo} has an integer power, so the integrand
@@ -736,10 +728,10 @@ class _EdgeWindow(_Window):
         trapezoid rule); off the lattice the power of w has a non-integer
         part, the integrand jumps across the principal-log seam at w < 0,
         and it takes full_circle, whose panels break at the seam."""
-        r = self.N ** -0.5 * (1.0000003 if shifted else 1.0)
         m = np.asarray(levels, dtype=float) * self.scale + self.center(kappa)
         lattice = bool(np.all(np.abs(m - np.rint(m)) < 1e-9))
-        return Contour([(Circle if lattice else full_circle)(0.0, self.cst.z_crit(kappa) + r)])
+        r = self.cst.z_crit(kappa) + self.N ** -0.5
+        return Contour([(Circle if lattice else full_circle)(0.0, r)])
 
     def count_contour(self, kappa):
         """The wedge at z_crit(kappa) + 3 N^{-1/2}, between the w circle and
@@ -752,7 +744,7 @@ class _EdgeWindow(_Window):
                 f"count contour apex {apex:.4g} leaves less than {r:.3g} below 1/q")
         return self._wedge(apex, r)
 
-    def heat_contour(self):
+    def _heat_contour(self):
         """Wedge of half-angle pi/2 at c, closed by the circle of radius
         sqrt(c^2 + N^{-1/6})."""
         c, N = self.c, self.N
@@ -896,12 +888,11 @@ def kernel_hs_inf(s, x, t, y, tol=DEFAULT_TOL):
     return _assemble_2x2(_hs_k12, _hs_k11_k22, s, x, t, y, tol)
 
 
-def _limit_wedge(sign, s, x, t, y, consts, shift=1.0):
+def _limit_wedge(sign, s, x, t, y, consts):
     """The pi/3 wedge at sigma1 (sign +1) or the 2pi/3 wedge at -sigma1
-    (sign -1) of the bulk limit kernel; shift moves the apex off the z = w
-    diagonal."""
+    (sign -1) of the bulk limit kernel."""
     phi = math.pi / 3.0 if sign > 0 else 2.0 * math.pi / 3.0
-    return _airy_wedge(sign * consts.sigma1 * shift, phi, sign,
+    return _airy_wedge(sign * consts.sigma1, phi, sign,
                        consts.f1 * max(s, t), abs(x) + abs(y) + 1.0)
 
 
@@ -928,16 +919,17 @@ def _limit_k12(s, x, t, y, consts, tol):
 
 
 def _limit_k11_k22(s, x, t, y, consts, tol):
+    """I11 and I22, both variables on the sigma1 and the -sigma1 wedge: the
+    coupling (z - w)/(z + w) vanishes on z = w, and Re z, Re w share a sign."""
     f1, s1g = consts.f1, consts.sigma1
     phi23 = 2.0 * math.pi / 3.0
+    plus, minus = (_limit_wedge(sign, s, x, t, y, consts) for sign in (+1.0, -1.0))
     i11, e1 = integrate_double(
-        _mobius(0.0, 0.0), _limit_wedge(+1.0, s, x, t, y, consts),
-        _limit_wedge(+1.0, s, x, t, y, consts, shift=1.0000003), tol,
+        _mobius(0.0, 0.0), plus, plus, tol,
         lambda z: np.exp(_limit_expo(z, f1, s, x)) / z,
         lambda w: np.exp(_limit_expo(w, f1, t, y)) / w)
     i22, e3 = integrate_double(
-        _mobius(0.0, 0.0), _limit_wedge(-1.0, s, x, t, y, consts),
-        _limit_wedge(-1.0, s, x, t, y, consts, shift=1.0000003), tol,
+        _mobius(0.0, 0.0), minus, minus, tol,
         lambda z: np.exp(-_limit_expo(z, f1, s, x)) / 4.0,
         lambda w: np.exp(-_limit_expo(w, f1, t, y)))
 

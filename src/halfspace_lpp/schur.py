@@ -236,19 +236,24 @@ def _pair_blocks(T1, delta, q, c, cap):
         yield n, d, lw, tail
 
 
+def _exit_gap(y):
+    """y1 - y2 of the exit data y = (y1, y2); ParameterError unless y1 >= y2."""
+    y1, y2 = y
+    if y1 < y2:
+        raise ParameterError(f"need y1 >= y2, got y = ({y1}, {y2})")
+    return y1 - y2
+
+
 def partition_fn_series(T1, y, params, tol=1e-12):
     """Interacting-pair normalization Z(T1, y; q, c) by direct summation.
 
     Returns (value, tail_bound); the tail bound is rigorous, from geometric
     domination of the term envelope.  Raises AccuracyError at the first block
     whose running total overflows a float, and when tol is not reached
-    within 100000 blocks.
+    within 100000 blocks; ParameterError unless y1 >= y2.
     """
-    y1, y2 = y
-    if y1 < y2:
-        raise ParameterError("need y1 >= y2")
     total = 0.0
-    for n, _, lw, log_tail in _pair_blocks(T1, y1 - y2, params.q, params.c, 100000):
+    for n, _, lw, log_tail in _pair_blocks(T1, _exit_gap(y), params.q, params.c, 100000):
         with np.errstate(over="ignore"):
             total += float(np.exp(lw).sum())
         if not math.isfinite(total):
@@ -316,11 +321,12 @@ def partition_fn_contour(T1, y, params):
     stays off its cut and the integrands are real-symmetric.  Raises
     QuadratureError, with the integral's value, when a circle's returned
     error is above _CONTOUR_TOL of |value| (the engine accepted on an
-    absolute floor, or its roundoff floor is above the tolerance), and
-    AccuracyError when Z overflows a float.
+    absolute floor, or its roundoff floor is above the tolerance),
+    AccuracyError when Z overflows a float, and ParameterError unless
+    y1 >= y2.
     """
     q, c = params.q, params.c
-    delta = y[0] - y[1]
+    delta = _exit_gap(y)
     k1, k2 = delta + 1, delta + 3
     r1, r2 = default_contour_radii(T1, delta, q, c)
     scale = max(_log_peak(T1, k1, q, r1), _log_peak(T1, k2, q, r2))
@@ -359,12 +365,12 @@ def origin_law(T1, y, params):
     the log h terms read from one table (_log_h_upto).  Raises
     AccuracyError at the first row whose tail envelope is zero while the
     total is still zero: then no configuration has mass; and past 200000
-    rows.
+    rows.  Raises ParameterError unless y1 >= y2.
     """
-    y1, y2 = y
+    delta, y2 = _exit_gap(y), y[1]
     ns, ds, lws = [], [], []
     log_total = -math.inf
-    for n, d, lw, ltail in _pair_blocks(T1, y1 - y2, params.q, params.c, 200000):
+    for n, d, lw, ltail in _pair_blocks(T1, delta, params.q, params.c, 200000):
         if lw.size:
             log_total = np.logaddexp(log_total, np.logaddexp.reduce(lw))
         ns.append(np.full(lw.size, n))

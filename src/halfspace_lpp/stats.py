@@ -44,18 +44,15 @@ def jackknife_mean(values):
 
 @dataclass
 class PointStats:
-    """Per-level densities and tail counts of a sampled slice."""
+    """Per-level densities of a sampled slice and their jackknife errors."""
 
     levels: np.ndarray
     density: np.ndarray
     density_se: np.ndarray
-    mean_count: float
-    count_se: float
-    window: tuple
 
 
 def empirical_point_stats(samples, slice_index, lattice, window):
-    """Densities rho_1(x) and window counts for one time slice of an archive.
+    """Densities rho_1(x) in a window of one time slice of an archive.
 
     samples: (B, K, M+1) integer curve array; points are lambda_i - i.
     window: (lo, hi) in scaled coordinates; density is estimated at every
@@ -72,16 +69,7 @@ def empirical_point_stats(samples, slice_index, lattice, window):
     ms = np.arange(m_lo, m_hi + 1)
     ind = (pts[:, :, None] == ms[None, None, :]).any(axis=1).astype(float)
     density, density_se = jackknife_mean(ind)
-    incount = ((pts >= m_lo) & (pts <= m_hi)).sum(axis=1).astype(float)
-    mean_count, count_se = jackknife_mean(incount)
-    return PointStats(
-        levels=lattice.x_of(ms),
-        density=density,
-        density_se=density_se,
-        mean_count=float(mean_count),
-        count_se=float(count_se),
-        window=(lo, hi),
-    )
+    return PointStats(levels=lattice.x_of(ms), density=density, density_se=density_se)
 
 
 def empirical_tail_count(samples, slice_index, lattice, a):

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from halfspace_lpp import cli, kernels
-from halfspace_lpp.model import ModelParams
+from halfspace_lpp.model import ModelParams, ParameterError
 
 
 def run(args):
@@ -166,6 +166,13 @@ def test_pinned_origin_command(tmp_path):
     assert "gap_tv" in man["checks"]
 
 
+def test_pinned_origin_refuses_y1_below_y2(tmp_path):
+    # exit data Y1 < Y2 died with an IndexError inside origin_law
+    with pytest.raises(ParameterError, match="need y1 >= y2"):
+        run(["pinned-origin", "--out", str(tmp_path), "--set", "samples=100",
+             "--set", "T_sweep=[100]", "--set", "y_scaled=[-1.0,1.0]"])
+
+
 def test_kernel_converge_table(tmp_path):
     rc = run([
         "kernel-converge", "--out", str(tmp_path), "--set", "regime=bulk",
@@ -198,6 +205,22 @@ def test_verify_all_filtered(tmp_path):
     man = json.loads((tmp_path / "verify_all_manifest.json").read_text())
     assert set(man["checks"]) == {"rsk_oracle", "phase_diagnostics"}
     assert all(v["passed"] for v in man["checks"].values())
+
+
+def test_verify_all_takes_a_string_as_one_check_name(tmp_path):
+    rc = run(["verify-all", "--out", str(tmp_path), "--set", "checks=check_rsk_oracle"])
+    assert rc == 0
+    man = json.loads((tmp_path / "verify_all_manifest.json").read_text())
+    assert set(man["checks"]) == {"rsk_oracle"}
+
+
+@pytest.mark.parametrize("checks", ['["tail_moment"]', "tail_moment", '["rsk_oracle", "nope"]'])
+def test_verify_all_refuses_unknown_check_names(tmp_path, checks):
+    # a misspelled name ran no check and printed "0/0 checks passed", exit 0
+    with pytest.raises(ValueError, match="unknown checks .*valid checks") as info:
+        run(["verify-all", "--out", str(tmp_path), "--set", f"checks={checks}"])
+    assert "rsk_oracle" not in str(info.value).split(";")[0]
+    assert not (tmp_path / "verify_all_manifest.json").exists()
 
 
 def test_brownian_limit_small_run(tmp_path):

@@ -70,9 +70,8 @@ def test_window_exponents_equal_the_phase_functions(regime, c, N, v):
             return (N * kernels.s1_bulk(z, P.q) + win.slice_index(v) * kernels.g1_bulk(z, P.q)
                     + a * win.phase(z))
 
-    contours = [win.z_contour(v), win.z_contour(v, shifted=True),
-                win.w_contour(v, levels=(0.0,)), win.w_contour(v, levels=(0.123,)),
-                win.heat_contour(), win.count_contour(v)]
+    contours = [win.z_contour, win.w_contour(v, levels=(0.0,)),
+                win.w_contour(v, levels=(0.123,)), win.heat_contour, win.count_contour(v)]
     for contour in contours:
         for level in range(6):
             z, _ = contour.nodes(level)
@@ -359,8 +358,7 @@ def test_edge_threshold_count_is_resolved(monkeypatch):
 
     def other_apex(self, kappa):
         r = self.N ** -0.5 / math.cos(kernels.EDGE_THETA)
-        return kernels.edge_gamma_contour(self.cst.z_crit(kappa) + 6.0 * self.N ** -0.5,
-                                          kernels.EDGE_THETA, 2.0 / self.q, r, 0.05)
+        return self._wedge(self.cst.z_crit(kappa) + 6.0 * self.N ** -0.5, r)
 
     monkeypatch.setattr(kernels._EdgeWindow, "count_contour", other_apex)
     v2, e2 = _threshold_count(400, 0.5)
@@ -406,7 +404,7 @@ def test_edge_k12_factors_match_whole_integrand():
         return (scale * (z * w - 1.0) * (z - c) / (z * (z - w) * (z * z - 1.0) * (w - c))
                 * np.exp(win.expo(z, s, x) - win.expo(w, t, y)))
 
-    whole, e = kernels.integrate_double(f12, win.z_contour(s), win.w_contour(t, levels=(y,)))
+    whole, e = kernels.integrate_double(f12, win.z_contour, win.w_contour(t, levels=(y,)))
     i12, _, err = win.k12_pieces(s, x, t, y, kernels.DEFAULT_TOL)
     assert abs(whole - i12) <= e + err
 
@@ -484,9 +482,8 @@ def test_geo_w_circle_through_inverse_q_stays_finite():
 
 def _w_contour_on(piece):
     """An edge w_contour that takes `piece` at every level."""
-    def w_contour(self, kappa, shifted=False, *, levels):
-        r = self.N ** -0.5 * (1.0000003 if shifted else 1.0)
-        return kernels.Contour([piece(0.0, self.cst.z_crit(kappa) + r)])
+    def w_contour(self, kappa, *, levels):
+        return kernels.Contour([piece(0.0, self.cst.z_crit(kappa) + self.N ** -0.5)])
     return w_contour
 
 
@@ -495,8 +492,7 @@ def test_edge_w_contour_is_a_circle_on_the_lattice_only(monkeypatch):
     win = kernels._EdgeWindow(P, N)
     xs = [kernels.edge_lattice_point(a, P, N, 0.5)[0] for a in (-1.0, 0.0, 1.0)]
     assert isinstance(win.w_contour(0.5, levels=xs).pieces[0], kernels.Circle)
-    assert isinstance(win.w_contour(0.5, shifted=True, levels=xs[:1]).pieces[0],
-                      kernels.Circle)
+    assert isinstance(win.w_contour(0.5, levels=xs[:1]).pieces[0], kernels.Circle)
     assert isinstance(win.w_contour(0.5, levels=xs + [0.1]).pieces[0], kernels.Arc)
     # off the lattice the components are those of the full_circle rule ...
     point = (0.5, 0.1, 1.0, -0.2)
@@ -529,3 +525,34 @@ def test_edge_i22_on_lattice_circles_needs_fewer_nodes(monkeypatch):
     monkeypatch.setattr(kernels, "integrate_single", lambda *a, **k: (0.0, 0.0))
     win.k11_k22_pieces(0.5, x, 2.0, y, 1e-8)
     assert sorted(sizes.values()) == [2048, 2048]
+
+
+_K12_COUPLINGS = (kernels._k12_coupling, kernels._limit_k12_coupling, kernels._tail_coupling)
+_EDGE_P = ModelParams(0.5, 1.4)
+_EDGE_X = [kernels.edge_lattice_point(a, _EDGE_P, 100, 0.5)[0] for a in (-0.3, 0.2)]
+
+
+@pytest.mark.parametrize("kernel, args", [
+    (kernels.kernel_N_bulk, (1.0, 0.0, 1.5, 0.3, ModelParams(0.5, 0.8), 50)),
+    (kernels.kernel_N_bulk, (1.0, 0.0, 1.5, 0.3, ModelParams(0.5, 1.3), 50)),
+    # the edge w circle sits at z_crit(kappa), so K22 pairs one circle with
+    # itself only at equal slices
+    (kernels.kernel_N_edge, (0.5, _EDGE_X[0], 0.5, _EDGE_X[1], _EDGE_P, 100)),
+    (kernels.kernel_limit_bulk, (1.0, 0.2, 1.5, -0.3, ScalingConstantsBulk(0.5))),
+    (kernels.kernel_geo, (1, 0, 0, 2, ModelParams(0.4, 0.7), 3, 1, 0)),
+], ids=["bulk_c0.8", "bulk_c1.3", "edge", "limit_bulk", "geo"])
+def test_k11_k22_integrate_both_variables_on_one_contour(monkeypatch, kernel, args):
+    # K11 and K22 run on the contours of K12 and the residues: their
+    # couplings vanish on z = w, so no copy moved off the diagonal is needed
+    rules = []
+
+    def recording(F, cz, cw, *rest):
+        if F not in _K12_COUPLINGS:
+            rules.append((cz.nodes(0), cw.nodes(0)))
+        return 0.0, 0.0
+
+    monkeypatch.setattr(kernels, "integrate_double", recording)
+    kernel(*args)
+    assert len(rules) == 2  # K11 and K22
+    for (z, dz), (w, dw) in rules:
+        assert np.array_equal(z, w) and np.array_equal(dz, dw)

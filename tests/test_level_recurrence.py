@@ -46,9 +46,9 @@ def _axes(win, v, xs):
     and w axes of I12 and the z axis of the residue part."""
     fa, fb = win.k12_factors(v, 0.0, v, 0.0)
     phase_c = win.phase(np.asarray(win.c, dtype=complex))
-    return [(win.z_contour(v), fa, win.phase),
+    return [(win.z_contour, fa, win.phase),
             (win.w_contour(v, levels=xs), fb, lambda w: -win.phase(w)),
-            (win.z_contour(v), None, lambda z: win.phase(z) - phase_c)]
+            (win.z_contour, None, lambda z: win.phase(z) - phase_c)]
 
 
 def _direct(f, phase, xs, z):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from halfspace_lpp.contours import ContourPlacementError, QuadratureError
-from halfspace_lpp.model import ModelParams
+from halfspace_lpp.model import ModelParams, ParameterError
 from halfspace_lpp import schur
 
 
@@ -414,6 +414,21 @@ def test_origin_law_without_mass_fails_fast(monkeypatch):
     with pytest.raises(schur.AccuracyError, match="no configuration has mass"):
         schur.origin_law(0, (1, 0), ModelParams(0.5, 0.0))
     assert rows == [0, 1]
+
+
+@pytest.mark.parametrize("y", [(0, 2), (1, 2)])
+def test_partition_fn_contour_refuses_y1_below_y2(y):
+    # the contour formula returned -9.8765 at (0, 2) and 3.0e-15 at (1, 2)
+    with pytest.raises(ParameterError, match="need y1 >= y2"):
+        schur.partition_fn_contour(3, y, ModelParams(0.5, 0.8))
+
+
+def test_origin_law_refuses_y1_below_y2():
+    # (0, 2) died with an IndexError in _pair_block; at (1, 2) every block is
+    # empty and the loop ran on toward its 200000-row cap
+    for y in ((0, 2), (1, 2)):
+        with pytest.raises(ParameterError, match="need y1 >= y2"):
+            schur.origin_law(3, y, ModelParams(0.5, 0.8))
 
 
 def test_origin_gap_tv_sums_to_largest_gap_plus_tail():

@@ -15,6 +15,9 @@ from halfspace_lpp import kernels, lpp
 from halfspace_lpp.model import ModelParams
 
 XS = np.array([-0.4, 0.0, 0.7])
+# its _wedge(c, r) is the edge gamma contour C(c, EDGE_THETA, R = 2/q = 4, r)
+# graded by N^{-1/2} = 0.05
+_EDGE_WINDOW = kernels._EdgeWindow(ModelParams(0.5, 1.4), 400)
 
 
 def _single_cases():
@@ -25,9 +28,8 @@ def _single_cases():
         # z^(1/2) jumps across the principal-log seam at z < 0
         ("full_circle", ct.Contour([ct.full_circle(0.0, 1.5)]),
          lambda z: np.sqrt(z) * np.exp(z) / (z - 0.3)),
-        ("bulk_contour", kernels.bulk_contour(1.0, 200, +1), rational),
-        ("edge_gamma_contour",
-         kernels.edge_gamma_contour(1.4, kernels.EDGE_THETA, 4.0, 0.05, 0.05), rational),
+        ("bulk_contour", kernels.bulk_contour(200, +1), rational),
+        ("edge_gamma_contour", _EDGE_WINDOW._wedge(1.4, 0.05), rational),
         ("airy_wedge", kernels._airy_wedge(1.5, np.pi / 3.0, +1.0, 0.0, 1.3),
          lambda z: np.exp(z ** 3 / 3.0 - 0.3 * z) / (z + 0.5)),
     ]
@@ -43,11 +45,9 @@ def _double_cases():
         ("full_circle", ct.Contour([ct.full_circle(0.0, 1.0)]),
          ct.Contour([ct.full_circle(0.0, 0.5)]), kernels._k12_coupling,
          lambda z: np.sqrt(z) * np.exp(z), lambda w: np.exp(-w) / w),
-        ("bulk_contour", kernels.bulk_contour(1.0, 200, +1),
-         kernels.bulk_contour(-1.0, 200, -1),
+        ("bulk_contour", kernels.bulk_contour(200, +1), kernels.bulk_contour(200, -1),
          kernels._limit_k12_coupling, lambda z: np.exp(z) / z, lambda w: np.exp(-w)),
-        ("edge_gamma_contour",
-         kernels.edge_gamma_contour(1.4, kernels.EDGE_THETA, 4.0, 0.05, 0.05),
+        ("edge_gamma_contour", _EDGE_WINDOW._wedge(1.4, 0.05),
          ct.Contour([ct.Circle(0.0, 1.1)]), kernels._k12_coupling,
          lambda z: np.exp(z) / (z * (z * z - 1.0)), lambda w: 1.0 / (w - 1.4)),
         ("airy_wedge", cz, cw, kernels._mobius(s, -t),
